@@ -166,46 +166,25 @@ def estimator_cdf(approx: GammaApprox, x):
     return out
 
 
-# One chunk of standard normals at a time keeps the sampler's memory flat
-# regardless of dof * n; 2**22 doubles is 32 MiB.
-_CHUNK_NORMALS = 1 << 22
+def _ncx2_draws(rng: np.random.Generator, dof: int, noncentrality,
+                noise_scale: float, n: int) -> np.ndarray:
+    """n variates of noise_scale * chi2_dof(noncentrality), the exact law.
 
-
-def _shifted_square_sums(rng: np.random.Generator, dof: int, delta,
-                         noise_scale: float, n: int) -> np.ndarray:
-    """Rows of noise_scale * sum_k (delta + z_k)^2 with z_k iid N(0, 1).
-
-    delta is a scalar or a length-n array (per-row mean shift). The chunk
-    boundaries depend only on (dof, n), so a fixed generator state yields a
-    fixed output.
+    noncentrality is a scalar or a length-n array (one law per row). numpy
+    builds each variate as chi2_(dof-1) + (Z + sqrt(nc))^2 when dof > 1 and
+    as a Poisson(nc / 2) mixture of central chi-squares when dof <= 1, so
+    the draws follow the noncentral law itself, not a surrogate, at a cost
+    that does not grow with dof.
     """
-    out = np.empty(n)
-    rows_per_chunk = max(1, _CHUNK_NORMALS // dof)
-    delta_arr = None if np.isscalar(delta) else np.asarray(delta, dtype=float)
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        z = rng.standard_normal((stop - start, dof))
-        if delta_arr is None:
-            z += delta
-        else:
-            z += delta_arr[start:stop, None]
-        out[start:stop] = noise_scale * np.einsum("ij,ij->i", z, z)
-    return out
+    return noise_scale * rng.noncentral_chisquare(dof, noncentrality, n)
 
 
 def sample_ncx2(law: NcChiSq, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n variates from the exact law through its signal model.
-
-    Each variate is noise_scale * sum of dof squared unit Gaussians shifted
-    by sqrt(noncentrality / dof), i.e. exactly noise_scale * chi2 with the
-    law's dof and noncentrality. Sampling goes through the per-sample sum
-    rather than a closed-form generator so the draws exercise the same
-    accumulation the estimators perform.
-    """
+    """Draw n variates from the exact law with numpy's noncentral
+    chi-square generator (see _ncx2_draws)."""
     if n < 1:
         raise ValueError("n must be positive")
-    delta = math.sqrt(law.noncentrality / law.dof)
-    return _shifted_square_sums(rng, law.dof, delta, law.noise_scale, n)
+    return _ncx2_draws(rng, law.dof, law.noncentrality, law.noise_scale, n)
 
 
 def received_power_law(snr: float, n_samples: int, noise_power: float) -> NcChiSq:

@@ -2,12 +2,12 @@
 
 Every trial replays one frame end to end through the exact laws, with no
 gamma surrogates anywhere: the receive-power, pilot-gain, and interference
-estimates are each drawn through the shifted-square signal model of their
-own noncentral law, the power rule is applied, and the trial records what
-the primary would have experienced. Summaries then carry everything the
-analytic side predicts:
-outage rate, mean estimated capacity, throughput, and sorted samples for
-distribution-level comparisons.
+estimates are each drawn from their own scaled noncentral chi-square law
+by numpy's exact generator (dists._ncx2_draws), the power rule is applied,
+and the trial records what the primary would have experienced. Summaries
+then carry everything the analytic side predicts: outage rate, mean
+estimated capacity, throughput, and sorted samples for distribution-level
+comparisons.
 
 Reproducibility discipline: trials are grouped in fixed blocks of 4096 and
 block j draws from Generator(Philox(SeedSequence(seed, spawn_key=(j,)))).
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import NakagamiGain, _shifted_square_sums
+from .dists import _ncx2_draws, sample_nakagami
 from .power_control import (FadingLinks, PowerControlResult, Regime,
                             ScenarioParams, controlled_power_det,
                             controlled_power_fading, samples_for)
@@ -90,14 +90,11 @@ def _det_block(args):
     rng = _rng_for_block(seed, block)
     n = samples_for(tau, params.f_s)
     k_p = params.pilot_samples
-    p_hat = _shifted_square_sums(rng, n, math.sqrt(params.gamma),
-                                 params.sigma2 / n, size)
-    g_hat = _shifted_square_sums(
-        rng, 2, math.sqrt(k_p * params.g_st_sr / (2.0 * params.sigma2)),
-        params.sigma2 / k_p, size)
-    i_hat = _shifted_square_sums(
-        rng, n, math.sqrt(params.g_pt_sr * params.p_tx_pt / params.sigma2),
-        params.sigma2 / n, size)
+    p_hat = _ncx2_draws(rng, n, n * params.gamma, params.sigma2 / n, size)
+    g_hat = _ncx2_draws(rng, 2, k_p * params.g_st_sr / params.sigma2,
+                        params.sigma2 / k_p, size)
+    i_hat = _ncx2_draws(rng, n, n * params.g_pt_sr * params.p_tx_pt / params.sigma2,
+                        params.sigma2 / n, size)
     c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
     interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
     return p_hat, c_hat, interference, None
@@ -108,18 +105,15 @@ def _fading_block(args):
     rng = _rng_for_block(seed, block)
     n = samples_for(tau, params.f_s)
     k_p = params.pilot_samples
-    x_pr = rng.gamma(links.pr_st.m, links.pr_st.mean_gain / links.pr_st.m, size)
-    x_pt = rng.gamma(links.pt_sr.m, links.pt_sr.mean_gain / links.pt_sr.m, size)
-    x_st = rng.gamma(links.st_sr.m, links.st_sr.mean_gain / links.st_sr.m, size)
-    p_hat = _shifted_square_sums(
-        rng, n, np.sqrt(x_pr * params.p_tx_pr / params.sigma2),
-        params.sigma2 / n, size)
-    g_hat = _shifted_square_sums(
-        rng, 2, np.sqrt(k_p * x_st / (2.0 * params.sigma2)),
-        params.sigma2 / k_p, size)
-    i_hat = _shifted_square_sums(
-        rng, n, np.sqrt(x_pt * params.p_tx_pt / params.sigma2),
-        params.sigma2 / n, size)
+    x_pr = sample_nakagami(links.pr_st, rng, size)
+    x_pt = sample_nakagami(links.pt_sr, rng, size)
+    x_st = sample_nakagami(links.st_sr, rng, size)
+    p_hat = _ncx2_draws(rng, n, n * x_pr * params.p_tx_pr / params.sigma2,
+                        params.sigma2 / n, size)
+    g_hat = _ncx2_draws(rng, 2, k_p * x_st / params.sigma2,
+                        params.sigma2 / k_p, size)
+    i_hat = _ncx2_draws(rng, n, n * x_pt * params.p_tx_pt / params.sigma2,
+                        params.sigma2 / n, size)
     c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
     interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
     return p_hat, c_hat, interference, np.stack([x_pr, x_pt, x_st], axis=1)
@@ -151,7 +145,8 @@ def _summarize(params: ScenarioParams, tau: float, p_used: float,
     records: tuple[TrialRecord, ...] = ()
     if keep_records:
         k = min(keep_records, n)
-        gains = blocks[0][3]
+        gains = (None if blocks[0][3] is None
+                 else np.concatenate([b[3] for b in blocks]))
         records = tuple(
             TrialRecord(
                 p_hat=float(p_hat[i]), p_used=p_used,

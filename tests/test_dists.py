@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, GammaApprox, NakagamiGain,
-                               NcChiSq, capacity_cdf, capacity_pdf,
-                               capacity_survival, estimator_cdf, gamma_match,
-                               interference_power_law, nakagami_gain_cdf,
-                               nakagami_gain_quantile, pilot_gain_law,
-                               received_power_law, sample_nakagami,
-                               sample_ncx2)
+                               NcChiSq, _ncx2_draws, capacity_cdf,
+                               capacity_pdf, capacity_survival, estimator_cdf,
+                               gamma_match, interference_power_law,
+                               nakagami_gain_cdf, nakagami_gain_quantile,
+                               pilot_gain_law, received_power_law,
+                               sample_nakagami, sample_ncx2)
 from underlaysim.montecarlo import ks_distance
 
 SIGMA2 = 1e-10
@@ -105,6 +105,66 @@ def test_sampler_agrees_with_ncx2_cdf(gamma_db, n):
     # exact noncentral chi-square CDF on the physical power scale
     ref = scipy.stats.ncx2(df=law.dof, nc=law.noncentrality,
                            scale=law.noise_scale)
+    assert ks_distance(x, ref.cdf) <= 0.02
+
+
+# The signal model the estimators perform: each variate sums dof squared
+# unit Gaussians shifted by delta (a scalar or one shift per row). It costs
+# dof normals per variate, so it serves only as an oracle for the
+# closed-form generator that sample_ncx2 and the Monte Carlo blocks use.
+def _shifted_square_sums(rng, dof, delta, noise_scale, n):
+    out = np.empty(n)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n,))
+    rows = max(1, (1 << 20) // dof)  # 8 MiB of normals at a time
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        z = rng.standard_normal((stop - start, dof)) + delta[start:stop, None]
+        out[start:stop] = noise_scale * np.einsum("ij,ij->i", z, z)
+    return out
+
+
+def test_sampler_matches_signal_model_receive_power():
+    # det receive-power estimate at 1000 samples and unit SNR
+    n = 1000
+    law = received_power_law(1.0, n, SIGMA2)
+    fast = sample_ncx2(law, np.random.default_rng(31), 50_000)
+    slow = _shifted_square_sums(np.random.default_rng(32), n,
+                                math.sqrt(law.noncentrality / n),
+                                law.noise_scale, 50_000)
+    assert scipy.stats.ks_2samp(fast, slow).statistic <= 0.02
+
+
+def _unit_nakagami_gains(rng, size):
+    return sample_nakagami(NakagamiGain(m=1.0, mean_gain=1.0), rng, size)
+
+
+def test_sampler_matches_signal_model_pilot_per_row():
+    # dof = 2 pilot estimate whose noncentrality changes from row to row
+    k, size = 10, 50_000
+    x_st = 1e-8 * _unit_nakagami_gains(np.random.default_rng(41), size)
+    nc = k * x_st / SIGMA2
+    fast = _ncx2_draws(np.random.default_rng(42), 2, nc, SIGMA2 / k, size)
+    slow = _shifted_square_sums(np.random.default_rng(43), 2, np.sqrt(nc / 2.0),
+                                SIGMA2 / k, size)
+    assert scipy.stats.ks_2samp(fast, slow).statistic <= 0.02
+
+
+def test_sampler_matches_signal_model_fading_receive_power():
+    # dof = n with per-row shifts from Nakagami gains, as in a fading block
+    n, size = 1000, 50_000
+    snr = _unit_nakagami_gains(np.random.default_rng(51), size)
+    fast = _ncx2_draws(np.random.default_rng(52), n, n * snr, SIGMA2 / n, size)
+    slow = _shifted_square_sums(np.random.default_rng(53), n, np.sqrt(snr),
+                                SIGMA2 / n, size)
+    assert scipy.stats.ks_2samp(fast, slow).statistic <= 0.02
+
+
+@pytest.mark.parametrize("nc", [0.5, 4.0])
+def test_sampler_single_dof_agrees_with_ncx2_cdf(nc):
+    # dof = 1 takes numpy's Poisson-mixture branch
+    law = NcChiSq(dof=1, noncentrality=nc, noise_scale=2.0)
+    x = np.sort(sample_ncx2(law, np.random.default_rng(61), 100_000))
+    ref = scipy.stats.ncx2(df=1, nc=nc, scale=law.noise_scale)
     assert ks_distance(x, ref.cdf) <= 0.02
 
 

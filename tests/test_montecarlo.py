@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from underlaysim.montecarlo import (BLOCK, McSummary, _block_sizes,
-                                    ks_distance, run_trials_det,
-                                    run_trials_fading)
+                                    _fading_block, ks_distance,
+                                    run_trials_det, run_trials_fading)
 from underlaysim.power_control import (Regime, controlled_power_det,
                                        default_fading)
 from underlaysim.throughput import prefactor
@@ -100,6 +100,24 @@ def test_fading_records_carry_gains(defaults):
     for r in res.records:
         assert r.gains is not None and len(r.gains) == 3
         assert all(g > 0.0 for g in r.gains)
+
+
+def test_fading_records_span_blocks(defaults):
+    # records past the first block carry that block's own gains
+    links = default_fading(defaults, 1.0)
+    n = BLOCK + 100
+    one = run_trials_fading(defaults, links, 1e-3, n, SEED, jobs=1, keep_records=n)
+    two = run_trials_fading(defaults, links, 1e-3, n, SEED, jobs=2, keep_records=n)
+    assert len(one.records) == n
+    assert one.records == two.records
+    for blk, start in [(0, 0), (1, BLOCK)]:
+        size = min(BLOCK, n - start)
+        p_hat, _, _, gains = _fading_block(
+            (defaults, links, 1e-3, one.p_used, SEED, blk, size))
+        for i in (0, size - 1):
+            r = one.records[start + i]
+            assert r.gains == tuple(float(g) for g in gains[i])
+            assert r.p_hat == p_hat[i]
 
 
 def test_fading_partitioning_matches_single_process(defaults):
