@@ -143,16 +143,25 @@ class CapacityDist:
         return self.gain_approx.scale * self.tx_power / self.interf_approx.scale
 
 
-def gamma_match(law: NcChiSq) -> GammaApprox:
-    """Two-moment gamma surrogate of a scaled noncentral chi-square law.
+def _gamma_params(dof, noncentrality, noise_scale):
+    """Gamma-surrogate (shape, scale) of noise_scale * chi2_dof(nc), elementwise.
 
+    Patnaik's two-moment match:
     shape = (dof + nc)^2 / (2 dof + 4 nc),
     scale = noise_scale * (2 dof + 4 nc) / (dof + nc).
+    Any argument may be an array, and dof need not be an integer: the
+    fading integrals pass arrays of noncentralities and the root searches
+    over the window length pass a continuous sample count.
     """
-    total = law.dof + law.noncentrality
-    spread = 2.0 * law.dof + 4.0 * law.noncentrality
-    return GammaApprox(shape=total * total / spread,
-                       scale=law.noise_scale * spread / total)
+    total = dof + noncentrality
+    spread = 2.0 * dof + 4.0 * noncentrality
+    return total * total / spread, noise_scale * spread / total
+
+
+def gamma_match(law: NcChiSq) -> GammaApprox:
+    """Two-moment gamma surrogate of a scaled noncentral chi-square law."""
+    shape, scale = _gamma_params(law.dof, law.noncentrality, law.noise_scale)
+    return GammaApprox(shape=shape, scale=scale)
 
 
 def estimator_cdf(approx: GammaApprox, x):

@@ -168,20 +168,6 @@ def _check_tau(params: ScenarioParams, tau: float) -> None:
         raise ValueError("tau must leave room for the pilot inside the frame")
 
 
-def _surrogate_ab(n_eff, snr, noise_power):
-    """Gamma-surrogate (shape, scale) of the power estimate, continuous n.
-
-    Matches gamma_match(received_power_law(snr, n, noise)) when n_eff is an
-    integer; accepts arrays in snr for the fading integrals and a real
-    n_eff for root searches over the window length.
-    """
-    total = 1.0 + snr
-    spread = 2.0 + 4.0 * snr
-    a = n_eff * total * total / spread
-    b = noise_power * spread / (n_eff * total)
-    return a, b
-
-
 def _interference_threshold(params: ScenarioParams, p: float) -> float:
     # receive-power level at the ST above which the implied PR-ST gain
     # would push interference p * gain past theta_i
@@ -203,8 +189,7 @@ def outage_det(params: ScenarioParams, tau: float, p: float) -> float:
     return specfun.reg_upper_gamma(ga.shape, thr / ga.scale)
 
 
-def controlled_power_det(params: ScenarioParams, tau: float,
-                         tol: Tolerance = DEFAULT_TOL) -> PowerControlResult:
+def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResult:
     """Largest admissible transmit power for a deterministic PR-ST channel.
 
     Closed form: the outage constraint inverts through the gamma surrogate
@@ -268,11 +253,12 @@ _QUANTILE_CAP = 1.0 - 1e-8
 def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, n_eff: float,
                      p: float, tol: Tolerance) -> float:
     thr = _interference_threshold(params, p)
-    snr_scale = params.p_tx_pr / params.sigma2
+    nc_per_gain = n_eff * params.p_tx_pr / params.sigma2
+    noise_scale = params.sigma2 / n_eff
 
     def integrand(u: np.ndarray) -> np.ndarray:
         x = dists.nakagami_gain_quantile(pr_st, u)
-        a, b = _surrogate_ab(n_eff, x * snr_scale, params.sigma2)
+        a, b = dists._gamma_params(n_eff, x * nc_per_gain, noise_scale)
         return specfun.reg_upper_gamma(a, thr / b)
 
     return specfun.integrate(integrand, 0.0, _QUANTILE_CAP, tol)

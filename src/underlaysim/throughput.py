@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from . import dists, specfun
-from .dists import CapacityDist, GammaApprox
+from .dists import CapacityDist
 from .power_control import (FadingLinks, ScenarioParams, _outage_fading_n,
                             controlled_power_det, controlled_power_fading,
                             samples_for)
@@ -76,13 +76,6 @@ def prefactor(params: ScenarioParams, tau: float) -> float:
     if not (0.0 < tau < params.frame_len - params.tau_p):
         raise ValueError("tau must leave room for the pilot inside the frame")
     return (params.frame_len - tau - params.tau_p / 2.0) / params.frame_len
-
-
-def _ncx2_ab(dof, noncentrality, noise_scale):
-    # gamma surrogate of noise_scale * chi2_dof(nc), vectorized in nc
-    total = dof + noncentrality
-    spread = 2.0 * dof + 4.0 * noncentrality
-    return total * total / spread, noise_scale * spread / total
 
 
 def capacity_law_det(params: ScenarioParams, tau: float, p: float) -> CapacityDist:
@@ -131,15 +124,27 @@ def _mean_capacity_grid(a_s, a_i, lam):
 def throughput_det(params: ScenarioParams, tau: float,
                    tol: Tolerance = DEFAULT_TOL) -> float:
     """Secondary throughput at sensing time tau, deterministic channels."""
-    pc = controlled_power_det(params, tau, tol)
+    pc = controlled_power_det(params, tau)
     dist = capacity_law_det(params, tau, pc.p_cont)
     return prefactor(params, tau) * mean_capacity(dist, tol)
 
 
+def _ideal_power(params: ScenarioParams, links: FadingLinks | None) -> float:
+    """Perfect-knowledge transmit power: min(theta_i / gain, p_full).
+
+    gain is the known PR-ST gain for deterministic channels (links None)
+    and the upper rho_out-quantile of its law under fading.
+    """
+    if links is None:
+        gain = params.gamma * params.sigma2 / params.p_tx_pr
+    else:
+        gain = dists.nakagami_gain_quantile(links.pr_st, 1.0 - params.rho_out)
+    return min(params.theta_i / gain, params.p_full)
+
+
 def throughput_ideal_det(params: ScenarioParams) -> float:
     """Perfect-knowledge upper bound, deterministic channels."""
-    gain_pr_st = params.gamma * params.sigma2 / params.p_tx_pr
-    p = min(params.theta_i / gain_pr_st, params.p_full)
+    p = _ideal_power(params, None)
     sinr = params.g_st_sr * p / (params.g_pt_sr * params.p_tx_pt + params.sigma2)
     return math.log2(1.0 + sinr)
 
@@ -173,7 +178,7 @@ def throughput_no_pc_det(params: ScenarioParams,
 
     def residual(log_n: float) -> float:
         n = math.exp(log_n)
-        a, b = _ncx2_ab(n, n * params.gamma, params.sigma2 / n)
+        a, b = dists._gamma_params(n, n * params.gamma, params.sigma2 / n)
         return specfun.reg_upper_gamma(a, thr / b) - params.rho_out
 
     n_forced = _no_pc_window(params, residual, tol)
@@ -210,9 +215,10 @@ def _mean_capacity_fading(params: ScenarioParams, links: FadingLinks,
     k_p = params.pilot_samples
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
-    a_s, b_s = _ncx2_ab(2.0, k_p * x_s / params.sigma2, params.sigma2 / k_p)
-    a_i, b_i = _ncx2_ab(float(n), n * x_i * params.p_tx_pt / params.sigma2,
-                        params.sigma2 / n)
+    a_s, b_s = dists._gamma_params(2.0, k_p * x_s / params.sigma2,
+                                   params.sigma2 / k_p)
+    a_i, b_i = dists._gamma_params(float(n), n * x_i * params.p_tx_pt / params.sigma2,
+                                   params.sigma2 / n)
     lam = (b_s[:, None] * p) / b_i[None, :]
     grid = _mean_capacity_grid(a_s[:, None], a_i[None, :], lam)
     return float(w_s @ grid @ w_i)
@@ -232,8 +238,7 @@ def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float
     gain; the rate averages the true-SINR capacity over the other two
     links. Flat in tau.
     """
-    x_rho = dists.nakagami_gain_quantile(links.pr_st, 1.0 - params.rho_out)
-    p = min(params.theta_i / x_rho, params.p_full)
+    p = _ideal_power(params, links)
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
     rate = np.log1p(x_s[:, None] * p

@@ -1,22 +1,29 @@
 """CLI surface: config handling, figure CSVs, sweeps, the validate gate.
 
 Everything runs in process through main(); the CSVs land in tmp_path.
-Slow figures (tradeoff sweeps, fading bounds) are exercised by the
+The slow fading-rate figures (fig8b, fig9a, fig9b) are exercised by the
 figure script rather than here.
 """
 
+import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from underlaysim import dists
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
 from underlaysim.power_control import (ScenarioParams, controlled_power_det,
-                                       linear_to_db)
-from underlaysim.throughput import throughput_det, throughput_ideal_det
+                                       controlled_power_fading, db_to_linear,
+                                       default_fading, linear_to_db,
+                                       perf_bound_fading)
+from underlaysim.throughput import (Model, capacity_law_det, optimize_tradeoff,
+                                    throughput_det, throughput_ideal_det,
+                                    throughput_no_pc_det)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -174,6 +181,69 @@ def test_fig4a_capacity_cdfs(tmp_path):
     assert rows[0][4] != "" and rows[1][4] == "" and rows[3][4] != ""
 
 
+def _fig4b_cdf_tau_1ms(p, c):
+    law = capacity_law_det(replace(p, gamma=db_to_linear(10.0)), 1e-3, 1.0)
+    return dists.capacity_cdf(law, c)
+
+
+def _fig7_params(p, g_db, p_full_db):
+    return replace(p, gamma=db_to_linear(g_db), p_full=db_to_linear(p_full_db))
+
+
+_PFULL_HEADER = ["gamma_dB"] + [f"rs_{model}_pfull_{p}dBm" for p in ("0", "m10")
+                                for model in ("EM", "IM", "NPC")]
+
+# figure id, header, rows, note lines, then one cell (column, value in the
+# first column) and the library call that must reproduce it
+_FIGURE_TABLES = [
+    ("fig4b",
+     ["c_bits"] + [f"{kind}_tau_{t}ms" for kind in ("cdf", "sim")
+                   for t in ("0p1", "1", "10")],
+     241, ["simulated overlay at every 3rd row, 300 trials per trace"],
+     "cdf_tau_1ms", 5.0, _fig4b_cdf_tau_1ms),
+    ("fig5",
+     ["tau_ms"] + [f"gamma_star_dB_{tag}"
+                   for tag in ("m0p5", "m1", "m2", "m5", "det")],
+     41, ["55 cells have no operating bound (window too short); left nan"],
+     "gamma_star_dB_m1", 1.0,
+     lambda p, tau_ms: linear_to_db(perf_bound_fading(
+         p, dists.NakagamiGain(1.0, 1.0), tau_ms * 1e-3))),
+    ("fig7a", _PFULL_HEADER, 13,
+     ["EM column reports the tau-optimized throughput per gamma"],
+     "rs_EM_pfull_0dBm", 0.0,
+     lambda p, g_db: optimize_tradeoff(_fig7_params(p, g_db, 0.0),
+                                       Model.ESTIMATION).r_s_opt),
+    ("fig7b", _PFULL_HEADER, 13,
+     ["EM column reports the tau-optimized throughput per gamma"],
+     "rs_NPC_pfull_m10dBm", -5.0,
+     lambda p, g_db: throughput_no_pc_det(_fig7_params(
+         replace(p, g_pt_sr=p.g_pt_sr * 10.0), g_db, -10.0))[1]),
+    ("fig8a",
+     ["tau_ms", "p_cont_dBm_m1", "p_cont_dBm_ideal_m1",
+      "p_cont_dBm_m5", "p_cont_dBm_ideal_m5"],
+     37, [], "p_cont_dBm_m1", 1.0,
+     lambda p, tau_ms: linear_to_db(controlled_power_fading(
+         p, default_fading(p, 1.0).pr_st, tau_ms * 1e-3).p_cont)),
+]
+
+
+@pytest.mark.parametrize(
+    "fig_id, header, n_rows, notes, column, key, expected", _FIGURE_TABLES,
+    ids=[case[0] for case in _FIGURE_TABLES])
+def test_figure_tables(tmp_path, fig_id, header, n_rows, notes, column, key,
+                       expected):
+    out = tmp_path / f"{fig_id}.csv"
+    assert main(["figure", fig_id, "--out", str(out), "--trials", "300"]) == 0
+    meta, got_header, rows = _read_csv(out)
+    assert got_header == header
+    assert len(rows) == n_rows
+    assert [l for l in meta if l.startswith("# note:")] == [
+        f"# note: {note}" for note in notes]
+    row = next(r for r in rows if float(r[0]) == pytest.approx(key, rel=1e-9))
+    want = expected(default_config().params(), float(row[0]))
+    assert float(row[header.index(column)]) == pytest.approx(want, rel=1e-9)
+
+
 def test_unknown_figure_id_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "nope", "--out", str(tmp_path / "x.csv")])
@@ -268,6 +338,34 @@ def test_bad_set_value_is_config_error(tmp_path):
     rc = main(["sweep", "--out", str(tmp_path / "x.csv"),
                "--set", "scenario.rho_out=2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("sweep.m=0.3", "sweep.m: every m must be finite and at least 0.5, or inf"),
+    ("sweep.m=nan", "sweep.m: every m must be finite and at least 0.5, or inf"),
+    ("fading.m=inf", "fading.m: every m must be finite and at least 0.5"),
+    ("sweep.rho_out=nan", "sweep.rho_out: not a finite number"),
+    ("sweep.rho_out=1.5", "sweep.rho_out: every value must lie strictly in (0, 1)"),
+    ("sweep.gamma_db=inf", "sweep.gamma_db: not a finite number"),
+    ("sweep.tau_ms=logspace 0.1 inf 5", "sweep.tau_ms: bad grid spec"),
+    ("sweep.tau_ms=logspace 0.1 10 1000001", "sweep.tau_ms: bad grid spec"),
+])
+def test_config_domain_errors_exit_2(tmp_path, capsys, setting, message):
+    rc = main(["sweep", "--out", str(tmp_path / "x.csv"), "--set", setting])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_make_figures_forwards_cli_arguments(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_figures", REPO / "scripts" / "make_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out-dir", str(tmp_path), "--only", "fig3",
+                        "--set", "scenario.gamma_db=-3", "--seed", "5"]) == 0
+    meta, _, _ = _read_csv(tmp_path / "fig3.csv")
+    assert "# config scenario.gamma_db = -3" in meta
+    assert "# config mc.seed = 5" in meta
 
 
 def test_version_flag(capsys):

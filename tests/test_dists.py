@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, GammaApprox, NakagamiGain,
-                               NcChiSq, _ncx2_draws, capacity_cdf,
+                               NcChiSq, _gamma_params, _ncx2_draws,
+                               capacity_cdf,
                                capacity_pdf, capacity_survival, estimator_cdf,
                                gamma_match, interference_power_law,
                                nakagami_gain_cdf, nakagami_gain_quantile,
@@ -47,6 +48,26 @@ def test_gamma_match_worked_values():
     c = gamma_match(NcChiSq(dof=2, noncentrality=0.0, noise_scale=SIGMA2))
     assert c.shape == pytest.approx(1.0, rel=1e-12)
     assert c.scale == pytest.approx(2.0 * SIGMA2, rel=1e-12)
+
+
+def test_gamma_params_array_form_is_gamma_match():
+    # integer laws: the array form gives gamma_match's numbers bit for bit
+    dofs = np.array([1, 2, 7, 1000, 2740])
+    ncs = np.array([0.0, 3.2, 0.5, 1000.0, 27.4])
+    scales = SIGMA2 / dofs
+    shape, scale = _gamma_params(dofs, ncs, scales)
+    for k in range(dofs.size):
+        sur = gamma_match(NcChiSq(int(dofs[k]), float(ncs[k]), float(scales[k])))
+        assert (shape[k], scale[k]) == (sur.shape, sur.scale)
+    # non-integer dof, as in the root searches over the window length:
+    # both matched moments still hold
+    dof = np.array([1.5, 37.25, 2739.9])
+    nc = dof * np.array([0.1, 1.0, 10.0])
+    shape, scale = _gamma_params(dof, nc, SIGMA2 / dof)
+    np.testing.assert_allclose(shape * scale, SIGMA2 / dof * (dof + nc), rtol=1e-14)
+    np.testing.assert_allclose(shape * scale ** 2,
+                               (SIGMA2 / dof) ** 2 * (2.0 * dof + 4.0 * nc),
+                               rtol=1e-14)
 
 
 def test_ncchisq_validation():
