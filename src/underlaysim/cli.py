@@ -353,8 +353,8 @@ _FIG4_POWER = 1.0
 
 def _fig4_traces(cfg: ScenarioConfig, panel: str):
     params = cfg.params()
-    base_g_db = linear_to_db(params.g_pt_sr)
     if panel == "a":
+        base_g_db = linear_to_db(params.g_pt_sr)
         for off in _FIG4_INR_OFFSETS:
             label = f"inr_{format(off, 'g').replace('-', 'm').replace('.', 'p')}dB"
             p2 = replace(params, gamma=db_to_linear(_FIG4_GAMMA_DB),

@@ -17,6 +17,7 @@ checked at longer windows.
 """
 
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -248,8 +249,12 @@ def test_no_power_control_baseline(defaults, record):
 def test_validation_gate_is_deterministic(record):
     cmd = [sys.executable, "-m", "underlaysim", "validate",
            "--config", str(REPO / "configs" / "default.ini")]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the package imports from src/ without an install, as under pytest
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout
           and "validate: PASS (13/13 checks)" in first.stdout)

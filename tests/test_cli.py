@@ -1,8 +1,8 @@
 """CLI surface: config handling, figure CSVs, sweeps, the validate gate.
 
 Everything runs in process through main(); the CSVs land in tmp_path.
-The slow fading-rate figures (fig8b, fig9a, fig9b) are exercised by the
-figure script rather than here.
+fig8b runs with one m (fading.m = 1); the fading tradeoff figures (fig9a,
+fig9b) optimize a curve per gamma and m and are left to the figure script.
 """
 
 import importlib.util
@@ -22,8 +22,8 @@ from underlaysim.power_control import (ScenarioParams, controlled_power_det,
                                        default_fading, linear_to_db,
                                        perf_bound_fading)
 from underlaysim.throughput import (Model, capacity_law_det, optimize_tradeoff,
-                                    throughput_det, throughput_ideal_det,
-                                    throughput_no_pc_det)
+                                    throughput_det, throughput_fading,
+                                    throughput_ideal_det, throughput_no_pc_det)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -181,6 +181,15 @@ def test_fig4a_capacity_cdfs(tmp_path):
     assert rows[0][4] != "" and rows[1][4] == "" and rows[3][4] != ""
 
 
+def test_fig4b_needs_no_pt_sr_gain_in_db(tmp_path):
+    # only panel a offsets the PT-SR gain in dB; panel b must not need it
+    out = tmp_path / "fig4b.csv"
+    assert main(["figure", "fig4b", "--out", str(out), "--trials", "10",
+                 "--set", "scenario.g_pt_sr_db=-inf"]) == 0
+    _, header, rows = _read_csv(out)
+    assert header[1] == "cdf_tau_0p1ms" and len(rows) == 241
+
+
 def _fig4b_cdf_tau_1ms(p, c):
     law = capacity_law_det(replace(p, gamma=db_to_linear(10.0)), 1e-3, 1.0)
     return dists.capacity_cdf(law, c)
@@ -224,7 +233,13 @@ _FIGURE_TABLES = [
      37, [], "p_cont_dBm_m1", 1.0,
      lambda p, tau_ms: linear_to_db(controlled_power_fading(
          p, default_fading(p, 1.0).pr_st, tau_ms * 1e-3).p_cont)),
+    ("fig8b", ["tau_ms", "rs_EM_m1", "rs_IM_m1", "rs_sim_m1"],
+     37, ["simulated overlay at every 3rd row, 300 trials per marker"],
+     "rs_EM_m1", 1.0,
+     lambda p, tau_ms: throughput_fading(p, default_fading(p, 1.0), tau_ms * 1e-3)),
 ]
+# extra arguments per figure id: fig8b runs one m to stay cheap
+_FIGURE_ARGS = {"fig8b": ["--set", "fading.m=1"]}
 
 
 @pytest.mark.parametrize(
@@ -233,7 +248,8 @@ _FIGURE_TABLES = [
 def test_figure_tables(tmp_path, fig_id, header, n_rows, notes, column, key,
                        expected):
     out = tmp_path / f"{fig_id}.csv"
-    assert main(["figure", fig_id, "--out", str(out), "--trials", "300"]) == 0
+    assert main(["figure", fig_id, "--out", str(out), "--trials", "300",
+                 *_FIGURE_ARGS.get(fig_id, [])]) == 0
     meta, got_header, rows = _read_csv(out)
     assert got_header == header
     assert len(rows) == n_rows

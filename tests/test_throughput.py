@@ -1,10 +1,11 @@
 """Throughput layer: mean rates, the three models, tradeoff optimization.
 
-mean_capacity is checked against scipy.integrate.quad on the same density;
-the fading average is checked against a quantile-space midpoint rule built
-on the public capacity primitives. Both oracles share no code with the
-library's quadrature routes (adaptive Gauss-Kronrod and Gauss-Laguerre /
-Legendre grids respectively).
+mean_capacity is checked against scipy.integrate.quad on the same density
+and against a 256-node Gauss-Legendre rule over the whole survival
+function, which shares no code with the library's quantile-split rule.
+The fading average is checked against a quantile-space midpoint rule over
+both gains, and against the library's own outer grid with every cell kept
+and each cell's mean taken by the 256-node rule.
 """
 
 import math
@@ -30,6 +31,9 @@ from underlaysim.throughput import (Model, TradeoffCurve, capacity_law_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
+from underlaysim.specfun import DEFAULT_TOL
+from underlaysim.throughput import (_kept_cells, _mean_capacity_fading,
+                                    _mean_capacity_grid, _outer_cells)
 
 
 # ---------------------------------------------------------------- prefactor
@@ -79,17 +83,31 @@ def test_mean_capacity_matches_quad(defaults, tau, p):
     assert mean_capacity(dist) == pytest.approx(_quad_mean(dist), rel=1e-7)
 
 
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(256)
+
+
+def _survival_mean_256(a_s, a_i, lam):
+    """Reference mean capacity for broadcastable arrays of law parameters:
+    256 Gauss-Legendre nodes of P(C > x) on [0, x_hi], with x_hi the law's
+    1 - 1e-10 capacity quantile."""
+    a_s, a_i, lam = np.broadcast_arrays(a_s, a_i, lam)
+    r_hi = scipy.special.betaincinv(a_s, a_i, 1.0 - 1e-10)
+    x_hi = np.log2(1.0 + lam * r_hi / (1.0 - r_hi))
+    half = 0.5 * x_hi[..., None]
+    z = np.expm1(half * (_REF_NODES + 1.0) * math.log(2.0))
+    surv = scipy.special.betaincc(a_s[..., None], a_i[..., None],
+                                  z / (z + lam[..., None]))
+    return half[..., 0] * (surv @ _REF_WEIGHTS)
+
+
 def test_mean_capacity_survival_route_agrees(defaults):
-    # the grid evaluator used by the fading average must agree with the
-    # density-route integral on matching scalar parameters
-    from underlaysim.throughput import _mean_capacity_grid
+    # the quantile-split rule against the 256-node rule over the whole range
     for tau, p in [(1e-3, 0.1), (1e-2, 0.7)]:
         dist = capacity_law_det(defaults, tau, p)
-        a_s = np.array([dist.gain_approx.shape])
-        a_i = np.array([dist.interf_approx.shape])
-        lam = np.array([dist.ratio_scale])
-        got = float(_mean_capacity_grid(a_s, a_i, lam)[0])
-        assert got == pytest.approx(mean_capacity(dist), abs=1e-6)
+        want = float(_survival_mean_256(dist.gain_approx.shape,
+                                        dist.interf_approx.shape,
+                                        dist.ratio_scale))
+        assert mean_capacity(dist) == pytest.approx(want, rel=DEFAULT_TOL.rel_tol)
 
 
 def test_mean_capacity_reference_value(defaults):
@@ -232,6 +250,55 @@ def test_throughput_fading_matches_midpoint_oracle(defaults):
     want = prefactor(defaults, tau) * _midpoint_fading_mean(
         defaults, links, tau, p)
     assert got == pytest.approx(want, rel=5e-3)
+
+
+def _fading_mean_256(params, links, tau, p):
+    """The library's outer grid with no cell skipped, each cell's mean
+    capacity by the 256-node survival rule."""
+    weight, a_s, a_i, lam = _outer_cells(params, links, tau, p)
+    return float(np.sum(weight * _survival_mean_256(a_s, a_i, lam)))
+
+
+# (m, tau, p): the shortest window the figures use (10 us, a heavy
+# interference-estimate tail), m from 0.5 to the quantile-space branch
+_FADING_GRID = [(0.5, 1e-5, 1e-3), (0.5, 1e-3, 0.1), (1.0, 1e-5, 1.0),
+                (1.0, 3e-3, 0.05), (5.0, 1e-4, 0.01), (5.0, 3e-2, 1.0),
+                (200.0, 1e-5, 0.1), (200.0, 1e-3, 1e-3)]
+
+
+@pytest.mark.parametrize("m, tau, p", _FADING_GRID)
+def test_fading_mean_capacity_matches_256_node_grid(defaults, m, tau, p):
+    links = default_fading(defaults, m)
+    got = _mean_capacity_fading(defaults, links, tau, p, DEFAULT_TOL)
+    want = _fading_mean_256(defaults, links, tau, p)
+    assert got == pytest.approx(want, rel=DEFAULT_TOL.rel_tol)
+
+
+def test_pruning_keeps_cells_without_a_mean_bound():
+    # cells with a_i <= 1 have no Jensen bound: kept however small their weight
+    weight = np.full((2, 3), 1e-30)
+    a_s = np.full((2, 3), 2.0)
+    a_i = np.array([[0.6, 1.0, 5.0], [0.6, 1.0, 5.0]])
+    lam = np.full((2, 3), 1e-3)
+    keep = _kept_cells(weight, a_s, a_i, lam, DEFAULT_TOL)
+    assert keep.tolist() == [[True, True, False], [True, True, False]]
+
+
+def test_pruning_keeps_short_window_cells(defaults):
+    # a one-sample window puts the weak interference nodes at a_i <= 1
+    links = default_fading(defaults, 0.5)
+    tau, p = 1e-6, 0.1
+    weight, a_s, a_i, lam = _outer_cells(defaults, links, tau, p)
+    no_bound = a_i <= 1.0
+    assert 0 < no_bound.sum() < no_bound.size
+    keep = _kept_cells(weight, a_s, a_i, lam, DEFAULT_TOL)
+    assert np.all(keep[no_bound])
+    assert not np.all(keep)
+    # the skipped cells' bounds sum to at most 0.1 abs_tol
+    got = _mean_capacity_fading(defaults, links, tau, p, DEFAULT_TOL)
+    every_cell = float(np.sum(weight * _mean_capacity_grid(a_s, a_i, lam)))
+    assert math.isfinite(got)
+    assert abs(got - every_cell) <= 0.1 * DEFAULT_TOL.abs_tol
 
 
 def test_throughput_fading_reference_value(defaults):
