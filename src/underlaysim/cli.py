@@ -20,15 +20,16 @@ import numpy as np
 
 from . import __version__, dists, montecarlo, specfun, throughput
 from .dists import NakagamiGain
-from .power_control import (FadingLinks, ScenarioParams, controlled_power_det,
+from .power_control import (FadingLinks, Regime, ScenarioParams,
+                            controlled_power_det, controlled_power_det_array,
                             controlled_power_fading, db_to_linear,
                             default_fading, linear_to_db, outage_det,
                             perf_bound_asymptote, perf_bound_det,
                             perf_bound_fading, samples_for)
 from .throughput import (Model, capacity_law_det, mean_capacity,
                          optimize_tradeoff, throughput_det,
-                         throughput_fading, throughput_ideal_det,
-                         throughput_no_pc_det)
+                         throughput_det_array, throughput_fading,
+                         throughput_ideal_det, throughput_no_pc_det)
 
 __all__ = [
     "ConfigError",
@@ -81,6 +82,10 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 _SWEEP_ROW_CAP = 1_000_000
+# grid points per array call of the m = inf sweep columns: one domain
+# check per block, and each (points, 8, 6) mean-capacity temporary stays
+# under 100 kB
+_SWEEP_BLOCK = 256
 
 
 def _check_m(where: str, value: float, allow_inf: bool = False) -> float:
@@ -271,10 +276,8 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".10g")
+    # every NaN, of either sign, formats as "nan"
+    return format(float(value), ".10g")
 
 
 def _meta_lines(cfg: ScenarioConfig, command: str, notes: list[str]) -> list[str]:
@@ -530,7 +533,25 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
     _write_csv(out_path, meta, header, rows)
 
 
+def _det_sweep_cells(params: ScenarioParams, tau, gamma, rho_out,
+                     include_rs: bool) -> list[list]:
+    """[p_cont_dBm, regime(, rs)] of m = inf rows at arrays of grid points."""
+    pc = controlled_power_det_array(params, tau, gamma, rho_out)
+    regimes = (Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value)
+    cols = [[linear_to_db(p) for p in pc.p_cont.tolist()],
+            [regimes[limited] for limited in pc.power_limited.tolist()]]
+    if include_rs:
+        cols.append(throughput_det_array(params, tau, pc).tolist())
+    return [list(cells) for cells in zip(*cols)]
+
+
 def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
+    """Tabulate the power rule over the (tau, gamma, rho_out, m) grid.
+
+    Rows run over tau, then gamma, rho_out and m. The m = inf columns are
+    evaluated in array calls over blocks of _SWEEP_BLOCK (tau, gamma,
+    rho_out) points; finite-m rows call the fading routines row by row.
+    """
     params = cfg.params()
     taus_ms = cfg.sweep_axis("tau_ms")
     gammas_db = cfg.sweep_axis("gamma_db")
@@ -544,20 +565,35 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     header = ["tau_ms", "gamma_dB", "rho_out", "m", "p_cont_dBm", "regime"]
     if include_rs:
         header.append("rs")
+    gammas = [db_to_linear(g_db) for g_db in gammas_db]
+    # key cells are formatted once per axis value and shared by the rows
+    tau_cells, gamma_cells, rho_cells, m_cells = (
+        [_fmt(v) for v in taus_ms], [_fmt(v) for v in gammas_db],
+        [_fmt(v) for v in rhos], [format(m, "g") for m in ms])
+    any_det = any(math.isinf(m) for m in ms)
+    axes = (np.array(taus_ms) * 1e-3, np.array(gammas), np.array(rhos))
+    shape = tuple(a.size for a in axes)
+    n_points = math.prod(shape)
     rows = []
-    for tau_ms in taus_ms:
-        tau = tau_ms * 1e-3
-        for g_db in gammas_db:
-            for rho in rhos:
-                p2 = replace(params, gamma=db_to_linear(g_db), rho_out=rho)
-                for m in ms:
-                    links = _links(p2, m)
-                    pc = _power(p2, links, tau)
-                    row = [tau_ms, g_db, rho, format(m, "g"),
-                           linear_to_db(pc.p_cont), pc.regime.value]
-                    if include_rs:
-                        row.append(_rate(p2, links, tau))
-                    rows.append(row)
+    for start in range(0, n_points, _SWEEP_BLOCK):
+        block = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK, n_points)),
+                                 shape)
+        det = (_det_sweep_cells(params, *(axis[ix] for axis, ix in zip(axes, block)),
+                                include_rs) if any_det else None)
+        for k, (it, ig, ir) in enumerate(zip(*(ix.tolist() for ix in block))):
+            key = [tau_cells[it], gamma_cells[ig], rho_cells[ir]]
+            for m, m_cell in zip(ms, m_cells):
+                if math.isinf(m):
+                    rows.append(key + [m_cell] + det[k])
+                    continue
+                tau = taus_ms[it] * 1e-3
+                p2 = replace(params, gamma=gammas[ig], rho_out=rhos[ir])
+                links = _links(p2, m)
+                pc = _power(p2, links, tau)
+                row = key + [m_cell, linear_to_db(pc.p_cont), pc.regime.value]
+                if include_rs:
+                    row.append(_rate(p2, links, tau))
+                rows.append(row)
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])
     _write_csv(out_path, meta, header, rows)
 
@@ -790,7 +826,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (specfun.BracketError, specfun.ConvergenceError, ValueError) as exc:
+    except (specfun.BracketError, specfun.ConvergenceError, ValueError,
+            OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

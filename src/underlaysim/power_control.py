@@ -40,10 +40,12 @@ __all__ = [
     "ScenarioParams",
     "Regime",
     "PowerControlResult",
+    "DetPowerArrays",
     "FadingLinks",
     "default_fading",
     "samples_for",
     "outage_det",
+    "controlled_power_det_array",
     "controlled_power_det",
     "perf_bound_det",
     "perf_bound_asymptote",
@@ -54,8 +56,14 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a dB (or dBm) quantity to its linear value."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a dB (or dBm) quantity to its linear value.
+
+    Raises OverflowError when the linear value exceeds the float range.
+    """
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise OverflowError(f"{value_db:g} dB exceeds the float range") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -134,6 +142,17 @@ class PowerControlResult:
     tau_eff: float
 
 
+class DetPowerArrays(NamedTuple):
+    """Elementwise outcome of the deterministic power rule.
+
+    n holds the whole sample counts (as floats) of the sensing windows.
+    """
+
+    p_cont: np.ndarray
+    power_limited: np.ndarray
+    n: np.ndarray
+
+
 class FadingLinks(NamedTuple):
     """Nakagami gain laws of the three links that matter."""
 
@@ -163,9 +182,17 @@ def samples_for(tau: float, f_s: float) -> int:
     return n
 
 
-def _check_tau(params: ScenarioParams, tau: float) -> None:
-    if not (0.0 < tau < params.frame_len - params.tau_p):
+def _check_tau(params: ScenarioParams, tau) -> None:
+    """tau, a scalar or an array, must leave room for the pilot in the frame."""
+    if not np.all((tau > 0.0) & (tau < params.frame_len - params.tau_p)):
         raise ValueError("tau must leave room for the pilot inside the frame")
+
+
+def _received_power_params(params: ScenarioParams, n, gamma):
+    """Gamma-surrogate (shape, scale) of the received-power estimate over n
+    samples at receive SNR gamma (dists.received_power_law), elementwise;
+    n need not be an integer."""
+    return dists._gamma_params(n, n * gamma, params.sigma2 / n)
 
 
 def _interference_threshold(params: ScenarioParams, p: float) -> float:
@@ -183,32 +210,55 @@ def outage_det(params: ScenarioParams, tau: float, p: float) -> float:
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
     n = samples_for(tau, params.f_s)
-    law = dists.received_power_law(params.gamma, n, params.sigma2)
-    ga = dists.gamma_match(law)
+    shape, scale = _received_power_params(params, n, params.gamma)
     thr = _interference_threshold(params, p)
-    return specfun.reg_upper_gamma(ga.shape, thr / ga.scale)
+    return specfun.reg_upper_gamma(shape, thr / scale)
+
+
+def controlled_power_det_array(params: ScenarioParams, tau, gamma,
+                               rho_out) -> DetPowerArrays:
+    """Deterministic power rule over broadcast arrays of (tau, gamma, rho_out).
+
+    gamma and rho_out take the place of the scenario's own fields. Closed
+    form: the outage constraint inverts through the gamma surrogate of the
+    receive-power estimate, and the result is capped at p_full; the mask
+    records where the cap binds. Each domain check runs once over the
+    whole arrays.
+    """
+    tau, gamma, rho_out = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                for v in (tau, gamma, rho_out)))
+    if not (np.isfinite(gamma) & (gamma > 0.0)).all():
+        raise ValueError("gamma must be finite and positive")
+    if not ((rho_out > 0.0) & (rho_out < 1.0)).all():
+        raise ValueError("rho_out must lie strictly in (0, 1)")
+    _check_tau(params, tau)
+    # rint, like round(), takes half-sample windows to the even count
+    n = np.rint(tau * params.f_s)
+    if not (n >= 1.0).all():
+        raise ValueError("sensing window shorter than one sample")
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape, scale = _received_power_params(params, n, gamma)
+    # only a gamma of ~1500 dB and more overflows the surrogate
+    if not np.isfinite(shape).all():
+        raise ValueError("shape must be finite and positive")
+    thr_full = _interference_threshold(params, params.p_full)
+    power_limited = specfun.reg_upper_gamma(shape, thr_full / scale) <= rho_out
+    # the constraint binds below the ceiling elsewhere; the denominator is
+    # positive there exactly because the outage at p_full exceeds rho_out
+    binds = ~power_limited
+    x = specfun.inv_reg_upper_gamma(rho_out[binds], shape[binds])
+    p_cont = np.full(shape.shape, params.p_full)
+    p_cont[binds] = params.theta_i * params.p_tx_pr / (scale[binds] * x - params.sigma2)
+    return DetPowerArrays(p_cont, power_limited, n)
 
 
 def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResult:
-    """Largest admissible transmit power for a deterministic PR-ST channel.
-
-    Closed form: the outage constraint inverts through the gamma surrogate
-    of the receive-power estimate, and the result is capped at p_full. The
-    regime label records which of the two bound.
-    """
-    _check_tau(params, tau)
-    n = samples_for(tau, params.f_s)
-    law = dists.received_power_law(params.gamma, n, params.sigma2)
-    ga = dists.gamma_match(law)
-    tau_eff = n / params.f_s
-    thr_full = _interference_threshold(params, params.p_full)
-    if specfun.reg_upper_gamma(ga.shape, thr_full / ga.scale) <= params.rho_out:
-        return PowerControlResult(params.p_full, Regime.POWER_LIMITED, tau_eff)
-    # constraint binds below the ceiling; denominator is positive exactly
-    # because the outage at p_full exceeded rho_out
-    x = specfun.inv_reg_upper_gamma(params.rho_out, ga.shape)
-    p_unc = params.theta_i * params.p_tx_pr / (ga.scale * x - params.sigma2)
-    return PowerControlResult(p_unc, Regime.INTERFERENCE_LIMITED, tau_eff)
+    """Largest admissible transmit power for a deterministic PR-ST channel:
+    controlled_power_det_array at one tau and the scenario's gamma and
+    rho_out, with the regime labelled."""
+    pc = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
+    regime = Regime.POWER_LIMITED if pc.power_limited else Regime.INTERFERENCE_LIMITED
+    return PowerControlResult(float(pc.p_cont), regime, float(pc.n) / params.f_s)
 
 
 def perf_bound_det(params: ScenarioParams, tau: float,

@@ -92,9 +92,9 @@ def reg_upper_gamma(a, x):
     """
     a_arr = np.asarray(a, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
+    if not (np.isfinite(a_arr) & (a_arr > 0.0)).all():
         raise ValueError("shape parameter a must be finite and positive")
-    if not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0):
+    if not (np.isfinite(x_arr) & (x_arr >= 0.0)).all():
         raise ValueError("argument x must be finite and nonnegative")
     out = special.gammaincc(a_arr, x_arr)
     if np.isscalar(a) and np.isscalar(x):
@@ -110,9 +110,9 @@ def inv_reg_upper_gamma(rho, a):
     """
     rho_arr = np.asarray(rho, dtype=float)
     a_arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(rho_arr)) or np.any(rho_arr <= 0.0) or np.any(rho_arr >= 1.0):
+    if not ((rho_arr > 0.0) & (rho_arr < 1.0)).all():
         raise ValueError("tail probability rho must lie strictly in (0, 1)")
-    if not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
+    if not (np.isfinite(a_arr) & (a_arr > 0.0)).all():
         raise ValueError("shape parameter a must be finite and positive")
     out = special.gammainccinv(a_arr, rho_arr)
     if np.isscalar(rho) and np.isscalar(a):

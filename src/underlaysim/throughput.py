@@ -31,10 +31,12 @@ import numpy as np
 from scipy import special
 
 from . import dists, specfun
-from .dists import CapacityDist
-from .power_control import (FadingLinks, ScenarioParams, _outage_fading_n,
-                            controlled_power_det, controlled_power_fading,
-                            samples_for)
+from .dists import CapacityDist, GammaApprox
+from .power_control import (DetPowerArrays, FadingLinks, ScenarioParams,
+                            _check_tau, _outage_fading_n,
+                            _received_power_params,
+                            controlled_power_det_array,
+                            controlled_power_fading, samples_for)
 from .specfun import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "prefactor",
     "capacity_law_det",
     "mean_capacity",
+    "throughput_det_array",
     "throughput_det",
     "throughput_ideal_det",
     "throughput_no_pc_det",
@@ -71,21 +74,29 @@ class TradeoffCurve:
     model: Model
 
 
-def prefactor(params: ScenarioParams, tau: float) -> float:
-    """Fraction of the frame left for payload transmission."""
-    if not (0.0 < tau < params.frame_len - params.tau_p):
-        raise ValueError("tau must leave room for the pilot inside the frame")
+def prefactor(params: ScenarioParams, tau):
+    """Fraction of the frame left for payload transmission, elementwise."""
+    _check_tau(params, tau)
     return (params.frame_len - tau - params.tau_p / 2.0) / params.frame_len
+
+
+def _capacity_laws(params: ScenarioParams, n, g_st_sr, g_pt_sr):
+    """Gamma-surrogate (shape, scale) pairs of the pilot gain estimate and
+    of the interference-plus-noise estimate over n samples, at ST-SR gain
+    g_st_sr and PT-SR gain g_pt_sr; any of the three may be an array."""
+    k_p = params.pilot_samples
+    pilot = dists._gamma_params(2.0, k_p * g_st_sr / params.sigma2, params.sigma2 / k_p)
+    interf = dists._gamma_params(n, n * g_pt_sr * params.p_tx_pt / params.sigma2,
+                                 params.sigma2 / n)
+    return pilot, interf
 
 
 def capacity_law_det(params: ScenarioParams, tau: float, p: float) -> CapacityDist:
     """Estimated-capacity law for fixed link gains at transmit power p."""
-    n = samples_for(tau, params.f_s)
-    gain = dists.gamma_match(dists.pilot_gain_law(
-        params.g_st_sr, params.pilot_samples, params.sigma2))
-    interf = dists.gamma_match(dists.interference_power_law(
-        params.g_pt_sr, params.p_tx_pt, n, params.sigma2))
-    return CapacityDist(gain_approx=gain, interf_approx=interf, tx_power=p)
+    pilot, interf = _capacity_laws(params, samples_for(tau, params.f_s),
+                                   params.g_st_sr, params.g_pt_sr)
+    return CapacityDist(gain_approx=GammaApprox(*pilot),
+                        interf_approx=GammaApprox(*interf), tx_power=p)
 
 
 def mean_capacity(dist: CapacityDist) -> float:
@@ -143,11 +154,23 @@ def _mean_capacity_grid(a_s, a_i, lam):
     return x_split[..., 0] + np.sum(surv * w, axis=(-2, -1))
 
 
+def throughput_det_array(params: ScenarioParams, tau,
+                         power: DetPowerArrays) -> np.ndarray:
+    """Secondary throughput over an array of sensing times tau, deterministic
+    channels, at the outcome of controlled_power_det_array for those tau.
+
+    The capacity laws of capacity_law_det, built elementwise, go through
+    one mean-capacity call.
+    """
+    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, power.n, params.g_st_sr,
+                                            params.g_pt_sr)
+    return prefactor(params, tau) * _mean_capacity_grid(a_s, a_i, b_s * power.p_cont / b_i)
+
+
 def throughput_det(params: ScenarioParams, tau: float) -> float:
     """Secondary throughput at sensing time tau, deterministic channels."""
-    pc = controlled_power_det(params, tau)
-    dist = capacity_law_det(params, tau, pc.p_cont)
-    return prefactor(params, tau) * mean_capacity(dist)
+    power = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
+    return float(throughput_det_array(params, tau, power))
 
 
 def _ideal_power(params: ScenarioParams, links: FadingLinks | None) -> float:
@@ -199,7 +222,7 @@ def throughput_no_pc_det(params: ScenarioParams,
 
     def residual(log_n: float) -> float:
         n = math.exp(log_n)
-        a, b = dists._gamma_params(n, n * params.gamma, params.sigma2 / n)
+        a, b = _received_power_params(params, n, params.gamma)
         return specfun.reg_upper_gamma(a, thr / b) - params.rho_out
 
     n_forced = _no_pc_window(params, residual, tol)
@@ -257,14 +280,10 @@ def _kept_cells(weight, a_s, a_i, lam, tol: Tolerance) -> np.ndarray:
 def _outer_cells(params: ScenarioParams, links: FadingLinks, tau: float, p: float):
     """Weights and capacity-law parameters (a_s, a_i, lam) of the outer
     cells, one per pair of ST-SR and PT-SR gain nodes."""
-    n = samples_for(tau, params.f_s)
-    k_p = params.pilot_samples
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
-    a_s, b_s = dists._gamma_params(2.0, k_p * x_s / params.sigma2,
-                                   params.sigma2 / k_p)
-    a_i, b_i = dists._gamma_params(float(n), n * x_i * params.p_tx_pt / params.sigma2,
-                                   params.sigma2 / n)
+    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, samples_for(tau, params.f_s),
+                                            x_s, x_i)
     return np.broadcast_arrays(np.outer(w_s, w_i), a_s[:, None], a_i[None, :],
                                (b_s[:, None] * p) / b_i[None, :])
 

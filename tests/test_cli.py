@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from underlaysim import dists
+from underlaysim import cli, dists
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
@@ -306,10 +306,59 @@ def test_sweep_grid_cap(tmp_path):
     assert rc == 2
 
 
-def test_sweep_window_outside_frame_is_numeric_error(tmp_path):
-    rc = main(["sweep", "--out", str(tmp_path / "bad.csv"),
-               "--set", "sweep.tau_ms=100"])
-    assert rc == 3
+def test_sweep_window_outside_frame_is_numeric_error(tmp_path, capsys):
+    # the m = inf columns are checked as whole axes, the fading rows row by
+    # row; both keep the scalar rule's messages and leave no CSV behind
+    out = tmp_path / "bad.csv"
+    for setting, message in [
+            ("sweep.tau_ms=100", "tau must leave room for the pilot inside the frame"),
+            ("sweep.tau_ms=1, 0.0001", "sensing window shorter than one sample"),
+            ("sweep.gamma_db=0, -4000", "gamma must be finite and positive")]:
+        for ms in ("inf", "inf, 1"):
+            rc = main(["sweep", "--out", str(out), "--set", setting,
+                       "--set", f"sweep.m={ms}"])
+            assert rc == 3
+            assert f"numeric error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--set", "sweep.gamma_db=4000", "--set", "sweep.tau_ms=1"],
+    ["figure", "fig6a", "--set", "scenario.gamma_db=4000"],
+    ["sweep", "--set", "sweep.gamma_db=-4000", "--set", "sweep.tau_ms=1"],
+])
+def test_db_values_beyond_the_float_range_are_numeric_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: ")
+    assert not out.exists()
+
+
+def test_sweep_cells_match_the_scalar_api(tmp_path, monkeypatch):
+    # both regimes and both m dispatches; every cell against a per-row call.
+    # Blocks of 5 split the 18 grid points unevenly across array calls.
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out),
+                 "--set", "sweep.tau_ms=0.01, 1, 30",
+                 "--set", "sweep.gamma_db=-20, 0, 10",
+                 "--set", "sweep.rho_out=0.01, 0.5",
+                 "--set", "sweep.m=inf, 1",
+                 "--set", "sweep.include_rs=true"]) == 0
+    _, header, rows = _read_csv(out)
+    assert header[-3:] == ["p_cont_dBm", "regime", "rs"]
+    assert len(rows) == 36
+    params = ScenarioParams()
+    regimes = set()
+    for tau_ms, g_db, rho, m, p_db, regime, rs in rows:
+        p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
+        links = cli._links(p2, float(m))
+        pc = cli._power(p2, links, float(tau_ms) * 1e-3)
+        assert p_db == cli._fmt(linear_to_db(pc.p_cont))
+        assert regime == pc.regime.value
+        assert rs == cli._fmt(cli._rate(p2, links, float(tau_ms) * 1e-3))
+        regimes.add((m, regime))
+    assert len(regimes) == 4
 
 
 # ---------------------------------------------------------------- validate

@@ -7,6 +7,7 @@ is cross-checked against a density-space average via scipy.integrate.quad
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,14 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from underlaysim.dists import NakagamiGain
 from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        Regime, ScenarioParams,
                                        controlled_power_det,
+                                       controlled_power_det_array,
                                        controlled_power_fading,
                                        db_to_linear, default_fading,
                                        linear_to_db, outage_det,
@@ -178,6 +182,97 @@ def test_controlled_power_respects_frame(defaults):
         controlled_power_det(defaults, 0.15)
     with pytest.raises(ValueError):
         controlled_power_det(defaults, defaults.frame_len - defaults.tau_p)
+
+
+def test_power_can_fall_with_tau_at_loose_budgets(defaults):
+    # above rho_out ~ 1/2 the outage quantile sits below the estimator's
+    # median, so a sharper estimate (longer window) lowers the power
+    params = replace(defaults, rho_out=0.5)
+    powers = [controlled_power_det(params, t).p_cont for t in (1e-6, 2e-6, 1e-5, 1e-4)]
+    assert all(p1 > p2 for p1, p2 in zip(powers, powers[1:]))
+    assert powers[0] > 4.0 * powers[1]
+
+
+# ---------------------------------------- deterministic rule over arrays
+
+# sensing windows in microseconds (1 MHz sampling): whole and half samples
+# up to the frame's usable length, and arbitrary values in between
+_TAU_US = st.one_of(st.integers(1, 89_899).map(lambda k: k + 0.5),
+                    st.floats(1.0, 89_900.0))
+_GAMMA_DB = st.floats(-30.0, 30.0)
+
+
+@given(points=st.lists(st.tuples(_TAU_US, _GAMMA_DB, st.floats(1e-4, 0.9999)),
+                       min_size=1, max_size=20))
+@settings(deadline=None, max_examples=100)
+def test_array_rule_equals_the_scalar_rule_bit_for_bit(defaults, points):
+    tau_us, gamma_db, rho = (np.array(v) for v in zip(*points))
+    tau, gamma = tau_us * 1e-6, 10.0 ** (gamma_db / 10.0)
+    pc = controlled_power_det_array(defaults, tau, gamma, rho)
+    for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
+        params = replace(defaults, gamma=g, rho_out=r)
+        one = controlled_power_det(params, t)
+        assert pc.p_cont[k] == one.p_cont
+        assert pc.power_limited[k] == (one.regime is Regime.POWER_LIMITED)
+        assert pc.n[k] == samples_for(t, defaults.f_s)
+        # and both against the independent re-derivation
+        want_p, want_regime = _power_rule_reference(params, t)
+        assert one.p_cont == pytest.approx(want_p, rel=1e-10)
+        assert one.regime.value == want_regime
+
+
+@given(tau_us=_TAU_US, gamma_db=_GAMMA_DB,
+       rho_permille=st.lists(st.integers(1, 999), min_size=2, max_size=30, unique=True))
+@settings(deadline=None, max_examples=100)
+def test_array_rule_nondecreasing_in_outage_budget(defaults, tau_us, gamma_db,
+                                                   rho_permille):
+    rho = np.sort(rho_permille) / 1000.0
+    p = controlled_power_det_array(defaults, tau_us * 1e-6, db_to_linear(gamma_db),
+                                   rho).p_cont
+    assert np.all(np.diff(p) >= 0.0)
+
+
+@given(samples=st.lists(st.integers(1, 89_899), min_size=2, max_size=30, unique=True),
+       gamma_db=_GAMMA_DB, rho_permille=st.integers(1, 200))
+@settings(deadline=None, max_examples=100)
+def test_array_rule_nondecreasing_in_tau_for_tight_budgets(defaults, samples,
+                                                           gamma_db, rho_permille):
+    # only for rho_out <= 0.2: looser budgets can lose power as tau grows
+    # (test_power_can_fall_with_tau_at_loose_budgets)
+    tau = np.sort(samples) * 1e-6
+    p = controlled_power_det_array(defaults, tau, db_to_linear(gamma_db),
+                                   rho_permille / 1000.0).p_cont
+    assert np.all(np.diff(p) >= 0.0)
+
+
+@given(tau=st.floats(1e-3, 5e-2), gamma_db=_GAMMA_DB, rho=st.floats(0.01, 0.5))
+@settings(deadline=None, max_examples=50)
+def test_array_rule_regime_agrees_with_the_bound(defaults, tau, gamma_db, rho):
+    params = replace(defaults, rho_out=rho)
+    gamma = db_to_linear(gamma_db)
+    limited = bool(controlled_power_det_array(params, tau, gamma, rho).power_limited)
+    try:
+        star = perf_bound_det(params, tau)
+    except BracketError:
+        # too short a window for the bound: the constraint binds at every gamma
+        assert not limited
+        return
+    assume(abs(gamma / star - 1.0) > 1e-6)
+    assert limited == (gamma <= star)
+
+
+def test_array_rule_keeps_the_scalar_errors(defaults):
+    cases = [
+        (0.15, 1.0, 0.1, "tau must leave room for the pilot inside the frame"),
+        (1e-7, 1.0, 0.1, "sensing window shorter than one sample"),
+        (1e-3, 0.0, 0.1, "gamma must be finite and positive"),
+        (1e-3, math.inf, 0.1, "gamma must be finite and positive"),
+        (1e-3, 1e200, 0.1, "shape must be finite and positive"),
+        (1e-3, 1.0, 1.0, "rho_out must lie strictly in (0, 1)"),
+    ]
+    for tau, gamma, rho, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            controlled_power_det_array(defaults, [1e-3, tau], gamma, rho)
 
 
 # ----------------------------------------------- operating bound, det case
