@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -83,8 +84,8 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 
 _SWEEP_ROW_CAP = 1_000_000
 # grid points per array call of the m = inf sweep columns: one domain
-# check per block, and each (points, 8, 6) mean-capacity temporary stays
-# under 100 kB
+# check and one pass of row formatting per block, and each (points, 8, 6)
+# mean-capacity temporary stays under 100 kB
 _SWEEP_BLOCK = 256
 
 
@@ -290,13 +291,17 @@ def _meta_lines(cfg: ScenarioConfig, command: str, notes: list[str]) -> list[str
     return lines
 
 
+def _csv_cells(cells) -> str:
+    return ",".join(_fmt(cell) for cell in cells)
+
+
 def _write_csv(out_path: str, meta: list[str], header: list[str], rows) -> None:
+    """Write the CSV; rows holds one finished text line per data row."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for line in meta:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(rows)
 
 
 def _m_suffix(m: float) -> str:
@@ -530,19 +535,37 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
                           f"choose from {', '.join(FIGURE_IDS)}")
     header, rows, notes = _FIGURES[fig_id](cfg)
     meta = _meta_lines(cfg, f"figure {fig_id}", notes)
-    _write_csv(out_path, meta, header, rows)
+    _write_csv(out_path, meta, header, [_csv_cells(row) + "\n" for row in rows])
+
+
+def _sweep_tails(p_db: list[float], regimes: list[str],
+                 rs: list[float] | None) -> list[str]:
+    """The "p_cont_dBm,regime(,rs)" text of each row, cells as _fmt gives them."""
+    if rs is None:
+        return [f"{p:.10g},{regime}" for p, regime in zip(p_db, regimes)]
+    return [f"{p:.10g},{regime},{r:.10g}" for p, regime, r in zip(p_db, regimes, rs)]
 
 
 def _det_sweep_cells(params: ScenarioParams, tau, gamma, rho_out,
-                     include_rs: bool) -> list[list]:
-    """[p_cont_dBm, regime(, rs)] of m = inf rows at arrays of grid points."""
+                     include_rs: bool) -> list[str]:
+    """The text tails of m = inf rows at arrays of grid points."""
     pc = controlled_power_det_array(params, tau, gamma, rho_out)
-    regimes = (Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value)
-    cols = [[linear_to_db(p) for p in pc.p_cont.tolist()],
-            [regimes[limited] for limited in pc.power_limited.tolist()]]
+    labels = (Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value)
+    rs = throughput_det_array(params, tau, pc).tolist() if include_rs else None
+    return _sweep_tails([linear_to_db(p) for p in pc.p_cont.tolist()],
+                        [labels[limited] for limited in pc.power_limited.tolist()], rs)
+
+
+def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: float,
+                       rho_out: float, include_rs: bool) -> str:
+    """The text tail of one finite-m row."""
+    p2 = replace(params, gamma=gamma, rho_out=rho_out)
+    links = _links(p2, m)
+    pc = _power(p2, links, tau)
+    cells = [linear_to_db(pc.p_cont), pc.regime.value]
     if include_rs:
-        cols.append(throughput_det_array(params, tau, pc).tolist())
-    return [list(cells) for cells in zip(*cols)]
+        cells.append(_rate(p2, links, tau))
+    return _csv_cells(cells)
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
@@ -550,7 +573,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
 
     Rows run over tau, then gamma, rho_out and m. The m = inf columns are
     evaluated in array calls over blocks of _SWEEP_BLOCK (tau, gamma,
-    rho_out) points; finite-m rows call the fading routines row by row.
+    rho_out) points and formatted as text once per block; finite-m rows
+    call the fading routines row by row. Every row is held until the grid
+    is done, so a sweep that fails writes no CSV.
     """
     params = cfg.params()
     taus_ms = cfg.sweep_axis("tau_ms")
@@ -578,22 +603,19 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     for start in range(0, n_points, _SWEEP_BLOCK):
         block = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK, n_points)),
                                  shape)
+        points = list(zip(*(ix.tolist() for ix in block)))
+        keys = [f"{tau_cells[it]},{gamma_cells[ig]},{rho_cells[ir]}"
+                for it, ig, ir in points]
         det = (_det_sweep_cells(params, *(axis[ix] for axis, ix in zip(axes, block)),
                                 include_rs) if any_det else None)
-        for k, (it, ig, ir) in enumerate(zip(*(ix.tolist() for ix in block))):
-            key = [tau_cells[it], gamma_cells[ig], rho_cells[ir]]
-            for m, m_cell in zip(ms, m_cells):
-                if math.isinf(m):
-                    rows.append(key + [m_cell] + det[k])
-                    continue
-                tau = taus_ms[it] * 1e-3
-                p2 = replace(params, gamma=gammas[ig], rho_out=rhos[ir])
-                links = _links(p2, m)
-                pc = _power(p2, links, tau)
-                row = key + [m_cell, linear_to_db(pc.p_cont), pc.regime.value]
-                if include_rs:
-                    row.append(_rate(p2, links, tau))
-                rows.append(row)
+        columns = []
+        for m, m_cell in zip(ms, m_cells):
+            tails = det if math.isinf(m) else [
+                _fading_sweep_tail(params, m, taus_ms[it] * 1e-3, gammas[ig], rhos[ir],
+                                   include_rs) for it, ig, ir in points]
+            columns.append([f"{key},{m_cell},{tail}\n" for key, tail in zip(keys, tails)])
+        # within a grid point the rows run over m
+        rows.extend(itertools.chain.from_iterable(zip(*columns)))
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])
     _write_csv(out_path, meta, header, rows)
 

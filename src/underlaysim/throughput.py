@@ -132,16 +132,31 @@ def _panel_rule(lo, hi):
     return lo[..., None] + half * (_PANEL_NODES + 1.0), half * _PANEL_WEIGHTS
 
 
+def _distinct_pairs(x, y):
+    """Distinct (x, y) pairs of two equal-shaped arrays, as two 1-d arrays,
+    and for each element the index of its pair. Each pair is keyed as the
+    complex number x + iy, so one 1-d sort finds them."""
+    keys = np.empty(np.size(x), dtype=complex)
+    keys.real, keys.imag = np.ravel(x), np.ravel(y)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys.real, keys.imag, inverse
+
+
 def _mean_capacity_grid(a_s, a_i, lam):
     """Mean estimated capacity for broadcastable arrays of law parameters.
 
     The SINR estimate is lam R / (1 - R) with R ~ Beta(a_s, a_i), so
-    P(C > x) = P(1 - R < lam / (z + lam)) with z = 2^x - 1.
+    P(C > x) = P(1 - R < lam / (z + lam)) with z = 2^x - 1. The split
+    quantiles depend on (a_s, a_i) alone and are computed once per
+    distinct pair.
     """
-    a_s, a_i, lam = (v[..., None] for v in np.broadcast_arrays(a_s, a_i, lam))
-    q = special.betaincinv(np.where(_UPPER, a_i, a_s), np.where(_UPPER, a_s, a_i),
+    a_s, a_i, lam = np.broadcast_arrays(a_s, a_i, lam)
+    u_s, u_i, pair = _distinct_pairs(a_s, a_i)
+    u_s, u_i = u_s[:, None], u_i[:, None]
+    q = special.betaincinv(np.where(_UPPER, u_i, u_s), np.where(_UPPER, u_s, u_i),
                            _SPLIT_TAILS)
-    odds = np.where(_UPPER, (1.0 - q) / q, q / (1.0 - q))
+    odds = np.where(_UPPER, (1.0 - q) / q, q / (1.0 - q))[pair].reshape(lam.shape + (-1,))
+    a_s, a_i, lam = a_s[..., None], a_i[..., None], lam[..., None]
     x_split = np.log1p(lam * odds) / _LN2
     x_lin, w_lin = _panel_rule(x_split[..., :_MEDIAN], x_split[..., 1:_MEDIAN + 1])
     u_split = np.log(x_split[..., _MEDIAN:])
@@ -159,12 +174,13 @@ def throughput_det_array(params: ScenarioParams, tau,
     """Secondary throughput over an array of sensing times tau, deterministic
     channels, at the outcome of controlled_power_det_array for those tau.
 
-    The capacity laws of capacity_law_det, built elementwise, go through
-    one mean-capacity call.
+    The capacity law of capacity_law_det depends on (n, p_cont) alone, so
+    one mean-capacity call evaluates each distinct law once.
     """
-    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, power.n, params.g_st_sr,
-                                            params.g_pt_sr)
-    return prefactor(params, tau) * _mean_capacity_grid(a_s, a_i, b_s * power.p_cont / b_i)
+    n, p_cont, law = _distinct_pairs(power.n, power.p_cont)
+    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, n, params.g_st_sr, params.g_pt_sr)
+    capacity = _mean_capacity_grid(a_s, a_i, b_s * p_cont / b_i)[law]
+    return prefactor(params, tau) * capacity.reshape(np.shape(power.p_cont))
 
 
 def throughput_det(params: ScenarioParams, tau: float) -> float:

@@ -12,12 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from underlaysim import cli, dists
+from underlaysim import __version__, cli, dists
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
-from underlaysim.power_control import (ScenarioParams, controlled_power_det,
+from underlaysim.power_control import (Regime, ScenarioParams,
+                                       controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, linear_to_db,
                                        perf_bound_fading)
@@ -334,31 +337,87 @@ def test_db_values_beyond_the_float_range_are_numeric_errors(tmp_path, capsys, a
     assert not out.exists()
 
 
-def test_sweep_cells_match_the_scalar_api(tmp_path, monkeypatch):
-    # both regimes and both m dispatches; every cell against a per-row call.
-    # Blocks of 5 split the 18 grid points unevenly across array calls.
+def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch):
+    # the whole file, byte for byte: meta lines, header, row order and line
+    # ends, over both regimes and both m dispatches. Blocks of 5 split the
+    # 18 grid points unevenly; 0.0015 ms is a half-sample window; at -30 dB
+    # both budgets are power-limited from 1 ms on, so those m = inf rows
+    # share one capacity law
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
+    sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
+             "rho_out": "0.3, 0.5", "m": "inf, 1", "include_rs": "true"}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]
+                + [f"--set=sweep.{key}={value}" for key, value in sweep.items()]) == 0
+
+    def cell(value) -> str:
+        return value if isinstance(value, str) else format(value, ".10g")
+
+    lines = [f"# underlaysim {__version__}", "# command: sweep"]
+    for section, keys in cli._DEFAULTS.items():
+        for key, value in keys.items():
+            value = sweep.get(key, value) if section == "sweep" else value
+            lines.append(f"# config {section}.{key} = {value}")
+    lines += ["# note: 36 rows", "tau_ms,gamma_dB,rho_out,m,p_cont_dBm,regime,rs"]
+    params = ScenarioParams()
+    power_limited_det, regimes = [], set()
+    for tau_ms in sweep["tau_ms"].split(", "):
+        tau = float(tau_ms) * 1e-3
+        for g_db in sweep["gamma_db"].split(", "):
+            for rho in sweep["rho_out"].split(", "):
+                p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
+                det = controlled_power_det(p2, tau)
+                links = default_fading(p2, 1.0)
+                fading = cli._power(p2, links, tau)
+                rows = [("inf", det, throughput_det(p2, tau)),
+                        ("1", fading, cli._rate(p2, links, tau))]
+                for m, pc, rs in rows:
+                    regimes.add((m, pc.regime))
+                    key = [float(tau_ms), float(g_db), float(rho), m]
+                    lines.append(",".join(cell(v) for v in key + [
+                        linear_to_db(pc.p_cont), pc.regime.value, rs]))
+                if det.regime is Regime.POWER_LIMITED:
+                    power_limited_det.append(tau)
+    assert len(regimes) == 4
+    assert len(power_limited_det) > len(set(power_limited_det))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+_ODD_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324]))
+
+
+@given(cells=st.lists(st.tuples(_ODD_FLOATS, st.sampled_from([r.value for r in Regime]),
+                                _ODD_FLOATS), min_size=1, max_size=20))
+@settings(max_examples=200)
+def test_sweep_tails_format_like_fmt(cells):
+    p_db, regimes, rs = (list(col) for col in zip(*cells))
+    assert cli._sweep_tails(p_db, regimes, None) == [
+        f"{cli._fmt(p)},{regime}" for p, regime in zip(p_db, regimes)]
+    assert cli._sweep_tails(p_db, regimes, rs) == [
+        f"{cli._fmt(p)},{regime},{cli._fmt(r)}" for p, regime, r in zip(p_db, regimes, rs)]
+
+
+def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
+    # 100 ms leaves no room for the pilot. It is the sixth of six grid
+    # points, alone in the second block of 5, so the first block has been
+    # evaluated and formatted when the sweep fails
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
+    done = []
+    evaluate = cli._det_sweep_cells
+
+    def counted(*args):
+        tails = evaluate(*args)
+        done.append(len(tails))
+        return tails
+
+    monkeypatch.setattr(cli, "_det_sweep_cells", counted)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out),
-                 "--set", "sweep.tau_ms=0.01, 1, 30",
-                 "--set", "sweep.gamma_db=-20, 0, 10",
-                 "--set", "sweep.rho_out=0.01, 0.5",
-                 "--set", "sweep.m=inf, 1",
-                 "--set", "sweep.include_rs=true"]) == 0
-    _, header, rows = _read_csv(out)
-    assert header[-3:] == ["p_cont_dBm", "regime", "rs"]
-    assert len(rows) == 36
-    params = ScenarioParams()
-    regimes = set()
-    for tau_ms, g_db, rho, m, p_db, regime, rs in rows:
-        p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
-        links = cli._links(p2, float(m))
-        pc = cli._power(p2, links, float(tau_ms) * 1e-3)
-        assert p_db == cli._fmt(linear_to_db(pc.p_cont))
-        assert regime == pc.regime.value
-        assert rs == cli._fmt(cli._rate(p2, links, float(tau_ms) * 1e-3))
-        regimes.add((m, regime))
-    assert len(regimes) == 4
+                 "--set", "sweep.tau_ms=1, 2, 3, 4, 5, 100"]) == 3
+    assert done == [5]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- validate

@@ -15,19 +15,22 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, NcChiSq, capacity_pdf,
                                gamma_match, nakagami_gain_quantile)
 from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power_det,
+                                       controlled_power_det_array,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, outage_det,
                                        outage_fading, samples_for)
 from underlaysim.throughput import (Model, TradeoffCurve, capacity_law_det,
                                     default_tau_grid, mean_capacity,
                                     optimize_tradeoff, prefactor,
-                                    throughput_det, throughput_fading,
-                                    throughput_ideal_det,
+                                    throughput_det, throughput_det_array,
+                                    throughput_fading, throughput_ideal_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
@@ -122,6 +125,54 @@ def test_throughput_det_recomposes(defaults):
     dist = capacity_law_det(defaults, tau, res.p_cont)
     want = prefactor(defaults, tau) * mean_capacity(dist)
     assert throughput_det(defaults, tau) == pytest.approx(want, rel=1e-12)
+
+
+# a sensing window (whole samples, plus half a sample when the flag is
+# set), a gamma in dB and an outage budget
+_DET_POINT = st.tuples(st.integers(1, 5000), st.booleans(), st.floats(-30.0, 30.0),
+                       st.floats(0.01, 0.9))
+
+
+@given(points=st.lists(_DET_POINT, min_size=1, max_size=4))
+@settings(deadline=None, max_examples=40)
+def test_det_rate_array_with_repeated_laws_equals_the_scalar_rate(defaults, points):
+    # each drawn point comes twice (one law twice), and its window also
+    # comes at -30 dB with budgets 0.5 and 0.6: power-limited there, so two
+    # distinct points share the law (n, p_full), and the window is shared
+    # with the drawn point's own power
+    grid = []
+    for samples, half, g_db, rho in points:
+        tau = (samples + 0.5 * half) * 1e-6
+        grid += [(tau, g_db, rho), (tau, g_db, rho), (tau, -30.0, 0.5), (tau, -30.0, 0.6)]
+    tau, g_db, rho = (np.array(v) for v in zip(*grid))
+    gamma = 10.0 ** (g_db / 10.0)
+    pc = controlled_power_det_array(defaults, tau, gamma, rho)
+    assert pc.power_limited[2::4].all() and pc.power_limited[3::4].all()
+    rates = throughput_det_array(defaults, tau, pc)
+    for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
+        assert rates[k] == throughput_det(replace(defaults, gamma=g, rho_out=r), t)
+
+
+# capacity-law parameters: estimate shapes from one sample up, and SINR
+# scales over twelve decades
+_LAW = st.tuples(st.floats(0.5, 1e5), st.floats(0.5, 1e5), st.floats(1e-6, 1e6))
+
+
+@given(laws=st.lists(_LAW, min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=16),
+       lams=st.lists(st.floats(1e-6, 1e6), min_size=16, max_size=16))
+@settings(deadline=None, max_examples=40)
+def test_mean_capacity_batch_with_repeated_pairs_equals_one_law_calls(laws, picks, lams):
+    # picked laws repeat; each repeat of an (a_s, a_i) pair keeps its own
+    # lam or takes a fresh one, so pairs are shared by unequal laws too
+    chosen = [laws[k % len(laws)] for k in picks]
+    a_s = np.array([law[0] for law in chosen])
+    a_i = np.array([law[1] for law in chosen])
+    lam = np.array([law[2] if k % 2 else lams[j] for j, (k, law)
+                    in enumerate(zip(picks, chosen))])
+    batch = _mean_capacity_grid(a_s, a_i, lam)
+    for k in range(a_s.size):
+        assert batch[k] == _mean_capacity_grid(a_s[k], a_i[k], lam[k])
 
 
 def test_throughput_det_below_ideal(defaults):
