@@ -670,7 +670,7 @@ def _validate_checks(cfg: ScenarioConfig):
            f"{gamma_star_db:.3f} dB, limit {limit_db:.3f} dB",
            "-10.40 +- 0.1 dB, limit -10 dB")
 
-    # 5: the closed-form power rule against simulated outage and capacity
+    # 5: the closed-form power rule against simulated outage
     mc = montecarlo.run_trials_det(params, tau_ref, trials, seed, jobs=jobs)
     resid = abs(outage_det(params, tau_ref, pc.p_cont) - params.rho_out)
     gap = abs(mc.outage_rate - params.rho_out)
@@ -679,24 +679,24 @@ def _validate_checks(cfg: ScenarioConfig):
            f"analytic residual {resid:.1e}, mc gap {gap:.2e}",
            f"<= 1e-9 and <= 4 se ({4.0 * mc.outage_se:.2e})")
 
+    # 6: mean capacity against the same simulation
     dist = capacity_law_det(params, tau_ref, pc.p_cont)
     c_gap = abs(mc.mean_capacity - mean_capacity(dist))
     ok = c_gap <= 4.0 * mc.capacity_se
     yield ("mean capacity vs simulation (det)", ok, f"gap {c_gap:.2e}",
            f"<= 4 se ({4.0 * mc.capacity_se:.2e})")
 
-    # 6: capacity density normalizes to one
+    # 7: capacity density normalizes to one on the mean-capacity nodes
     worst = 0.0
     for tau in (1e-4, 1e-3):
         d = capacity_law_det(params, tau, pc.p_cont)
-        hint = math.log1p(d.ratio_scale * d.gain_approx.shape
-                          / d.interf_approx.shape) / math.log(2.0)
-        total = specfun.integrate(lambda x, d=d: dists.capacity_pdf(d, x),
-                                  0.0, math.inf, scale_hint=hint)
+        _, x, w = throughput._capacity_nodes(d.gain_approx.shape, d.interf_approx.shape,
+                                             d.ratio_scale)
+        total = float(np.sum(dists.capacity_pdf(d, x) * w))
         worst = max(worst, abs(total - 1.0))
     yield "capacity density normalization", worst <= 1e-6, f"{worst:.2e}", "<= 1e-6"
 
-    # 7: capacity law against exact-law sampling
+    # 8: capacity law against exact-law sampling
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     n_ks = mc_small
     n_ref = samples_for(tau_ref, params.f_s)
@@ -708,7 +708,7 @@ def _validate_checks(cfg: ScenarioConfig):
     ks = montecarlo.ks_distance(c_draw, lambda x: dists.capacity_cdf(dist, x))
     yield "capacity law KS vs exact draws", ks <= 0.02, f"{ks:.4f}", "<= 0.02"
 
-    # 8: the estimation-throughput curve peaks inside the grid, near ideal
+    # 9: the estimation-throughput curve peaks inside the grid, near ideal
     curve = optimize_tradeoff(params, Model.ESTIMATION)
     grid_taus = [t for t, _ in curve.points]
     interior = grid_taus[0] < curve.tau_opt < grid_taus[-1]
@@ -718,7 +718,7 @@ def _validate_checks(cfg: ScenarioConfig):
            f"tau_opt {curve.tau_opt * 1e3:.3f} ms, gap {gap:.4f}",
            "interior peak, gap in [0, 0.15]")
 
-    # 9: fading power ordering in m, capped by the deterministic channel
+    # 10: fading power ordering in m, capped by the deterministic channel
     p_prev = 0.0
     ok = True
     values = []
@@ -733,7 +733,7 @@ def _validate_checks(cfg: ScenarioConfig):
            ", ".join(f"{linear_to_db(v):.2f}" for v in values) + " dBm",
            "increasing, below det")
 
-    # 10: fading outage against simulation
+    # 11: fading outage against simulation
     links = default_fading(params, 1.0)
     pcf = controlled_power_fading(params, links.pr_st, tau_ref)
     mcf = montecarlo.run_trials_fading(params, links, tau_ref, mc_small,
@@ -743,14 +743,14 @@ def _validate_checks(cfg: ScenarioConfig):
     yield ("outage self-consistency (fading)", ok, f"mc gap {gap:.2e}",
            f"<= 4 se ({4.0 * mcf.outage_se:.2e})")
 
-    # 11: fading throughput against simulation
+    # 12: fading throughput against simulation
     r_analytic = throughput_fading(params, links, tau_ref)
     gap = abs(mcf.mean_throughput - r_analytic)
     ok = gap <= 4.0 * mcf.throughput_se
     yield ("throughput vs simulation (fading)", ok, f"gap {gap:.2e}",
            f"<= 4 se ({4.0 * mcf.throughput_se:.2e})")
 
-    # 12: the forced window without power control really hits the target
+    # 13: the forced window without power control really hits the target
     p_probe = replace(params, gamma=db_to_linear(-12.0))
     tau_f, _ = throughput_no_pc_det(p_probe)
     if math.isnan(tau_f):

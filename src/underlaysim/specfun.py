@@ -2,20 +2,21 @@
 
 The analysis layers only ever need three numeric primitives beyond plain
 arithmetic: the regularized upper incomplete gamma function Q(a, x) and its
-inverse in x, definite integrals over finite or right-open ranges, and
+inverse in x, Gauss-Legendre nodes and weights on a batch of panels, and
 bracketed scalar root finding. They are collected here so the rest of the
 package has a single place where accuracy targets live.
 
 Q(a, x) and its inverse are thin wrappers over scipy with strict domain
-checks. The integrator is local code: an adaptive Gauss-Kronrod scheme that
-evaluates the integrand on whole node arrays at once, which the outage and
-throughput integrals rely on for speed (their integrands are vectorized and
-calling them point by point would dominate the runtime).
+checks. The quadrature primitive is a fixed rule, not an adaptive one: each
+integral in the package (the fading outage, mean capacity) places its own
+panel ends at the features of its integrand, the law's quantiles and, for
+the outage, the estimator's step, and sums integrand times weight over
+whole node arrays at once.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +31,7 @@ __all__ = [
     "ConvergenceError",
     "reg_upper_gamma",
     "inv_reg_upper_gamma",
-    "integrate",
+    "panel_rule",
     "find_root",
 ]
 
@@ -40,8 +41,7 @@ class Tolerance:
     """Accuracy targets shared by the iterative routines.
 
     abs_tol and rel_tol are combined as max(abs_tol, rel_tol * |value|);
-    max_iter bounds root-finder iterations and, scaled by a fixed factor,
-    the number of subdivisions the integrator may spend.
+    max_iter bounds root-finder iterations.
     """
 
     abs_tol: float = 1e-10
@@ -72,15 +72,13 @@ class BracketError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the tolerance.
 
-    Carries the best estimate reached and, for quadrature, the error bound
-    attached to it, so callers can report partial results.
+    Carries the best estimate reached, so callers can report partial
+    results.
     """
 
-    def __init__(self, message: str, estimate: float | None = None,
-                 error_bound: float | None = None):
+    def __init__(self, message: str, estimate: float | None = None):
         super().__init__(message)
         self.estimate = estimate
-        self.error_bound = error_bound
 
 
 def reg_upper_gamma(a, x):
@@ -120,140 +118,21 @@ def inv_reg_upper_gamma(rho, a):
     return out
 
 
-# 21-point Kronrod extension of 10-point Gauss, the classic QUADPACK pair.
-# Nodes are for [-1, 1]; the even-indexed Kronrod nodes carry the embedded
-# Gauss rule.
-_XGK = np.array([
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-
-# Full 21-node layout on [-1, 1], ascending, with matching weight vectors.
-_NODES = np.concatenate([-_XGK[:10], [0.0], _XGK[9::-1]])
-_KRONROD_W = np.concatenate([_WGK[:10], [_WGK[10]], _WGK[9::-1]])
-_GAUSS_W = np.zeros(21)
-_GAUSS_W[1:20:2] = np.concatenate([_WG, _WG[::-1]])
-
-# Subdivision budget: generous multiple of max_iter, enough for integrands
-# with a handful of sharp features at the default tolerances.
-_PANELS_PER_ITER = 24
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Apply the GK21 pair on a batch of intervals in one integrand call."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("integrand returned a non-finite value")
-    kron = half * (y @ _KRONROD_W)
-    gauss = half * (y @ _GAUSS_W)
-    err = np.abs(kron - gauss)
-    return kron, err
+def panel_rule(lo, hi, order: int):
+    """Gauss-Legendre nodes and weights on each panel [lo, hi].
 
-
-def _adaptive(f: Callable, lo: float, hi: float, tol: Tolerance) -> tuple[float, float]:
-    starts = np.linspace(lo, hi, 5)
-    vals, errs = _eval_panels(f, starts[:-1], starts[1:])
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    for i in range(4):
-        heapq.heappush(heap, (-errs[i], counter, starts[i], starts[i + 1], vals[i]))
-        counter += 1
-    max_panels = _PANELS_PER_ITER * tol.max_iter
-    while True:
-        total = math.fsum(item[4] for item in heap)
-        err_total = -math.fsum(item[0] for item in heap)
-        if err_total <= max(tol.abs_tol, tol.rel_tol * abs(total)):
-            return total, err_total
-        if len(heap) >= max_panels:
-            raise ConvergenceError(
-                "integral did not converge within the subdivision budget",
-                estimate=total, error_bound=err_total)
-        _, _, a, b, val = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            # interval at floating-point resolution; keep its estimate but
-            # stop counting its error against the budget
-            heapq.heappush(heap, (0.0, counter, a, b, val))
-            counter += 1
-            continue
-        v2, e2 = _eval_panels(f, np.array([a, m]), np.array([m, b]))
-        heapq.heappush(heap, (-e2[0], counter, a, m, v2[0]))
-        counter += 1
-        heapq.heappush(heap, (-e2[1], counter, m, b, v2[1]))
-        counter += 1
-
-
-def integrate(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL,
-              scale_hint: float | None = None) -> float:
-    """Definite integral of f over [lo, hi], hi may be math.inf.
-
-    f must accept a 1-D numpy array and return values elementwise; every
-    caller in this package has a vectorized integrand and the batched
-    evaluation is what keeps the outage integrals fast.
-
-    For a right-open range the integral is split at a finite point (lo + 1
-    by default, or scale_hint if given, which should sit near the bulk of
-    the mass) and the tail is mapped onto [0, 1) through x = s + t/(1-t).
-    Raises ConvergenceError with the partial estimate attached when the
-    subdivision budget runs out.
+    lo and hi are equal-shaped arrays of panel ends; the result carries one
+    more trailing axis of length order. The rule integrates polynomials of
+    degree up to 2 * order - 1 exactly on every panel.
     """
-    if not math.isfinite(lo):
-        raise ValueError("lower limit must be finite")
-    if math.isnan(hi):
-        raise ValueError("upper limit must not be NaN")
-    if hi <= lo:
-        raise ValueError("upper limit must exceed lower limit")
-    if math.isfinite(hi):
-        total, _ = _adaptive(f, float(lo), float(hi), tol)
-        return total
-    split = float(lo) + 1.0
-    if scale_hint is not None:
-        if not (math.isfinite(scale_hint) and scale_hint > lo):
-            raise ValueError("scale_hint must be finite and exceed the lower limit")
-        split = float(scale_hint)
-    head, _ = _adaptive(f, float(lo), split, tol)
-
-    def tail(t: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - t
-        x = split + t / one_minus
-        return np.asarray(f(x), dtype=float) / one_minus ** 2
-
-    # stop infinitesimally short of t = 1; the transform already compresses
-    # the far tail and the adaptive pass resolves whatever mass is left
-    tail_val, _ = _adaptive(tail, 0.0, 1.0 - 1e-14, tol)
-    return head + tail_val
+    nodes, weights = _legendre(order)
+    half = (0.5 * (hi - lo))[..., None]
+    return lo[..., None] + half * (nodes + 1.0), half * weights
 
 
 def find_root(g: Callable[[float], float], lo: float, hi: float,

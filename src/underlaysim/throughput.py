@@ -123,13 +123,7 @@ _MEDIAN = 4  # index of the 0.5 split
 # mass, so that the small 1 - r of a heavy tail keeps its digits
 _UPPER = _SPLIT_LEVELS > 0.5
 _SPLIT_TAILS = np.where(_UPPER, 1.0 - _SPLIT_LEVELS, _SPLIT_LEVELS)
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-
-
-def _panel_rule(lo, hi):
-    """Gauss-Legendre nodes and weights on each panel [lo, hi]."""
-    half = (0.5 * (hi - lo))[..., None]
-    return lo[..., None] + half * (_PANEL_NODES + 1.0), half * _PANEL_WEIGHTS
+_PANEL_ORDER = 6
 
 
 def _distinct_pairs(x, y):
@@ -142,13 +136,14 @@ def _distinct_pairs(x, y):
     return keys.real, keys.imag, inverse
 
 
-def _mean_capacity_grid(a_s, a_i, lam):
-    """Mean estimated capacity for broadcastable arrays of law parameters.
+def _capacity_nodes(a_s, a_i, lam):
+    """Quadrature nodes of the capacity law for broadcastable arrays of law
+    parameters: the lowest split x_0, and nodes x and weights w of shape
+    (..., panels, _PANEL_ORDER) spanning the splits above it.
 
-    The SINR estimate is lam R / (1 - R) with R ~ Beta(a_s, a_i), so
-    P(C > x) = P(1 - R < lam / (z + lam)) with z = 2^x - 1. The split
-    quantiles depend on (a_s, a_i) alone and are computed once per
-    distinct pair.
+    The SINR estimate is lam R / (1 - R) with R ~ Beta(a_s, a_i). The split
+    quantiles depend on (a_s, a_i) alone and are computed once per distinct
+    pair.
     """
     a_s, a_i, lam = np.broadcast_arrays(a_s, a_i, lam)
     u_s, u_i, pair = _distinct_pairs(a_s, a_i)
@@ -156,17 +151,26 @@ def _mean_capacity_grid(a_s, a_i, lam):
     q = special.betaincinv(np.where(_UPPER, u_i, u_s), np.where(_UPPER, u_s, u_i),
                            _SPLIT_TAILS)
     odds = np.where(_UPPER, (1.0 - q) / q, q / (1.0 - q))[pair].reshape(lam.shape + (-1,))
-    a_s, a_i, lam = a_s[..., None], a_i[..., None], lam[..., None]
-    x_split = np.log1p(lam * odds) / _LN2
-    x_lin, w_lin = _panel_rule(x_split[..., :_MEDIAN], x_split[..., 1:_MEDIAN + 1])
+    x_split = np.log1p(lam[..., None] * odds) / _LN2
+    x_lin, w_lin = specfun.panel_rule(x_split[..., :_MEDIAN], x_split[..., 1:_MEDIAN + 1],
+                                      _PANEL_ORDER)
     u_split = np.log(x_split[..., _MEDIAN:])
-    u, w_log = _panel_rule(u_split[..., :-1], u_split[..., 1:])
+    u, w_log = specfun.panel_rule(u_split[..., :-1], u_split[..., 1:], _PANEL_ORDER)
     x = np.concatenate([x_lin, np.exp(u)], axis=-2)
     w = np.concatenate([w_lin, w_log * np.exp(u)], axis=-2)
-    lam = lam[..., None]
-    surv = special.betainc(a_i[..., None], a_s[..., None],
-                           lam / (np.expm1(x * _LN2) + lam))
-    return x_split[..., 0] + np.sum(surv * w, axis=(-2, -1))
+    return x_split[..., 0], x, w
+
+
+def _mean_capacity_grid(a_s, a_i, lam):
+    """Mean estimated capacity for broadcastable arrays of law parameters.
+
+    P(C > x) = P(1 - R < lam / (z + lam)) with z = 2^x - 1, R as in
+    _capacity_nodes.
+    """
+    x_0, x, w = _capacity_nodes(a_s, a_i, lam)
+    a_s, a_i, lam = (v[..., None, None] for v in np.broadcast_arrays(a_s, a_i, lam))
+    surv = special.betainc(a_i, a_s, lam / (np.expm1(x * _LN2) + lam))
+    return x_0 + np.sum(surv * w, axis=(-2, -1))
 
 
 def throughput_det_array(params: ScenarioParams, tau,
@@ -339,8 +343,8 @@ def throughput_no_pc_fading(params: ScenarioParams, links: FadingLinks,
     """Forced sensing time and throughput without power control, fading."""
 
     def residual(log_n: float) -> float:
-        return (_outage_fading_n(params, links.pr_st, math.exp(log_n),
-                                 params.p_full, tol) - params.rho_out)
+        return (_outage_fading_n(params, links.pr_st, math.exp(log_n), params.p_full)
+                - params.rho_out)
 
     n_forced = _no_pc_window(params, residual, tol)
     if math.isnan(n_forced):

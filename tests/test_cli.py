@@ -492,6 +492,27 @@ def test_make_figures_forwards_cli_arguments(tmp_path):
     assert "# config mc.seed = 5" in meta
 
 
+def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "csv_drift", REPO / "scripts" / "csv_drift.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.csv").write_text("# run 1\ntau,p,regime\n1,2.0,x\n2,nan,y\n3,0,z\n")
+    (new / "a.csv").write_text("# run 2\ntau,p,regime\n1,2.000002,x\n2,nan,y\n3,0,w\n")
+    (old / "b.csv").write_text("tau,p\n1,1\n")
+    (new / "b.csv").write_text("tau,q\n1,1\n2,1\n")
+    assert script.main([str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("a.csv: header same, rows 3/3, max rel drift 1e-06, "
+                        "text cells differing 1")
+    assert lines[1] == ("b.csv: header DIFFERS, rows 1/2, max rel drift 0, "
+                        "text cells differing 0")
+    assert script.main([str(old), str(old)]) == 0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

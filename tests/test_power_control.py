@@ -2,8 +2,9 @@
 
 The deterministic rule has a closed form, so the oracle here is a direct
 re-derivation through scipy.special with no shared code. The fading outage
-is cross-checked against a density-space average via scipy.integrate.quad
-(the library integrates in quantile space, a genuinely different route).
+is cross-checked against a density-space average via adaptive
+scipy.integrate.quad (the library uses a fixed panel rule, a genuinely
+different route).
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 import scipy.stats
 from hypothesis import assume, given, settings
@@ -29,7 +31,8 @@ from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        outage_fading, perf_bound_asymptote,
                                        perf_bound_det, perf_bound_fading,
                                        samples_for)
-from underlaysim.specfun import BracketError
+from underlaysim.specfun import DEFAULT_TOL, BracketError
+from underlaysim.throughput import throughput_no_pc_fading
 
 
 def _power_rule_reference(params: ScenarioParams, tau: float):
@@ -315,27 +318,47 @@ def test_perf_bound_ignores_the_frame(defaults):
 
 # ------------------------------------------------------------ fading cases
 
-def _outage_fading_reference(params: ScenarioParams, m: float, tau: float,
+def _outage_fading_reference(params: ScenarioParams, m: float, n: float,
                              p: float) -> float:
-    """Density-space average of the known-gain outage over the fading law."""
-    n = round(tau * params.f_s)
+    """Density-space average of the known-gain outage over the fading law,
+    for a window of n samples.
+
+    Adaptive QUADPACK quadrature in ln x, where the m < 1 density's
+    integrable spike at zero flattens out, with breakpoints at a few gain
+    quantiles and around the step where the estimate's mean crosses the
+    threshold; the mass beyond the 1e-16 quantiles is dropped.
+    """
     mean_gain = params.gamma * params.sigma2 / params.p_tx_pr
     gain_law = scipy.stats.gamma(a=m, scale=mean_gain / m)
     thr = params.theta_i * params.p_tx_pr / p + params.sigma2
+    x_step = (thr - params.sigma2) / params.p_tx_pr
+    width = params.sigma2 * math.sqrt((2.0 + 4.0 * x_step * params.p_tx_pr
+                                       / params.sigma2) / n) / params.p_tx_pr
 
-    def integrand(x):
+    def integrand(t):
+        x = math.exp(t)
         snr = x * params.p_tx_pr / params.sigma2
         total = 1.0 + snr
         spread = 2.0 + 4.0 * snr
         a = n * total * total / spread
         b = params.sigma2 * spread / (n * total)
-        return scipy.special.gammaincc(a, thr / b) * gain_law.pdf(x)
+        return scipy.special.gammaincc(a, thr / b) * gain_law.pdf(x) * x
 
-    hi = gain_law.ppf(1.0 - 1e-13)
-    val, err = scipy.integrate.quad(integrand, 0.0, hi, limit=400,
-                                    points=[0.5 * mean_gain, mean_gain,
-                                            4.0 * mean_gain])
+    lo, hi = gain_law.ppf(1e-16), gain_law.isf(1e-16)
+    points = [gain_law.ppf(q) for q in (1e-6, 0.1, 0.5, 0.9)]
+    points += [x_step + k * width for k in (-8, -2, 0, 2, 8)]
+    points = sorted(math.log(x) for x in points if lo < x < hi)
+    val, _ = scipy.integrate.quad(integrand, math.log(lo), math.log(hi),
+                                  points=points, limit=2000, epsabs=1e-15,
+                                  epsrel=1e-12)
     return val
+
+
+_ORACLE_GRID = [(m, n, gamma_db, p)
+                for m in (0.5, 1.0, 5.0, 50.0)
+                for n in (10, 1000, 90_000)
+                for gamma_db in (-15.0, 0.0)
+                for p in (1e-6, 1e-4, 1e-2, 0.1, 1.0)]
 
 
 @pytest.mark.parametrize("m", [1.0, 5.0])
@@ -343,8 +366,47 @@ def _outage_fading_reference(params: ScenarioParams, m: float, tau: float,
 def test_outage_fading_matches_density_average(defaults, m, p):
     pr_st = default_fading(defaults, m).pr_st
     got = outage_fading(defaults, pr_st, 1e-3, p)
-    want = _outage_fading_reference(defaults, m, 1e-3, p)
+    want = _outage_fading_reference(defaults, m, 1000, p)
     assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("m, n, gamma_db, p", _ORACLE_GRID)
+def test_outage_fading_matches_oracle_grid(defaults, m, n, gamma_db, p):
+    # the step sits anywhere from far below the gain law's bulk to far
+    # beyond its 1 - 1e-12 quantile; (1, 1000, 0 dB, 1e-2) puts an outage of
+    # 4.6e-5 in the top 1e-4 of the quantiles
+    params = replace(defaults, gamma=db_to_linear(gamma_db))
+    pr_st = default_fading(params, m).pr_st
+    got = outage_fading(params, pr_st, n / params.f_s, p)
+    want = _outage_fading_reference(params, m, n, p)
+    assert abs(got - want) <= max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * want)
+
+
+def test_controlled_power_fading_small_budget_matches_oracle_root(defaults):
+    params = replace(defaults, rho_out=1e-5)
+    pr_st = default_fading(params, 1.0).pr_st
+    got = controlled_power_fading(params, pr_st, 1e-3).p_cont
+    log_root = scipy.optimize.brentq(
+        lambda log_p: _outage_fading_reference(params, 1.0, 1000, math.exp(log_p))
+        - params.rho_out, math.log(1e-8), 0.0, xtol=1e-12, rtol=1e-14)
+    # the root is 8.669e-3 mW
+    assert got == pytest.approx(math.exp(log_root), rel=1e-6)
+
+
+def test_perf_bound_fading_small_budget_solves_oracle_equation(defaults):
+    params = replace(defaults, rho_out=1e-4)
+    star = perf_bound_fading(params, default_fading(params, 1.0).pr_st, 1e-2)
+    out = _outage_fading_reference(replace(params, gamma=star), 1.0, 10_000,
+                                   params.p_full)
+    assert out == pytest.approx(params.rho_out, abs=DEFAULT_TOL.abs_tol)
+
+
+def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
+    params = replace(defaults, rho_out=1e-4, gamma=db_to_linear(-20.0))
+    tau_f, r_npc = throughput_no_pc_fading(params, default_fading(params, 1.0))
+    assert math.isfinite(tau_f) and r_npc > 0.0
+    out = _outage_fading_reference(params, 1.0, tau_f * params.f_s, params.p_full)
+    assert out == pytest.approx(params.rho_out, abs=DEFAULT_TOL.abs_tol)
 
 
 def test_controlled_power_fading_self_consistency(defaults):

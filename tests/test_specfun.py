@@ -14,9 +14,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim import specfun
-from underlaysim.specfun import (BracketError, ConvergenceError, Tolerance,
-                                 find_root, integrate, inv_reg_upper_gamma,
+from underlaysim.specfun import (BracketError, Tolerance, find_root,
+                                 inv_reg_upper_gamma, panel_rule,
                                  reg_upper_gamma)
 
 
@@ -114,52 +113,23 @@ def test_gamma_domain_errors():
         inv_reg_upper_gamma(0.5, -1.0)
 
 
-def test_integrate_polynomial_is_exact():
-    got = integrate(lambda x: x ** 3, 0.0, 1.0)
-    assert got == pytest.approx(0.25, abs=1e-14)
-
-
-def test_integrate_smooth_against_quad():
-    cases = [
-        (lambda x: np.exp(-x) * np.sin(x), 0.0, 20.0),
-        (lambda x: 1.0 / (1.0 + x * x), -4.0, 7.0),
-        (lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x * x), -8.0, 8.0),
-    ]
-    for f, lo, hi in cases:
-        ref, ref_err = scipy.integrate.quad(f, lo, hi)
-        assert integrate(f, lo, hi) == pytest.approx(ref, abs=max(1e-10, 10 * ref_err))
-
-
-def test_integrate_semi_infinite():
-    assert integrate(lambda x: np.exp(-x), 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
-    assert integrate(lambda x: np.sin(x) * np.exp(-x), 0.0, math.inf) == pytest.approx(0.5, rel=1e-9)
-    # mass far from the lower limit needs the hint
-    f = lambda x: np.exp(-0.5 * ((x - 1000.0) / 2.0) ** 2) / (2.0 * math.sqrt(2.0 * math.pi))
-    assert integrate(f, 0.0, math.inf, scale_hint=1000.0) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_integrate_sharp_peak():
-    mu, sd = 3.7, 0.013
-    f = lambda x: np.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    assert integrate(f, 0.0, 10.0) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_integrate_endpoint_singularity():
-    # integrable log blowup at the lower end; nodes never touch it
-    assert integrate(lambda x: -np.log(x), 0.0, 1.0) == pytest.approx(1.0, rel=1e-7)
-
-
-def test_integrate_reports_nonconvergence():
-    tol = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_iter=3)
-    with pytest.raises(ConvergenceError) as exc:
-        integrate(lambda x: np.exp(-x) * np.cos(40.0 * x), 0.0, math.inf, tol)
-    assert math.isfinite(exc.value.estimate)
-    assert exc.value.error_bound > 0.0
-
-
-def test_integrate_rejects_nonfinite_integrand():
-    with pytest.raises(ValueError):
-        integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+@given(data=st.data(), degree=st.integers(0, 15), n_panels=st.integers(1, 5))
+@settings(deadline=None, max_examples=60)
+def test_integrate_polynomial_is_exact(data, degree, n_panels):
+    # panel_rule with 8 nodes integrates polynomials up to degree 2 * 8 - 1
+    # exactly, on every panel of a batch at once
+    ends = st.floats(-1.0, 1.0)
+    lo = np.array(data.draw(st.lists(ends, min_size=n_panels, max_size=n_panels)))
+    hi = np.array(data.draw(st.lists(ends, min_size=n_panels, max_size=n_panels)))
+    coeffs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=degree + 1,
+                                         max_size=degree + 1)))
+    x, w = panel_rule(lo, hi, 8)
+    assert x.shape == w.shape == (n_panels, 8)
+    got = np.sum(np.polynomial.polynomial.polyval(x, coeffs) * w, axis=-1)
+    antiderivative = np.polynomial.polynomial.polyint(coeffs)
+    want = (np.polynomial.polynomial.polyval(hi, antiderivative)
+            - np.polynomial.polynomial.polyval(lo, antiderivative))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
@@ -175,7 +145,22 @@ def test_integrate_cubics_match_antiderivative(coeffs, lo, width):
     def big_f(x):
         return x * (c0 + x * (c1 / 2.0 + x * (c2 / 3.0 + x * c3 / 4.0)))
 
-    assert integrate(f, lo, hi) == pytest.approx(big_f(hi) - big_f(lo), abs=1e-9)
+    # two nodes already suffice for a cubic on a single panel
+    x, w = panel_rule(np.array([lo]), np.array([hi]), 2)
+    assert np.sum(f(x) * w) == pytest.approx(big_f(hi) - big_f(lo), abs=1e-9)
+
+
+def test_panel_rule_smooth_against_quad():
+    cases = [
+        (lambda x: np.exp(-x) * np.sin(x), 0.0, 20.0),
+        (lambda x: 1.0 / (1.0 + x * x), -4.0, 7.0),
+        (lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x * x), -8.0, 8.0),
+    ]
+    for f, lo, hi in cases:
+        ref, ref_err = scipy.integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
+        ends = np.linspace(lo, hi, 17)
+        x, w = panel_rule(ends[:-1], ends[1:], 8)
+        assert np.sum(f(x) * w) == pytest.approx(ref, abs=max(1e-10, 10 * ref_err))
 
 
 def test_find_root_cubic():
