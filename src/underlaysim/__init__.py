@@ -16,7 +16,7 @@ from .power_control import (FadingLinks, PowerControlResult, Regime,
                             ScenarioParams, controlled_power_det,
                             controlled_power_fading, default_fading,
                             perf_bound_det, perf_bound_fading)
-from .specfun import BracketError, ConvergenceError, Tolerance
+from .specfun import BracketError, ConvergenceError
 from .throughput import Model, TradeoffCurve, optimize_tradeoff
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "PowerControlResult",
     "Regime",
     "ScenarioParams",
-    "Tolerance",
     "TradeoffCurve",
     "controlled_power_det",
     "controlled_power_fading",

@@ -98,6 +98,14 @@ def _check_m(where: str, value: float, allow_inf: bool = False) -> float:
     return value
 
 
+def _has_linear_value(value_db: float) -> bool:
+    """Whether a dB value converts to a finite, positive linear value."""
+    try:
+        return db_to_linear(value_db) > 0.0
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ScenarioConfig:
     """Raw configuration values, keyed section -> key -> string."""
@@ -137,7 +145,7 @@ class ScenarioConfig:
                 g_pt_sr=db_to_linear(self._float("scenario", "g_pt_sr_db")),
                 g_st_sr=db_to_linear(self._float("scenario", "g_st_sr_db")),
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"scenario: {exc}") from None
 
     def _floats(self, section: str, key: str) -> list[float]:
@@ -201,6 +209,8 @@ class ScenarioConfig:
                 _check_m("sweep.m", value, allow_inf=True)
             elif not math.isfinite(value):
                 raise ConfigError(f"sweep.{key}: not a finite number: {value!r}")
+            elif key == "gamma_db" and not _has_linear_value(value):
+                raise ConfigError(f"sweep.gamma_db: {value:g} dB is beyond the float range")
             elif key == "rho_out" and not (0.0 < value < 1.0):
                 raise ConfigError("sweep.rho_out: every value must lie strictly in (0, 1)")
         return out
@@ -766,8 +776,7 @@ def _validate_checks(cfg: ScenarioConfig):
                f"<= 1e-3 and <= 4 se ({4.0 * mc_npc.outage_se:.2e})")
 
 
-def cmd_validate(cfg: ScenarioConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_validate(cfg: ScenarioConfig) -> int:
     passed = failed = 0
     for name, ok, measured, tolerance in _validate_checks(cfg):
         status = "PASS" if ok else "FAIL"
@@ -776,10 +785,10 @@ def cmd_validate(cfg: ScenarioConfig, stream=None) -> int:
         else:
             failed += 1
         print(f"check {passed + failed:2d}  {status}  {name:38s} "
-              f"{measured}  [{tolerance}]", file=stream)
+              f"{measured}  [{tolerance}]")
     total = passed + failed
     verdict = "PASS" if failed == 0 else "FAIL"
-    print(f"validate: {verdict} ({passed}/{total} checks)", file=stream)
+    print(f"validate: {verdict} ({passed}/{total} checks)")
     return 0 if failed == 0 else 1
 
 

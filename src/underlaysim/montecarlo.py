@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import _ncx2_draws, sample_nakagami
-from .power_control import (FadingLinks, PowerControlResult, Regime,
-                            ScenarioParams, controlled_power_det,
-                            controlled_power_fading, samples_for)
+from .power_control import (FadingLinks, Regime, ScenarioParams,
+                            controlled_power_det, controlled_power_fading,
+                            samples_for)
 from .throughput import prefactor
 
 __all__ = [
     "BLOCK",
-    "TrialRecord",
     "McSummary",
     "run_trials_det",
     "run_trials_fading",
@@ -41,18 +40,6 @@ __all__ = [
 ]
 
 BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One frame's worth of simulated quantities."""
-
-    p_hat: float
-    p_used: float
-    interference_at_pr: float
-    outage: bool
-    c_hat: float
-    gains: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -72,7 +59,6 @@ class McSummary:
     throughput_se: float
     p_hat_sorted: np.ndarray
     c_hat_sorted: np.ndarray
-    records: tuple[TrialRecord, ...] = ()
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -85,50 +71,33 @@ def _block_sizes(n_trials: int) -> list[int]:
     return [BLOCK] * full + ([rem] if rem else [])
 
 
-def _det_block(args):
-    params, tau, p_used, seed, block, size = args
-    rng = _rng_for_block(seed, block)
-    n = samples_for(tau, params.f_s)
-    k_p = params.pilot_samples
-    p_hat = _ncx2_draws(rng, n, n * params.gamma, params.sigma2 / n, size)
-    g_hat = _ncx2_draws(rng, 2, k_p * params.g_st_sr / params.sigma2,
-                        params.sigma2 / k_p, size)
-    i_hat = _ncx2_draws(rng, n, n * params.g_pt_sr * params.p_tx_pt / params.sigma2,
-                        params.sigma2 / n, size)
-    c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
-    interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
-    return p_hat, c_hat, interference, None
-
-
-def _fading_block(args):
+def _block(args):
+    """One block's receive-power estimates, estimated capacities and
+    interference at the PR. links None stands for fixed link gains."""
     params, links, tau, p_used, seed, block, size = args
     rng = _rng_for_block(seed, block)
     n = samples_for(tau, params.f_s)
     k_p = params.pilot_samples
-    x_pr = sample_nakagami(links.pr_st, rng, size)
-    x_pt = sample_nakagami(links.pt_sr, rng, size)
-    x_st = sample_nakagami(links.st_sr, rng, size)
-    p_hat = _ncx2_draws(rng, n, n * x_pr * params.p_tx_pr / params.sigma2,
-                        params.sigma2 / n, size)
+    if links is None:
+        x_pt, x_st = params.g_pt_sr, params.g_st_sr
+        nc_pr = n * params.gamma
+    else:
+        x_pr = sample_nakagami(links.pr_st, rng, size)
+        x_pt = sample_nakagami(links.pt_sr, rng, size)
+        x_st = sample_nakagami(links.st_sr, rng, size)
+        nc_pr = n * x_pr * params.p_tx_pr / params.sigma2
+    p_hat = _ncx2_draws(rng, n, nc_pr, params.sigma2 / n, size)
     g_hat = _ncx2_draws(rng, 2, k_p * x_st / params.sigma2,
                         params.sigma2 / k_p, size)
     i_hat = _ncx2_draws(rng, n, n * x_pt * params.p_tx_pt / params.sigma2,
                         params.sigma2 / n, size)
     c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
     interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
-    return p_hat, c_hat, interference, np.stack([x_pr, x_pt, x_st], axis=1)
-
-
-def _run_blocks(worker, tasks, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+    return p_hat, c_hat, interference
 
 
 def _summarize(params: ScenarioParams, tau: float, p_used: float,
-               regime: Regime | None, seed: int, blocks,
-               keep_records: int) -> McSummary:
+               regime: Regime | None, seed: int, blocks) -> McSummary:
     p_hat = np.concatenate([b[0] for b in blocks])
     c_hat = np.concatenate([b[1] for b in blocks])
     interference = np.concatenate([b[2] for b in blocks])
@@ -142,58 +111,22 @@ def _summarize(params: ScenarioParams, tau: float, p_used: float,
     outage_se = float(np.std(outage.astype(float), ddof=1)) / math.sqrt(n)
     c_se = float(np.std(c_hat, ddof=1)) / math.sqrt(n)
     pf = prefactor(params, tau)
-    records: tuple[TrialRecord, ...] = ()
-    if keep_records:
-        k = min(keep_records, n)
-        gains = (None if blocks[0][3] is None
-                 else np.concatenate([b[3] for b in blocks]))
-        records = tuple(
-            TrialRecord(
-                p_hat=float(p_hat[i]), p_used=p_used,
-                interference_at_pr=float(interference[i]),
-                outage=bool(outage[i]), c_hat=float(c_hat[i]),
-                gains=None if gains is None else tuple(float(g) for g in gains[i]))
-            for i in range(k))
     return McSummary(
         n_trials=n, seed=seed, tau=tau, p_used=p_used, regime=regime,
         outage_rate=outage_rate, outage_se=outage_se,
         mean_capacity=mean_c, capacity_se=c_se,
         mean_throughput=pf * mean_c, throughput_se=pf * c_se,
-        p_hat_sorted=np.sort(p_hat), c_hat_sorted=np.sort(c_hat),
-        records=records)
+        p_hat_sorted=np.sort(p_hat), c_hat_sorted=np.sort(c_hat))
 
 
-def run_trials_det(params: ScenarioParams, tau: float, n_trials: int, seed: int,
-                   fixed_power: float | None = None, jobs: int = 1,
-                   keep_records: int = 0) -> McSummary:
-    """Simulate n_trials frames with deterministic link gains.
-
-    fixed_power bypasses the power rule (the transmitter just uses that
-    power); otherwise the outage-constrained rule supplies it.
-    """
+def _run_trials(params: ScenarioParams, links: FadingLinks | None, tau: float,
+                n_trials: int, seed: int, fixed_power: float | None,
+                jobs: int) -> McSummary:
     if n_trials < 2:
         raise ValueError("need at least two trials")
     if fixed_power is None:
-        pc: PowerControlResult = controlled_power_det(params, tau)
-        p_used, regime = pc.p_cont, pc.regime
-    else:
-        if not (fixed_power > 0.0 and math.isfinite(fixed_power)):
-            raise ValueError("fixed_power must be finite and positive")
-        p_used, regime = float(fixed_power), None
-    tasks = [(params, tau, p_used, seed, j, size)
-             for j, size in enumerate(_block_sizes(n_trials))]
-    blocks = _run_blocks(_det_block, tasks, jobs)
-    return _summarize(params, tau, p_used, regime, seed, blocks, keep_records)
-
-
-def run_trials_fading(params: ScenarioParams, links: FadingLinks, tau: float,
-                      n_trials: int, seed: int, fixed_power: float | None = None,
-                      jobs: int = 1, keep_records: int = 0) -> McSummary:
-    """Simulate n_trials frames with Nakagami link gains, fresh per frame."""
-    if n_trials < 2:
-        raise ValueError("need at least two trials")
-    if fixed_power is None:
-        pc = controlled_power_fading(params, links.pr_st, tau)
+        pc = (controlled_power_det(params, tau) if links is None
+              else controlled_power_fading(params, links.pr_st, tau))
         p_used, regime = pc.p_cont, pc.regime
     else:
         if not (fixed_power > 0.0 and math.isfinite(fixed_power)):
@@ -201,8 +134,29 @@ def run_trials_fading(params: ScenarioParams, links: FadingLinks, tau: float,
         p_used, regime = float(fixed_power), None
     tasks = [(params, links, tau, p_used, seed, j, size)
              for j, size in enumerate(_block_sizes(n_trials))]
-    blocks = _run_blocks(_fading_block, tasks, jobs)
-    return _summarize(params, tau, p_used, regime, seed, blocks, keep_records)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            blocks = list(pool.map(_block, tasks))
+    else:
+        blocks = [_block(t) for t in tasks]
+    return _summarize(params, tau, p_used, regime, seed, blocks)
+
+
+def run_trials_det(params: ScenarioParams, tau: float, n_trials: int, seed: int,
+                   fixed_power: float | None = None, jobs: int = 1) -> McSummary:
+    """Simulate n_trials frames with deterministic link gains.
+
+    fixed_power bypasses the power rule (the transmitter just uses that
+    power); otherwise the outage-constrained rule supplies it.
+    """
+    return _run_trials(params, None, tau, n_trials, seed, fixed_power, jobs)
+
+
+def run_trials_fading(params: ScenarioParams, links: FadingLinks, tau: float,
+                      n_trials: int, seed: int, fixed_power: float | None = None,
+                      jobs: int = 1) -> McSummary:
+    """Simulate n_trials frames with Nakagami link gains, fresh per frame."""
+    return _run_trials(params, links, tau, n_trials, seed, fixed_power, jobs)
 
 
 def ks_distance(sorted_samples: np.ndarray, cdf) -> float:

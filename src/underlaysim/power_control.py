@@ -33,7 +33,6 @@ from scipy import special
 
 from . import dists, specfun
 from .dists import NakagamiGain
-from .specfun import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "db_to_linear",
@@ -262,12 +261,14 @@ def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResu
     return PowerControlResult(float(pc.p_cont), regime, float(pc.n) / params.f_s)
 
 
-def perf_bound_det(params: ScenarioParams, tau: float,
-                   bracket: tuple[float, float] = (1e-6, 1e3),
-                   tol: Tolerance = DEFAULT_TOL) -> float:
+# receive SNRs (linear) searched for the regime bound, both channels
+_BOUND_BRACKET = (1e-6, 1e3)
+
+
+def perf_bound_det(params: ScenarioParams, tau: float) -> float:
     """Receive SNR separating the regimes, deterministic channel.
 
-    Solves outage-at-p_full(gamma) = rho_out over the bracket. Raises
+    Solves outage-at-p_full(gamma) = rho_out over _BOUND_BRACKET. Raises
     specfun.BracketError when the window is too short for the bound to
     exist anywhere in the bracket. The window is not tied to a frame:
     the bound is a property of the estimator alone, so tau may exceed
@@ -283,7 +284,7 @@ def perf_bound_det(params: ScenarioParams, tau: float,
     def residual(gamma: float) -> float:
         return outage_det(replace(params, gamma=gamma), tau, params.p_full) - params.rho_out
 
-    return specfun.find_root(residual, bracket[0], bracket[1], tol)
+    return specfun.find_root(residual, *_BOUND_BRACKET)
 
 
 def perf_bound_asymptote(params: ScenarioParams) -> float:
@@ -306,7 +307,7 @@ def perf_bound_asymptote(params: ScenarioParams) -> float:
 # where the density rises like x^(m - 1), and in x above it. The mass outside
 # the outer quantiles (2e-12) is dropped. Against a scipy quad oracle on
 # m 0.5-50, n 10-9e4, gamma -15/0 dB and p 1e-6-1 mW the rule stays within
-# the default Tolerance (tests/test_power_control.py).
+# max(specfun.ABS_TOL, specfun.REL_TOL * value) (tests/test_power_control.py).
 _GAIN_LEVELS = np.array([1e-12, 1e-8, 1e-5, 1e-3, 0.02, 0.2, 0.5, 0.8, 0.98,
                          1.0 - 1e-3, 1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-12])
 _GAIN_MEDIAN = 6  # index of the 0.5 split
@@ -353,7 +354,7 @@ def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
 
 
 def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
-                            tau: float, tol: Tolerance = DEFAULT_TOL) -> PowerControlResult:
+                            tau: float) -> PowerControlResult:
     """Largest admissible transmit power under PR-ST fading.
 
     No closed form here: the outage is monotone in the power, so the rule
@@ -379,18 +380,16 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     def residual(log_p: float) -> float:
         return outage_at(math.exp(log_p)) - params.rho_out
 
-    log_root = specfun.find_root(residual, math.log(p_lo), math.log(params.p_full), tol)
+    log_root = specfun.find_root(residual, math.log(p_lo), math.log(params.p_full))
     return PowerControlResult(math.exp(log_root), Regime.INTERFERENCE_LIMITED, tau_eff)
 
 
-def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
-                      bracket: tuple[float, float] = (1e-6, 1e3),
-                      tol: Tolerance = DEFAULT_TOL) -> float:
+def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float) -> float:
     """Mean receive SNR separating the regimes under PR-ST fading.
 
     Only the m of pr_st is used; its mean gain is retied to the searched
     SNR through mean_gain = gamma * sigma2 / p_tx_pr at every step. Raises
-    specfun.BracketError when no bound exists in the bracket. As in the
+    specfun.BracketError when no bound exists in _BOUND_BRACKET. As in the
     deterministic variant, tau is not frame-bounded here.
     """
     n = samples_for(tau, params.f_s)
@@ -400,4 +399,4 @@ def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
         return (_outage_fading_n(params, law, float(n), params.p_full)
                 - params.rho_out)
 
-    return specfun.find_root(residual, bracket[0], bracket[1], tol)
+    return specfun.find_root(residual, *_BOUND_BRACKET)

@@ -6,6 +6,10 @@ inverse in x, Gauss-Legendre nodes and weights on a batch of panels, and
 bracketed scalar root finding. They are collected here so the rest of the
 package has a single place where accuracy targets live.
 
+Every iterative result in the package meets one accuracy target, combined
+as max(ABS_TOL, REL_TOL * |value|) with ABS_TOL = 1e-10 and REL_TOL = 1e-8;
+find_root also stops with ConvergenceError after MAX_ITER = 200 iterations.
+
 Q(a, x) and its inverse are thin wrappers over scipy with strict domain
 checks. The quadrature primitive is a fixed rule, not an adaptive one: each
 integral in the package (the fading outage, mean capacity) places its own
@@ -18,15 +22,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "ABS_TOL",
+    "REL_TOL",
+    "MAX_ITER",
     "BracketError",
     "ConvergenceError",
     "reg_upper_gamma",
@@ -35,29 +39,9 @@ __all__ = [
     "find_root",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy targets shared by the iterative routines.
-
-    abs_tol and rel_tol are combined as max(abs_tol, rel_tol * |value|);
-    max_iter bounds root-finder iterations.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+MAX_ITER = 200
 
 
 class BracketError(ValueError):
@@ -70,15 +54,7 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before reaching the tolerance.
-
-    Carries the best estimate reached, so callers can report partial
-    results.
-    """
-
-    def __init__(self, message: str, estimate: float | None = None):
-        super().__init__(message)
-        self.estimate = estimate
+    """Iteration budget exhausted before reaching the tolerance."""
 
 
 def reg_upper_gamma(a, x):
@@ -135,15 +111,15 @@ def panel_rule(lo, hi, order: int):
     return lo[..., None] + half * (nodes + 1.0), half * weights
 
 
-def find_root(g: Callable[[float], float], lo: float, hi: float,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a scalar function on a bracketing interval [lo, hi].
 
     Requires g(lo) and g(hi) to be finite with opposite signs; an endpoint
     that is exactly zero is returned as the root. Raises BracketError when
     there is no sign change (callers lean on that to detect missing
     operating bounds) and ConvergenceError when the iteration budget runs
-    out.
+    out. The tolerance and the budget are the module's ABS_TOL, REL_TOL
+    and MAX_ITER, read at each call.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket endpoints must be finite")
@@ -160,11 +136,10 @@ def find_root(g: Callable[[float], float], lo: float, hi: float,
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(
             f"no sign change on [{lo!r}, {hi!r}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
-    rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
+    rtol = max(REL_TOL, 4.0 * np.finfo(float).eps)
     root, info = optimize.brentq(
-        g, lo, hi, xtol=tol.abs_tol, rtol=rtol, maxiter=tol.max_iter,
+        g, lo, hi, xtol=ABS_TOL, rtol=rtol, maxiter=MAX_ITER,
         full_output=True, disp=False)
     if not info.converged:
-        raise ConvergenceError(
-            "root search exhausted its iteration budget", estimate=float(root))
+        raise ConvergenceError("root search exhausted its iteration budget")
     return float(root)

@@ -37,7 +37,6 @@ from .power_control import (DetPowerArrays, FadingLinks, ScenarioParams,
                             _received_power_params,
                             controlled_power_det_array,
                             controlled_power_fading, samples_for)
-from .specfun import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "Model",
@@ -113,7 +112,7 @@ def mean_capacity(dist: CapacityDist) -> float:
 # where the upper tail, which falls like a power of the SINR, turns into a
 # smooth exponential. Below the lowest split the survival is taken as one;
 # the tail above the highest (mass 1e-10) is dropped. The result stays
-# within the default rel_tol (1e-8) of a 256-node rule over the whole
+# within specfun.REL_TOL (1e-8) of a 256-node rule over the whole
 # range (tests/test_throughput.py); at the figures' scenarios the two
 # differ by ~1e-10.
 _SPLIT_LEVELS = np.array([1e-10, 1e-5, 1e-2, 0.2, 0.5, 0.8, 0.99,
@@ -213,7 +212,7 @@ def throughput_ideal_det(params: ScenarioParams) -> float:
     return math.log2(1.0 + sinr)
 
 
-def _no_pc_window(params: ScenarioParams, residual, tol: Tolerance) -> float:
+def _no_pc_window(params: ScenarioParams, residual) -> float:
     """Forced window length (in samples, continuous) or nan if unattainable.
 
     residual(log n) must be the outage at p_full minus rho_out, decreasing
@@ -227,11 +226,10 @@ def _no_pc_window(params: ScenarioParams, residual, tol: Tolerance) -> float:
         return math.nan
     if residual(math.log(n_lo)) <= 0.0:
         return n_lo
-    return math.exp(specfun.find_root(residual, math.log(n_lo), math.log(n_hi), tol))
+    return math.exp(specfun.find_root(residual, math.log(n_lo), math.log(n_hi)))
 
 
-def throughput_no_pc_det(params: ScenarioParams,
-                         tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def throughput_no_pc_det(params: ScenarioParams) -> tuple[float, float]:
     """Forced sensing time and throughput without power control.
 
     Transmission happens at p_full, so the outage constraint pins the
@@ -245,7 +243,7 @@ def throughput_no_pc_det(params: ScenarioParams,
         a, b = _received_power_params(params, n, params.gamma)
         return specfun.reg_upper_gamma(a, thr / b) - params.rho_out
 
-    n_forced = _no_pc_window(params, residual, tol)
+    n_forced = _no_pc_window(params, residual)
     if math.isnan(n_forced):
         return math.nan, 0.0
     tau_f = n_forced / params.f_s
@@ -277,13 +275,13 @@ def _gain_nodes(gain: dists.NakagamiGain) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
-def _kept_cells(weight, a_s, a_i, lam, tol: Tolerance) -> np.ndarray:
+def _kept_cells(weight, a_s, a_i, lam) -> np.ndarray:
     """Mask of the outer cells whose mean capacity must be evaluated.
 
     A cell adds weight * E[C]. When a_i > 1 the SINR ratio has a mean and
     Jensen's inequality bounds E[C] by log2(1 + lam a_s / (a_i - 1)), the
     capacity at that mean. The cells with the smallest weighted bounds are
-    dropped while those bounds sum to at most 0.1 tol.abs_tol; cells with
+    dropped while those bounds sum to at most 0.1 specfun.ABS_TOL; cells with
     a_i <= 1 have no such bound and are always kept.
     """
     excess = a_i - 1.0
@@ -293,7 +291,7 @@ def _kept_cells(weight, a_s, a_i, lam, tol: Tolerance) -> np.ndarray:
     order = np.argsort(bound, axis=None)
     spent = np.cumsum(bound.ravel()[order])
     keep = np.ones(bound.size, dtype=bool)
-    keep[order[spent <= 0.1 * tol.abs_tol]] = False
+    keep[order[spent <= 0.1 * specfun.ABS_TOL]] = False
     return keep.reshape(bound.shape)
 
 
@@ -309,18 +307,16 @@ def _outer_cells(params: ScenarioParams, links: FadingLinks, tau: float, p: floa
 
 
 def _mean_capacity_fading(params: ScenarioParams, links: FadingLinks,
-                          tau: float, p: float, tol: Tolerance) -> float:
+                          tau: float, p: float) -> float:
     weight, a_s, a_i, lam = _outer_cells(params, links, tau, p)
-    keep = _kept_cells(weight, a_s, a_i, lam, tol)
+    keep = _kept_cells(weight, a_s, a_i, lam)
     return float(weight[keep] @ _mean_capacity_grid(a_s[keep], a_i[keep], lam[keep]))
 
 
-def throughput_fading(params: ScenarioParams, links: FadingLinks, tau: float,
-                      tol: Tolerance = DEFAULT_TOL) -> float:
+def throughput_fading(params: ScenarioParams, links: FadingLinks, tau: float) -> float:
     """Secondary throughput at sensing time tau under Nakagami fading."""
-    pc = controlled_power_fading(params, links.pr_st, tau, tol)
-    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau,
-                                                          pc.p_cont, tol)
+    pc = controlled_power_fading(params, links.pr_st, tau)
+    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau, pc.p_cont)
 
 
 def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float:
@@ -338,32 +334,35 @@ def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float
     return float(w_s @ rate @ w_i)
 
 
-def throughput_no_pc_fading(params: ScenarioParams, links: FadingLinks,
-                            tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def throughput_no_pc_fading(params: ScenarioParams,
+                            links: FadingLinks) -> tuple[float, float]:
     """Forced sensing time and throughput without power control, fading."""
 
     def residual(log_n: float) -> float:
         return (_outage_fading_n(params, links.pr_st, math.exp(log_n), params.p_full)
                 - params.rho_out)
 
-    n_forced = _no_pc_window(params, residual, tol)
+    n_forced = _no_pc_window(params, residual)
     if math.isnan(n_forced):
         return math.nan, 0.0
     tau_f = n_forced / params.f_s
     return tau_f, (prefactor(params, tau_f)
-                   * _mean_capacity_fading(params, links, tau_f, params.p_full, tol))
+                   * _mean_capacity_fading(params, links, tau_f, params.p_full))
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section refinement stops once its bracket is narrower than this
+# (1e-6 s, one sample at the reference 1 MHz)
+_TAU_TOL = 1e-6
 
 
-def _golden_max(fn, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > x_tol:
+    while b - a > _TAU_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -378,8 +377,8 @@ def _golden_max(fn, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def default_tau_grid(params: ScenarioParams, n_points: int = 25) -> np.ndarray:
-    """Log-spaced sensing times spanning the usable part of the frame.
+def default_tau_grid(params: ScenarioParams) -> np.ndarray:
+    """25 log-spaced sensing times spanning the usable part of the frame.
 
     The lower edge keeps at least ten estimation samples: below that the
     believed-rate average is dominated by the interference estimator's
@@ -387,47 +386,40 @@ def default_tau_grid(params: ScenarioParams, n_points: int = 25) -> np.ndarray:
     """
     lo = max(10.0 / params.f_s, 1e-6)
     hi = 0.98 * (params.frame_len - params.tau_p)
-    return np.geomspace(lo, hi, n_points)
+    return np.geomspace(lo, hi, 25)
 
 
 def optimize_tradeoff(params: ScenarioParams, model: Model,
-                      links: FadingLinks | None = None,
-                      tau_grid=None, tol: Tolerance = DEFAULT_TOL,
-                      tau_tol: float = 1e-6) -> TradeoffCurve:
+                      links: FadingLinks | None = None) -> TradeoffCurve:
     """Trace the rate-versus-tau curve and locate its optimum.
 
-    ESTIMATION scans the grid (at least 20 log-spaced points) and refines
-    the best cell by golden-section search until the bracket is narrower
-    than tau_tol. IDEAL is flat, so the curve just records the constant;
+    ESTIMATION scans default_tau_grid and refines the best cell by
+    golden-section search until the bracket is narrower than _TAU_TOL.
+    IDEAL is flat, so the curve just records the constant;
     NO_POWER_CONTROL has no free tau and collapses to its single forced
     point.
     """
     if model is Model.IDEAL:
         value = (throughput_ideal_det(params) if links is None
                  else throughput_ideal_fading(params, links))
-        grid = default_tau_grid(params) if tau_grid is None else np.asarray(tau_grid, float)
-        points = tuple((float(t), value) for t in grid)
+        points = tuple((float(t), value) for t in default_tau_grid(params))
         return TradeoffCurve(points, math.nan, value, model)
     if model is Model.NO_POWER_CONTROL:
-        tau_f, r_s = (throughput_no_pc_det(params, tol) if links is None
-                      else throughput_no_pc_fading(params, links, tol))
+        tau_f, r_s = (throughput_no_pc_det(params) if links is None
+                      else throughput_no_pc_fading(params, links))
         return TradeoffCurve(((tau_f, r_s),), tau_f, r_s, model)
 
     def rate(tau: float) -> float:
         if links is None:
             return throughput_det(params, tau)
-        return throughput_fading(params, links, tau, tol)
+        return throughput_fading(params, links, tau)
 
-    grid = default_tau_grid(params) if tau_grid is None else np.asarray(tau_grid, float)
-    if grid.size < 20:
-        raise ValueError("tau_grid needs at least 20 points")
-    if not (grid.min() > 0.0 and grid.max() < params.frame_len - params.tau_p):
-        raise ValueError("tau_grid must lie inside the usable frame")
+    grid = default_tau_grid(params)
     values = np.array([rate(t) for t in grid])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    tau_opt, r_opt = _golden_max(rate, lo, hi, tau_tol)
+    tau_opt, r_opt = _golden_max(rate, lo, hi)
     if values[i] > r_opt:
         tau_opt, r_opt = float(grid[i]), float(values[i])
     points = tuple((float(t), float(v)) for t, v in zip(grid, values))

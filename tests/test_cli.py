@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim import __version__, cli, dists
+from underlaysim import __version__, cli, dists, specfun
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
@@ -315,8 +315,7 @@ def test_sweep_window_outside_frame_is_numeric_error(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     for setting, message in [
             ("sweep.tau_ms=100", "tau must leave room for the pilot inside the frame"),
-            ("sweep.tau_ms=1, 0.0001", "sensing window shorter than one sample"),
-            ("sweep.gamma_db=0, -4000", "gamma must be finite and positive")]:
+            ("sweep.tau_ms=1, 0.0001", "sensing window shorter than one sample")]:
         for ms in ("inf", "inf, 1"):
             rc = main(["sweep", "--out", str(out), "--set", setting,
                        "--set", f"sweep.m={ms}"])
@@ -325,15 +324,36 @@ def test_sweep_window_outside_frame_is_numeric_error(tmp_path, capsys):
             assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--set", "sweep.gamma_db=4000", "--set", "sweep.tau_ms=1"],
-    ["figure", "fig6a", "--set", "scenario.gamma_db=4000"],
-    ["sweep", "--set", "sweep.gamma_db=-4000", "--set", "sweep.tau_ms=1"],
-])
-def test_db_values_beyond_the_float_range_are_numeric_errors(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--set", "sweep.gamma_db=4000", "--set", "sweep.tau_ms=1"],
+     "sweep.gamma_db: 4000 dB is beyond the float range"),
+    (["sweep", "--set", "sweep.gamma_db=-4000", "--set", "sweep.tau_ms=1"],
+     "sweep.gamma_db: -4000 dB is beyond the float range"),
+    (["sweep", "--set", "sweep.gamma_db=0, -4000", "--set", "sweep.m=inf, 1"],
+     "sweep.gamma_db: -4000 dB is beyond the float range"),
+    (["figure", "fig6a", "--set", "scenario.gamma_db=4000"],
+     "scenario: 4000 dB exceeds the float range"),
+    (["figure", "fig6a", "--set", "scenario.gamma_db=-4000"],
+     "scenario: gamma must be finite and positive"),
+], ids=["sweep_overflow", "sweep_underflow", "sweep_list_underflow",
+        "scenario_overflow", "scenario_underflow"])
+def test_db_values_beyond_the_float_range_are_config_errors(tmp_path, capsys, argv,
+                                                             message):
+    # a dB value whose linear value underflows to 0 or overflows is caught
+    # with the configuration, in every section
     out = tmp_path / "x.csv"
-    assert main(argv + ["--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("numeric error: ")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_convergence_error_in_a_figure_exits_3(tmp_path, capsys, monkeypatch):
+    # a one-step budget runs out in the regime-bound root of fig3
+    monkeypatch.setattr(specfun, "MAX_ITER", 1)
+    out = tmp_path / "fig3.csv"
+    assert main(["figure", "fig3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: root search exhausted its iteration budget\n")
     assert not out.exists()
 
 

@@ -31,7 +31,7 @@ from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        outage_fading, perf_bound_asymptote,
                                        perf_bound_det, perf_bound_fading,
                                        samples_for)
-from underlaysim.specfun import DEFAULT_TOL, BracketError
+from underlaysim.specfun import ABS_TOL, REL_TOL, BracketError
 from underlaysim.throughput import throughput_no_pc_fading
 
 
@@ -379,7 +379,7 @@ def test_outage_fading_matches_oracle_grid(defaults, m, n, gamma_db, p):
     pr_st = default_fading(params, m).pr_st
     got = outage_fading(params, pr_st, n / params.f_s, p)
     want = _outage_fading_reference(params, m, n, p)
-    assert abs(got - want) <= max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * want)
+    assert abs(got - want) <= max(ABS_TOL, REL_TOL * want)
 
 
 def test_controlled_power_fading_small_budget_matches_oracle_root(defaults):
@@ -398,7 +398,7 @@ def test_perf_bound_fading_small_budget_solves_oracle_equation(defaults):
     star = perf_bound_fading(params, default_fading(params, 1.0).pr_st, 1e-2)
     out = _outage_fading_reference(replace(params, gamma=star), 1.0, 10_000,
                                    params.p_full)
-    assert out == pytest.approx(params.rho_out, abs=DEFAULT_TOL.abs_tol)
+    assert out == pytest.approx(params.rho_out, abs=ABS_TOL)
 
 
 def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
@@ -406,7 +406,7 @@ def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
     tau_f, r_npc = throughput_no_pc_fading(params, default_fading(params, 1.0))
     assert math.isfinite(tau_f) and r_npc > 0.0
     out = _outage_fading_reference(params, 1.0, tau_f * params.f_s, params.p_full)
-    assert out == pytest.approx(params.rho_out, abs=DEFAULT_TOL.abs_tol)
+    assert out == pytest.approx(params.rho_out, abs=ABS_TOL)
 
 
 def test_controlled_power_fading_self_consistency(defaults):

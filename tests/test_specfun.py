@@ -14,7 +14,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim.specfun import (BracketError, Tolerance, find_root,
+from underlaysim import specfun
+from underlaysim.specfun import (BracketError, ConvergenceError, find_root,
                                  inv_reg_upper_gamma, panel_rule,
                                  reg_upper_gamma)
 
@@ -185,10 +186,9 @@ def test_find_root_affine(c):
     assert root == pytest.approx(c, abs=1e-8)
 
 
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0, rel_tol=1e-8, max_iter=50)
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=1e-10, rel_tol=-1.0, max_iter=50)
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=1e-10, rel_tol=1e-8, max_iter=0)
+def test_find_root_reports_an_exhausted_budget(monkeypatch):
+    # Brent's method needs several steps on this cubic; the budget is read
+    # at call time, so a budget of one step runs out
+    monkeypatch.setattr(specfun, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="iteration budget"):
+        find_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
