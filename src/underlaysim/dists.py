@@ -17,6 +17,12 @@ against them. The estimated capacity log2(1 + gain * P / interference) then
 has a closed density through the ratio of the two gamma surrogates, which is
 a scaled beta-prime law.
 
+The laws come in one form: each field of NcChiSq, GammaApprox and
+CapacityDist, and each argument of the law builders, is a number or an
+array, used elementwise, and each domain check covers every element. Sample
+counts need not be whole: the root searches over the window length pass a
+continuous count.
+
 Nakagami-m fading enters as a gamma law on channel power gains; m >= 0.5,
 with large m approaching the deterministic channel.
 """
@@ -29,28 +35,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import specfun
-
 __all__ = [
     "NcChiSq",
     "GammaApprox",
     "NakagamiGain",
     "CapacityDist",
     "gamma_match",
-    "estimator_cdf",
     "sample_ncx2",
     "received_power_law",
     "pilot_gain_law",
     "interference_power_law",
     "capacity_pdf",
     "capacity_cdf",
-    "capacity_survival",
     "nakagami_gain_cdf",
     "nakagami_gain_quantile",
     "sample_nakagami",
 ]
 
 _LN2 = math.log(2.0)
+
+
+def _positive(x) -> bool:
+    """x, a number or an array, is finite and positive throughout."""
+    if isinstance(x, (int, float)):
+        return 0.0 < x < math.inf
+    # a nan anywhere makes both extremes nan, and both comparisons false
+    return x.size == 0 or (0.0 < x.min() and x.max() < math.inf)
+
+
+def _at_least(x, lo: float) -> bool:
+    """x, a number or an array, is finite and at least lo throughout."""
+    if isinstance(x, (int, float)):
+        return lo <= x < math.inf
+    return x.size == 0 or (lo <= x.min() and x.max() < math.inf)
 
 
 @dataclass(frozen=True)
@@ -62,16 +79,16 @@ class NcChiSq:
     dof and noncentrality are dimensionless.
     """
 
-    dof: int
-    noncentrality: float
-    noise_scale: float
+    dof: float | np.ndarray
+    noncentrality: float | np.ndarray
+    noise_scale: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dof < 1:
+        if not _at_least(self.dof, 1.0):
             raise ValueError("dof must be a positive integer")
-        if not (self.noncentrality >= 0.0 and math.isfinite(self.noncentrality)):
+        if not _at_least(self.noncentrality, 0.0):
             raise ValueError("noncentrality must be finite and nonnegative")
-        if not (self.noise_scale > 0.0 and math.isfinite(self.noise_scale)):
+        if not _positive(self.noise_scale):
             raise ValueError("noise_scale must be finite and positive")
 
     @property
@@ -87,13 +104,13 @@ class NcChiSq:
 class GammaApprox:
     """Gamma(shape, scale) surrogate for an estimator law."""
 
-    shape: float
-    scale: float
+    shape: float | np.ndarray
+    scale: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.shape > 0.0 and math.isfinite(self.shape)):
+        if not _positive(self.shape):
             raise ValueError("shape must be finite and positive")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+        if not _positive(self.scale):
             raise ValueError("scale must be finite and positive")
 
     @property
@@ -132,10 +149,10 @@ class CapacityDist:
 
     gain_approx: GammaApprox
     interf_approx: GammaApprox
-    tx_power: float
+    tx_power: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.tx_power > 0.0 and math.isfinite(self.tx_power)):
+        if not _positive(self.tx_power):
             raise ValueError("tx_power must be finite and positive")
 
     @property
@@ -143,60 +160,36 @@ class CapacityDist:
         return self.gain_approx.scale * self.tx_power / self.interf_approx.scale
 
 
-def _gamma_params(dof, noncentrality, noise_scale):
-    """Gamma-surrogate (shape, scale) of noise_scale * chi2_dof(nc), elementwise.
+def gamma_match(law: NcChiSq) -> GammaApprox:
+    """Two-moment gamma surrogate of a scaled noncentral chi-square law.
 
-    Patnaik's two-moment match:
+    Patnaik's match, elementwise:
     shape = (dof + nc)^2 / (2 dof + 4 nc),
     scale = noise_scale * (2 dof + 4 nc) / (dof + nc).
-    Any argument may be an array, and dof need not be an integer: the
-    fading integrals pass arrays of noncentralities and the root searches
-    over the window length pass a continuous sample count.
+    A shape or scale that overflows fails GammaApprox's own check instead
+    of warning.
     """
-    total = dof + noncentrality
-    spread = 2.0 * dof + 4.0 * noncentrality
-    return total * total / spread, noise_scale * spread / total
-
-
-def gamma_match(law: NcChiSq) -> GammaApprox:
-    """Two-moment gamma surrogate of a scaled noncentral chi-square law."""
-    shape, scale = _gamma_params(law.dof, law.noncentrality, law.noise_scale)
-    return GammaApprox(shape=shape, scale=scale)
-
-
-def estimator_cdf(approx: GammaApprox, x):
-    """CDF of a gamma surrogate at x (scalar or array), x >= 0 required."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0):
-        raise ValueError("x must be finite and nonnegative")
-    out = 1.0 - specfun.reg_upper_gamma(approx.shape, x_arr / approx.scale)
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
-def _ncx2_draws(rng: np.random.Generator, dof: int, noncentrality,
-                noise_scale: float, n: int) -> np.ndarray:
-    """n variates of noise_scale * chi2_dof(noncentrality), the exact law.
-
-    noncentrality is a scalar or a length-n array (one law per row). numpy
-    builds each variate as chi2_(dof-1) + (Z + sqrt(nc))^2 when dof > 1 and
-    as a Poisson(nc / 2) mixture of central chi-squares when dof <= 1, so
-    the draws follow the noncentral law itself, not a surrogate, at a cost
-    that does not grow with dof.
-    """
-    return noise_scale * rng.noncentral_chisquare(dof, noncentrality, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = law.dof + law.noncentrality
+        spread = 2.0 * law.dof + 4.0 * law.noncentrality
+        return GammaApprox(shape=total * total / spread,
+                           scale=law.noise_scale * spread / total)
 
 
 def sample_ncx2(law: NcChiSq, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n variates from the exact law with numpy's noncentral
-    chi-square generator (see _ncx2_draws)."""
+    """n variates of the exact law, not its surrogate.
+
+    Each field of law is a number or a length-n array (one law per row).
+    numpy builds each variate as chi2_(dof-1) + (Z + sqrt(nc))^2 when
+    dof > 1 and as a Poisson(nc / 2) mixture of central chi-squares when
+    dof <= 1, at a cost that does not grow with dof.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    return _ncx2_draws(rng, law.dof, law.noncentrality, law.noise_scale, n)
+    return law.noise_scale * rng.noncentral_chisquare(law.dof, law.noncentrality, n)
 
 
-def received_power_law(snr: float, n_samples: int, noise_power: float) -> NcChiSq:
+def received_power_law(snr, n_samples, noise_power: float) -> NcChiSq:
     """Law of the received primary-power estimate at the ST.
 
     An energy estimate over n_samples samples of a signal at receive SNR
@@ -204,17 +197,18 @@ def received_power_law(snr: float, n_samples: int, noise_power: float) -> NcChiS
     Mean noise_power * (1 + snr), so the estimate sits on the physical
     power scale.
     """
-    if not (snr >= 0.0 and math.isfinite(snr)):
+    if not _at_least(snr, 0.0):
         raise ValueError("snr must be finite and nonnegative")
-    if not (noise_power > 0.0 and math.isfinite(noise_power)):
+    if not _positive(noise_power):
         raise ValueError("noise_power must be finite and positive")
-    n = int(n_samples)
-    if n < 1:
+    if not _at_least(n_samples, 1.0):
         raise ValueError("n_samples must be a positive integer")
-    return NcChiSq(dof=n, noncentrality=n * snr, noise_scale=noise_power / n)
+    with np.errstate(over="ignore"):  # NcChiSq rejects an overflowed noncentrality
+        return NcChiSq(dof=n_samples, noncentrality=n_samples * snr,
+                       noise_scale=noise_power / n_samples)
 
 
-def pilot_gain_law(mean_gain: float, pilot_samples: int, noise_power: float) -> NcChiSq:
+def pilot_gain_law(mean_gain, pilot_samples, noise_power: float) -> NcChiSq:
     """Law of the pilot-aided channel power-gain estimate.
 
     ML estimation from pilot_samples pilot samples leaves one complex
@@ -222,19 +216,18 @@ def pilot_gain_law(mean_gain: float, pilot_samples: int, noise_power: float) -> 
     magnitude is (noise_power / pilot_samples) * chi2_2(lambda) with
     lambda = pilot_samples * mean_gain / noise_power.
     """
-    if not (mean_gain > 0.0 and math.isfinite(mean_gain)):
+    if not _positive(mean_gain):
         raise ValueError("mean_gain must be finite and positive")
-    if not (noise_power > 0.0 and math.isfinite(noise_power)):
+    if not _positive(noise_power):
         raise ValueError("noise_power must be finite and positive")
-    k = int(pilot_samples)
-    if k < 1:
+    if not _at_least(pilot_samples, 1.0):
         raise ValueError("pilot_samples must be a positive integer")
-    return NcChiSq(dof=2, noncentrality=k * mean_gain / noise_power,
-                   noise_scale=noise_power / k)
+    with np.errstate(over="ignore"):
+        return NcChiSq(dof=2, noncentrality=pilot_samples * mean_gain / noise_power,
+                       noise_scale=noise_power / pilot_samples)
 
 
-def interference_power_law(gain: float, tx_power: float, n_samples: int,
-                           noise_power: float) -> NcChiSq:
+def interference_power_law(gain, tx_power, n_samples, noise_power: float) -> NcChiSq:
     """Law of the interference-plus-noise power estimate at the SR.
 
     Energy estimate over n_samples of the primary transmitter's signal
@@ -242,17 +235,18 @@ def interference_power_law(gain: float, tx_power: float, n_samples: int,
     (noise_power / n) * chi2_n(n * gain * tx_power / noise_power), with
     mean gain * tx_power + noise_power.
     """
-    if not (gain >= 0.0 and math.isfinite(gain)):
+    if not _at_least(gain, 0.0):
         raise ValueError("gain must be finite and nonnegative")
-    if not (tx_power > 0.0 and math.isfinite(tx_power)):
+    if not _positive(tx_power):
         raise ValueError("tx_power must be finite and positive")
-    if not (noise_power > 0.0 and math.isfinite(noise_power)):
+    if not _positive(noise_power):
         raise ValueError("noise_power must be finite and positive")
-    n = int(n_samples)
-    if n < 1:
+    if not _at_least(n_samples, 1.0):
         raise ValueError("n_samples must be a positive integer")
-    return NcChiSq(dof=n, noncentrality=n * gain * tx_power / noise_power,
-                   noise_scale=noise_power / n)
+    with np.errstate(over="ignore"):
+        return NcChiSq(dof=n_samples,
+                       noncentrality=n_samples * gain * tx_power / noise_power,
+                       noise_scale=noise_power / n_samples)
 
 
 def _ratio_params(dist: CapacityDist) -> tuple[float, float, float]:
@@ -314,21 +308,6 @@ def capacity_cdf(dist: CapacityDist, x):
     with np.errstate(divide="ignore"):
         ln_u = _log_sinr_from_capacity(t) - math.log(lam)
     out = special.betainc(a_s, a_i, special.expit(ln_u))
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
-def capacity_survival(dist: CapacityDist, x):
-    """Survival function of the estimated capacity; one for x <= 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise ValueError("capacity argument must be finite")
-    a_s, a_i, lam = _ratio_params(dist)
-    t = np.maximum(x_arr, 0.0) * _LN2
-    with np.errstate(divide="ignore"):
-        ln_u = _log_sinr_from_capacity(t) - math.log(lam)
-    out = special.betaincc(a_s, a_i, special.expit(ln_u))
     if np.isscalar(x):
         return float(out)
     return out

@@ -3,7 +3,7 @@
 Every trial replays one frame end to end through the exact laws, with no
 gamma surrogates anywhere: the receive-power, pilot-gain, and interference
 estimates are each drawn from their own scaled noncentral chi-square law
-by numpy's exact generator (dists._ncx2_draws), the power rule is applied,
+by numpy's exact generator (dists.sample_ncx2), the power rule is applied,
 and the trial records what the primary would have experienced. Summaries
 then carry everything the analytic side predicts: outage rate, mean
 estimated capacity, throughput, and sorted samples for distribution-level
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import _ncx2_draws, sample_nakagami
+from .dists import (interference_power_law, pilot_gain_law, received_power_law,
+                    sample_nakagami, sample_ncx2)
 from .power_control import (FadingLinks, Regime, ScenarioParams,
                             controlled_power_det, controlled_power_fading,
                             samples_for)
@@ -77,20 +78,18 @@ def _block(args):
     params, links, tau, p_used, seed, block, size = args
     rng = _rng_for_block(seed, block)
     n = samples_for(tau, params.f_s)
-    k_p = params.pilot_samples
     if links is None:
-        x_pt, x_st = params.g_pt_sr, params.g_st_sr
-        nc_pr = n * params.gamma
+        snr, x_pt, x_st = params.gamma, params.g_pt_sr, params.g_st_sr
     else:
         x_pr = sample_nakagami(links.pr_st, rng, size)
         x_pt = sample_nakagami(links.pt_sr, rng, size)
         x_st = sample_nakagami(links.st_sr, rng, size)
-        nc_pr = n * x_pr * params.p_tx_pr / params.sigma2
-    p_hat = _ncx2_draws(rng, n, nc_pr, params.sigma2 / n, size)
-    g_hat = _ncx2_draws(rng, 2, k_p * x_st / params.sigma2,
-                        params.sigma2 / k_p, size)
-    i_hat = _ncx2_draws(rng, n, n * x_pt * params.p_tx_pt / params.sigma2,
-                        params.sigma2 / n, size)
+        snr = x_pr * params.p_tx_pr / params.sigma2
+    p_hat = sample_ncx2(received_power_law(snr, n, params.sigma2), rng, size)
+    g_hat = sample_ncx2(pilot_gain_law(x_st, params.pilot_samples, params.sigma2),
+                        rng, size)
+    i_hat = sample_ncx2(interference_power_law(x_pt, params.p_tx_pt, n, params.sigma2),
+                        rng, size)
     c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
     interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
     return p_hat, c_hat, interference

@@ -188,13 +188,6 @@ def _check_tau(params: ScenarioParams, tau) -> None:
         raise ValueError("tau must leave room for the pilot inside the frame")
 
 
-def _received_power_params(params: ScenarioParams, n, gamma):
-    """Gamma-surrogate (shape, scale) of the received-power estimate over n
-    samples at receive SNR gamma (dists.received_power_law), elementwise;
-    n need not be an integer."""
-    return dists._gamma_params(n, n * gamma, params.sigma2 / n)
-
-
 def _interference_threshold(params: ScenarioParams, p: float) -> float:
     # receive-power level at the ST above which the implied PR-ST gain
     # would push interference p * gain past theta_i
@@ -209,10 +202,14 @@ def outage_det(params: ScenarioParams, tau: float, p: float) -> float:
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
-    n = samples_for(tau, params.f_s)
-    shape, scale = _received_power_params(params, n, params.gamma)
-    thr = _interference_threshold(params, p)
-    return specfun.reg_upper_gamma(shape, thr / scale)
+    return _outage_det_n(params, samples_for(tau, params.f_s), p)
+
+
+def _outage_det_n(params: ScenarioParams, n: float, p: float) -> float:
+    """outage_det over n samples, which need not be whole."""
+    approx = dists.gamma_match(dists.received_power_law(params.gamma, n, params.sigma2))
+    return specfun.reg_upper_gamma(approx.shape,
+                                   _interference_threshold(params, p) / approx.scale)
 
 
 def controlled_power_det_array(params: ScenarioParams, tau, gamma,
@@ -236,19 +233,15 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
     n = np.rint(tau * params.f_s)
     if not (n >= 1.0).all():
         raise ValueError("sensing window shorter than one sample")
-    with np.errstate(over="ignore", invalid="ignore"):
-        shape, scale = _received_power_params(params, n, gamma)
-    # only a gamma of ~1500 dB and more overflows the surrogate
-    if not np.isfinite(shape).all():
-        raise ValueError("shape must be finite and positive")
+    approx = dists.gamma_match(dists.received_power_law(gamma, n, params.sigma2))
     thr_full = _interference_threshold(params, params.p_full)
-    power_limited = specfun.reg_upper_gamma(shape, thr_full / scale) <= rho_out
+    power_limited = specfun.reg_upper_gamma(approx.shape, thr_full / approx.scale) <= rho_out
     # the constraint binds below the ceiling elsewhere; the denominator is
     # positive there exactly because the outage at p_full exceeds rho_out
     binds = ~power_limited
-    x = specfun.inv_reg_upper_gamma(rho_out[binds], shape[binds])
-    p_cont = np.full(shape.shape, params.p_full)
-    p_cont[binds] = params.theta_i * params.p_tx_pr / (scale[binds] * x - params.sigma2)
+    x = specfun.inv_reg_upper_gamma(rho_out[binds], approx.shape[binds])
+    p_cont = np.full(n.shape, params.p_full)
+    p_cont[binds] = params.theta_i * params.p_tx_pr / (approx.scale[binds] * x - params.sigma2)
     return DetPowerArrays(p_cont, power_limited, n)
 
 
@@ -334,9 +327,9 @@ def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, n_eff: float,
     scale = pr_st.mean_gain / pr_st.m
     y = x / scale
     density = np.exp(special.xlogy(pr_st.m - 1.0, y) - y - special.gammaln(pr_st.m)) / scale
-    a, b = dists._gamma_params(n_eff, x * (n_eff * params.p_tx_pr / params.sigma2),
-                               params.sigma2 / n_eff)
-    return float(np.sum(w * density * specfun.reg_upper_gamma(a, thr / b)))
+    approx = dists.gamma_match(dists.received_power_law(x * params.p_tx_pr / params.sigma2,
+                                                        n_eff, params.sigma2))
+    return float(np.sum(w * density * specfun.reg_upper_gamma(approx.shape, thr / approx.scale)))
 
 
 def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,

@@ -31,10 +31,9 @@ import numpy as np
 from scipy import special
 
 from . import dists, specfun
-from .dists import CapacityDist, GammaApprox
+from .dists import CapacityDist
 from .power_control import (DetPowerArrays, FadingLinks, ScenarioParams,
-                            _check_tau, _outage_fading_n,
-                            _received_power_params,
+                            _check_tau, _outage_det_n, _outage_fading_n,
                             controlled_power_det_array,
                             controlled_power_fading, samples_for)
 
@@ -79,29 +78,27 @@ def prefactor(params: ScenarioParams, tau):
     return (params.frame_len - tau - params.tau_p / 2.0) / params.frame_len
 
 
-def _capacity_laws(params: ScenarioParams, n, g_st_sr, g_pt_sr):
-    """Gamma-surrogate (shape, scale) pairs of the pilot gain estimate and
-    of the interference-plus-noise estimate over n samples, at ST-SR gain
-    g_st_sr and PT-SR gain g_pt_sr; any of the three may be an array."""
-    k_p = params.pilot_samples
-    pilot = dists._gamma_params(2.0, k_p * g_st_sr / params.sigma2, params.sigma2 / k_p)
-    interf = dists._gamma_params(n, n * g_pt_sr * params.p_tx_pt / params.sigma2,
-                                 params.sigma2 / n)
-    return pilot, interf
+def _capacity_law(params: ScenarioParams, n, g_st, g_pt, p) -> CapacityDist:
+    """Estimated-capacity law over n samples at ST-SR gain g_st, PT-SR gain
+    g_pt and transmit power p, elementwise; n need not be whole."""
+    gain = dists.pilot_gain_law(g_st, params.pilot_samples, params.sigma2)
+    interf = dists.interference_power_law(g_pt, params.p_tx_pt, n, params.sigma2)
+    return CapacityDist(gain_approx=dists.gamma_match(gain),
+                        interf_approx=dists.gamma_match(interf), tx_power=p)
 
 
 def capacity_law_det(params: ScenarioParams, tau: float, p: float) -> CapacityDist:
     """Estimated-capacity law for fixed link gains at transmit power p."""
-    pilot, interf = _capacity_laws(params, samples_for(tau, params.f_s),
-                                   params.g_st_sr, params.g_pt_sr)
-    return CapacityDist(gain_approx=GammaApprox(*pilot),
-                        interf_approx=GammaApprox(*interf), tx_power=p)
+    return _capacity_law(params, samples_for(tau, params.f_s), params.g_st_sr,
+                         params.g_pt_sr, p)
 
 
-def mean_capacity(dist: CapacityDist) -> float:
-    """Mean estimated capacity, by the quantile-split survival rule below."""
-    return float(_mean_capacity_grid(dist.gain_approx.shape,
-                                     dist.interf_approx.shape, dist.ratio_scale))
+def mean_capacity(dist: CapacityDist):
+    """Mean estimated capacity, by the quantile-split survival rule below,
+    elementwise; a float for a law of numbers."""
+    out = _mean_capacity_grid(dist.gain_approx.shape, dist.interf_approx.shape,
+                              dist.ratio_scale)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # Survival-route mean capacity: E[C] = int_0^inf P(C > x) dx. The range is
@@ -181,8 +178,8 @@ def throughput_det_array(params: ScenarioParams, tau,
     one mean-capacity call evaluates each distinct law once.
     """
     n, p_cont, law = _distinct_pairs(power.n, power.p_cont)
-    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, n, params.g_st_sr, params.g_pt_sr)
-    capacity = _mean_capacity_grid(a_s, a_i, b_s * p_cont / b_i)[law]
+    capacity = mean_capacity(_capacity_law(params, n, params.g_st_sr,
+                                           params.g_pt_sr, p_cont))[law]
     return prefactor(params, tau) * capacity.reshape(np.shape(power.p_cont))
 
 
@@ -236,12 +233,9 @@ def throughput_no_pc_det(params: ScenarioParams) -> tuple[float, float]:
     window length instead of the power. Returns (nan, 0.0) when no window
     inside the frame meets the constraint at the scenario's gamma.
     """
-    thr = params.theta_i * params.p_tx_pr / params.p_full + params.sigma2
 
     def residual(log_n: float) -> float:
-        n = math.exp(log_n)
-        a, b = _received_power_params(params, n, params.gamma)
-        return specfun.reg_upper_gamma(a, thr / b) - params.rho_out
+        return _outage_det_n(params, math.exp(log_n), params.p_full) - params.rho_out
 
     n_forced = _no_pc_window(params, residual)
     if math.isnan(n_forced):
@@ -300,10 +294,10 @@ def _outer_cells(params: ScenarioParams, links: FadingLinks, tau: float, p: floa
     cells, one per pair of ST-SR and PT-SR gain nodes."""
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
-    (a_s, b_s), (a_i, b_i) = _capacity_laws(params, samples_for(tau, params.f_s),
-                                            x_s, x_i)
-    return np.broadcast_arrays(np.outer(w_s, w_i), a_s[:, None], a_i[None, :],
-                               (b_s[:, None] * p) / b_i[None, :])
+    law = _capacity_law(params, samples_for(tau, params.f_s), x_s[:, None],
+                        x_i[None, :], p)
+    return np.broadcast_arrays(np.outer(w_s, w_i), law.gain_approx.shape,
+                               law.interf_approx.shape, law.ratio_scale)
 
 
 def _mean_capacity_fading(params: ScenarioParams, links: FadingLinks,

@@ -7,6 +7,7 @@ fig9b) optimize a curve per gamma and m and are left to the figure script.
 
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -322,6 +323,22 @@ def test_sweep_window_outside_frame_is_numeric_error(tmp_path, capsys):
             assert rc == 3
             assert f"numeric error: {message}" in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("m", ["inf", "1"])
+def test_sweep_surrogate_overflow_is_one_numeric_error_without_warning(tmp_path,
+                                                                       capsys, m):
+    # 3000 dB is a finite receive SNR, but its gamma surrogate overflows: the
+    # deterministic and the fading rows report it alike, with no numpy warning
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--out", str(out), "--set", "sweep.gamma_db=3000",
+                   "--set", "sweep.tau_ms=1", "--set", f"sweep.m={m}"])
+    assert rc == 3
+    assert capsys.readouterr().err == "numeric error: shape must be finite and positive\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -14,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, GammaApprox, NakagamiGain,
-                               NcChiSq, _gamma_params, _ncx2_draws,
-                               capacity_cdf,
-                               capacity_pdf, capacity_survival, estimator_cdf,
+                               NcChiSq, capacity_cdf, capacity_pdf,
                                gamma_match, interference_power_law,
                                nakagami_gain_cdf, nakagami_gain_quantile,
                                pilot_gain_law, received_power_law,
@@ -50,23 +48,39 @@ def test_gamma_match_worked_values():
     assert c.scale == pytest.approx(2.0 * SIGMA2, rel=1e-12)
 
 
-def test_gamma_params_array_form_is_gamma_match():
-    # integer laws: the array form gives gamma_match's numbers bit for bit
-    dofs = np.array([1, 2, 7, 1000, 2740])
-    ncs = np.array([0.0, 3.2, 0.5, 1000.0, 27.4])
-    scales = SIGMA2 / dofs
-    shape, scale = _gamma_params(dofs, ncs, scales)
-    for k in range(dofs.size):
-        sur = gamma_match(NcChiSq(int(dofs[k]), float(ncs[k]), float(scales[k])))
-        assert (shape[k], scale[k]) == (sur.shape, sur.scale)
-    # non-integer dof, as in the root searches over the window length:
-    # both matched moments still hold
-    dof = np.array([1.5, 37.25, 2739.9])
-    nc = dof * np.array([0.1, 1.0, 10.0])
-    shape, scale = _gamma_params(dof, nc, SIGMA2 / dof)
-    np.testing.assert_allclose(shape * scale, SIGMA2 / dof * (dof + nc), rtol=1e-14)
+def _as_pair(approx):
+    return approx.shape, approx.scale
+
+
+def test_array_laws_match_scalar_calls():
+    # each law on arrays gives the per-element numbers bit for bit, for
+    # whole and continuous sample counts alike (the root searches over the
+    # window length pass a continuous count)
+    n = np.array([1.0, 2.0, 7.0, 1000.0, 2740.0, 1.5, 37.25, 2739.9])
+    snr = np.array([0.0, 3.2, 0.5, 1.0, 0.01, 0.1, 1.0, 10.0])
+    gain = np.array([1e-12, 1e-10, 3e-9, 1e-8, 2e-7, 5e-11, 1e-9, 4e-8])
+    shape, scale = _as_pair(gamma_match(NcChiSq(n, n * snr, SIGMA2 / n)))
+    for k in range(n.size):
+        scalar = gamma_match(NcChiSq(float(n[k]), float(n[k] * snr[k]),
+                                     float(SIGMA2 / n[k])))
+        assert (shape[k], scale[k]) == _as_pair(scalar)
+    builders = [
+        (lambda g, m: received_power_law(g / SIGMA2, m, SIGMA2)),
+        (lambda g, m: pilot_gain_law(g, m, SIGMA2)),
+        (lambda g, m: interference_power_law(g, 0.7, m, SIGMA2)),
+    ]
+    for build in builders:
+        law = build(gain, n)
+        sur = gamma_match(law)
+        for k in range(n.size):
+            one = build(float(gain[k]), float(n[k]))
+            assert (np.broadcast_to(law.dof, n.shape)[k], law.noncentrality[k],
+                    law.noise_scale[k]) == (one.dof, one.noncentrality, one.noise_scale)
+            assert (sur.shape[k], sur.scale[k]) == _as_pair(gamma_match(one))
+    # both matched moments hold at continuous dof
+    np.testing.assert_allclose(shape * scale, SIGMA2 / n * (n + n * snr), rtol=1e-14)
     np.testing.assert_allclose(shape * scale ** 2,
-                               (SIGMA2 / dof) ** 2 * (2.0 * dof + 4.0 * nc),
+                               (SIGMA2 / n) ** 2 * (2.0 * n + 4.0 * n * snr),
                                rtol=1e-14)
 
 
@@ -81,18 +95,56 @@ def test_ncchisq_validation():
         GammaApprox(shape=-1.0, scale=1.0)
 
 
-def test_estimator_cdf_shape():
-    sur = gamma_match(NcChiSq(dof=1000, noncentrality=1000.0,
-                              noise_scale=SIGMA2 / 1000.0))
-    assert estimator_cdf(sur, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        estimator_cdf(sur, -1e-15)
-    # near-median at the mean for a concentrated law
-    assert estimator_cdf(sur, sur.mean) == pytest.approx(0.5, abs=0.01)
-    xs = np.linspace(0.0, 4.0 * sur.mean, 300)
-    vals = estimator_cdf(sur, xs)
-    assert np.all(np.diff(vals) >= -1e-13)
-    assert vals[-1] > 0.999999
+_GOOD = np.array([1.0, 2.0, 3.0])
+
+
+def _one_bad(value):
+    out = _GOOD.copy()
+    out[1] = value
+    return out
+
+
+@pytest.mark.parametrize("make, bad, message", [
+    (lambda v: NcChiSq(v, _GOOD, _GOOD), 0.5, "dof must be a positive integer"),
+    (lambda v: NcChiSq(_GOOD, v, _GOOD), -0.1, "noncentrality must be finite and nonnegative"),
+    (lambda v: NcChiSq(_GOOD, v, _GOOD), np.inf, "noncentrality must be finite and nonnegative"),
+    (lambda v: NcChiSq(_GOOD, _GOOD, v), 0.0, "noise_scale must be finite and positive"),
+    (lambda v: NcChiSq(_GOOD, _GOOD, v), np.nan, "noise_scale must be finite and positive"),
+    (lambda v: GammaApprox(v, _GOOD), np.inf, "shape must be finite and positive"),
+    (lambda v: GammaApprox(v, _GOOD), -1.0, "shape must be finite and positive"),
+    (lambda v: GammaApprox(_GOOD, v), np.nan, "scale must be finite and positive"),
+    (lambda v: GammaApprox(_GOOD, v), 0.0, "scale must be finite and positive"),
+    (lambda v: CapacityDist(GammaApprox(_GOOD, _GOOD), GammaApprox(_GOOD, _GOOD), v),
+     0.0, "tx_power must be finite and positive"),
+    (lambda v: CapacityDist(GammaApprox(_GOOD, _GOOD), GammaApprox(_GOOD, _GOOD), v),
+     np.inf, "tx_power must be finite and positive"),
+    (lambda v: received_power_law(v, _GOOD, SIGMA2), -0.1, "snr must be finite and nonnegative"),
+    (lambda v: received_power_law(_GOOD, v, SIGMA2), 0.5, "n_samples must be a positive integer"),
+    (lambda v: pilot_gain_law(v, _GOOD, SIGMA2), 0.0, "mean_gain must be finite and positive"),
+    (lambda v: pilot_gain_law(_GOOD, v, SIGMA2), np.nan,
+     "pilot_samples must be a positive integer"),
+    (lambda v: interference_power_law(v, _GOOD, _GOOD, SIGMA2), np.nan,
+     "gain must be finite and nonnegative"),
+    (lambda v: interference_power_law(_GOOD, v, _GOOD, SIGMA2), 0.0,
+     "tx_power must be finite and positive"),
+    (lambda v: interference_power_law(_GOOD, _GOOD, v, SIGMA2), np.inf,
+     "n_samples must be a positive integer"),
+])
+def test_array_with_one_bad_element_raises_scalar_message(make, bad, message):
+    # law fields and builder arguments alike
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(float(bad))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(_one_bad(bad))
+    make(_GOOD)  # the same call on good elements passes
+
+
+def test_gamma_match_overflow_fails_the_shape_check():
+    # an overflowing match is reported by GammaApprox, with no numpy warning
+    # (the suite turns RuntimeWarning into an error)
+    for n in (1000.0, np.full(2, 1000.0)):
+        with pytest.raises(ValueError, match="^shape must be finite and positive$"):
+            gamma_match(received_power_law(1e300, n, SIGMA2))
 
 
 # ----------------------------------------------------------------- sampler
@@ -163,10 +215,10 @@ def test_sampler_matches_signal_model_pilot_per_row():
     # dof = 2 pilot estimate whose noncentrality changes from row to row
     k, size = 10, 50_000
     x_st = 1e-8 * _unit_nakagami_gains(np.random.default_rng(41), size)
-    nc = k * x_st / SIGMA2
-    fast = _ncx2_draws(np.random.default_rng(42), 2, nc, SIGMA2 / k, size)
-    slow = _shifted_square_sums(np.random.default_rng(43), 2, np.sqrt(nc / 2.0),
-                                SIGMA2 / k, size)
+    law = pilot_gain_law(x_st, k, SIGMA2)
+    fast = sample_ncx2(law, np.random.default_rng(42), size)
+    slow = _shifted_square_sums(np.random.default_rng(43), 2,
+                                np.sqrt(law.noncentrality / 2.0), SIGMA2 / k, size)
     assert scipy.stats.ks_2samp(fast, slow).statistic <= 0.02
 
 
@@ -174,7 +226,7 @@ def test_sampler_matches_signal_model_fading_receive_power():
     # dof = n with per-row shifts from Nakagami gains, as in a fading block
     n, size = 1000, 50_000
     snr = _unit_nakagami_gains(np.random.default_rng(51), size)
-    fast = _ncx2_draws(np.random.default_rng(52), n, n * snr, SIGMA2 / n, size)
+    fast = sample_ncx2(received_power_law(snr, n, SIGMA2), np.random.default_rng(52), size)
     slow = _shifted_square_sums(np.random.default_rng(53), n, np.sqrt(snr),
                                 SIGMA2 / n, size)
     assert scipy.stats.ks_2samp(fast, slow).statistic <= 0.02
@@ -251,7 +303,6 @@ def test_capacity_cdf_matches_betaprime():
     for x in [0.1, 0.5, 1.0, 2.0, 4.0, 8.0]:
         z = 2.0 ** x - 1.0
         assert capacity_cdf(law, x) == pytest.approx(ref.cdf(z / lam), rel=1e-9)
-        assert capacity_survival(law, x) == pytest.approx(ref.sf(z / lam), rel=1e-9)
 
 
 def test_capacity_pdf_matches_betaprime_transform():
@@ -279,18 +330,11 @@ def test_capacity_pdf_normalizes(p, g_i):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_capacity_cdf_survival_complement():
-    law = _capacity_case()
-    for x in [0.05, 0.8, 2.5, 7.0]:
-        assert capacity_cdf(law, x) + capacity_survival(law, x) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_capacity_tails_and_domain():
     law = _capacity_case()
     assert capacity_pdf(law, 1e5) == 0.0
     assert capacity_cdf(law, 1e6) == 1.0
     assert capacity_cdf(law, -3.0) == 0.0
-    assert capacity_survival(law, -3.0) == 1.0
     with pytest.raises(ValueError):
         capacity_pdf(law, 0.0)
     with pytest.raises(ValueError):
