@@ -4,7 +4,8 @@
 
 For each CSV present in either directory, prints one line: whether the
 headers match, the data row counts, the largest relative difference over
-numeric cells and the count of text cells that differ. Lines starting with
+numeric cells with the column it is in (named from the new header) and
+the count of text cells that differ. Lines starting with
 `#` (the provenance block) are skipped. A cell pair's relative difference
 is |new - old| / max(|old|, |new|); two equal cells, NaN pairs included,
 count as 0, and a NaN against a number as inf. Exits 1 when a file is
@@ -42,20 +43,24 @@ def cell_drift(old: str, new: str) -> float | None:
     return abs(b - a) / max(abs(a), abs(b))
 
 
-def compare(old_path: Path, new_path: Path) -> tuple[bool, int, int, float, int]:
-    """(headers equal, old rows, new rows, max relative drift, text cells
-    that differ) of two CSVs; rows are paired in order."""
+def compare(old_path: Path, new_path: Path) -> tuple[bool, int, int, float, str, int]:
+    """(headers equal, old rows, new rows, max relative drift, the column of
+    that drift ("" when nothing drifts), text cells that differ) of two
+    CSVs; rows are paired in order."""
     old_header, old_rows = read_table(old_path)
     new_header, new_rows = read_table(new_path)
-    worst, text_diffs = 0.0, 0
+    worst, worst_col, text_diffs = 0.0, None, 0
     for old_row, new_row in zip(old_rows, new_rows):
-        for old, new in zip(old_row, new_row):
+        for col, (old, new) in enumerate(zip(old_row, new_row)):
             drift = cell_drift(old, new)
             if drift is None:
                 text_diffs += old != new
-            else:
-                worst = max(worst, drift)
-    return old_header == new_header, len(old_rows), len(new_rows), worst, text_diffs
+            elif drift > worst:
+                worst, worst_col = drift, col
+    column = "" if worst_col is None else (
+        new_header[worst_col] if worst_col < len(new_header) else f"#{worst_col}")
+    return (old_header == new_header, len(old_rows), len(new_rows), worst, column,
+            text_diffs)
 
 
 def main(argv=None) -> int:
@@ -73,11 +78,11 @@ def main(argv=None) -> int:
             print(f"{name}: missing in {side}")
             ok = False
             continue
-        same_header, n_old, n_new, worst, text_diffs = compare(old_path, new_path)
+        same_header, n_old, n_new, worst, column, text_diffs = compare(old_path, new_path)
         ok = ok and same_header and n_old == n_new
         print(f"{name}: header {'same' if same_header else 'DIFFERS'}, "
-              f"rows {n_old}/{n_new}, max rel drift {worst:.3g}, "
-              f"text cells differing {text_diffs}")
+              f"rows {n_old}/{n_new}, max rel drift {worst:.3g}"
+              f"{f' in {column}' if column else ''}, text cells differing {text_diffs}")
     return 0 if ok else 1
 
 

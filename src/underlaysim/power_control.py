@@ -327,8 +327,10 @@ def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, n_eff: float,
     scale = pr_st.mean_gain / pr_st.m
     y = x / scale
     density = np.exp(special.xlogy(pr_st.m - 1.0, y) - y - special.gammaln(pr_st.m)) / scale
-    approx = dists.gamma_match(dists.received_power_law(x * params.p_tx_pr / params.sigma2,
-                                                        n_eff, params.sigma2))
+    # a receive SNR that overflows fails the law's own finiteness check
+    with np.errstate(over="ignore"):
+        snr = x * params.p_tx_pr / params.sigma2
+    approx = dists.gamma_match(dists.received_power_law(snr, n_eff, params.sigma2))
     return float(np.sum(w * density * specfun.reg_upper_gamma(approx.shape, thr / approx.scale)))
 
 

@@ -12,10 +12,10 @@ find_root also stops with ConvergenceError after MAX_ITER = 200 iterations.
 
 Q(a, x) and its inverse are thin wrappers over scipy with strict domain
 checks. The quadrature primitive is a fixed rule, not an adaptive one: each
-integral in the package (the fading outage, mean capacity) places its own
-panel ends at the features of its integrand, the law's quantiles and, for
-the outage, the estimator's step, and sums integrand times weight over
-whole node arrays at once.
+integral in the package places its own panel ends at the features of its
+integrand (for the fading outage, the gain law's quantiles and the
+estimator's step; for mean capacity, the two knees of Hamdi's integrand)
+and sums integrand times weight over whole node arrays at once.
 """
 
 from __future__ import annotations

@@ -341,6 +341,24 @@ def test_sweep_surrogate_overflow_is_one_numeric_error_without_warning(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m, message", [
+    ("inf", "noncentrality must be finite and nonnegative"),
+    ("1", "snr must be finite and nonnegative")])
+def test_sweep_receive_snr_overflow_is_one_numeric_error_without_warning(tmp_path,
+                                                                         capsys, m, message):
+    # at 3080 dB the n-sample noncentrality (m = inf) or a gain node's
+    # receive SNR (m = 1) overflows: the law's own check reports it
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--out", str(out), "--set", "sweep.gamma_db=3080",
+                   "--set", "sweep.tau_ms=1", "--set", f"sweep.m={m}"])
+    assert rc == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--set", "sweep.gamma_db=4000", "--set", "sweep.tau_ms=1"],
      "sweep.gamma_db: 4000 dB is beyond the float range"),
@@ -538,12 +556,13 @@ def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
     old.mkdir()
     new.mkdir()
     (old / "a.csv").write_text("# run 1\ntau,p,regime\n1,2.0,x\n2,nan,y\n3,0,z\n")
-    (new / "a.csv").write_text("# run 2\ntau,p,regime\n1,2.000002,x\n2,nan,y\n3,0,w\n")
+    # tau drifts by 1e-7 in the first row, p by 1e-6: the line names p
+    (new / "a.csv").write_text("# run 2\ntau,p,regime\n1.0000001,2.000002,x\n2,nan,y\n3,0,w\n")
     (old / "b.csv").write_text("tau,p\n1,1\n")
     (new / "b.csv").write_text("tau,q\n1,1\n2,1\n")
     assert script.main([str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("a.csv: header same, rows 3/3, max rel drift 1e-06, "
+    assert lines[0] == ("a.csv: header same, rows 3/3, max rel drift 1e-06 in p, "
                         "text cells differing 1")
     assert lines[1] == ("b.csv: header DIFFERS, rows 1/2, max rel drift 0, "
                         "text cells differing 0")

@@ -1,8 +1,9 @@
 """Throughput layer: mean rates, the three models, tradeoff optimization.
 
-mean_capacity is checked against scipy.integrate.quad on the same density
-and against a 256-node Gauss-Legendre rule over the whole survival
-function, which shares no code with the library's quantile-split rule.
+mean_capacity is checked against scipy.integrate.quad on the same density,
+against quad on Hamdi's integrand over a table of seeded laws and the
+small-lam series, and against a 256-node Gauss-Legendre rule over the
+whole survival function, which shares no code with the library's rule.
 The fading average is checked against a quantile-space midpoint rule over
 both gains, and against the library's own outer grid with every cell kept
 and each cell's mean taken by the 256-node rule.
@@ -104,13 +105,68 @@ def _survival_mean_256(a_s, a_i, lam):
 
 
 def test_mean_capacity_survival_route_agrees(defaults):
-    # the quantile-split rule against the 256-node rule over the whole range
+    # the lemma rule against the 256-node survival rule over the whole range
     for tau, p in [(1e-3, 0.1), (1e-2, 0.7)]:
         dist = capacity_law_det(defaults, tau, p)
         want = float(_survival_mean_256(dist.gain_approx.shape,
                                         dist.interf_approx.shape,
                                         dist.ratio_scale))
         assert mean_capacity(dist) == pytest.approx(want, rel=REL_TOL)
+
+
+def _softplus(x: float) -> float:
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _lemma_quad(a_s: float, a_i: float, lam: float) -> float:
+    """Mean capacity by scipy quad on Hamdi's integrand in u = ln z,
+    (1 + z)^-a_i (1 - (1 + lam z)^-a_s), split at its two knees and cut
+    where it has fallen below e^-60 of its peak."""
+    ln_lam = math.log(lam)
+    knees = sorted([-math.log(a_s) - ln_lam, -math.log(a_i)])
+    ends = [knees[0] - 60.0, *knees, knees[1] + 120.0 / min(a_i, 1.0)]
+
+    def integrand(u: float) -> float:
+        return (math.exp(-a_i * _softplus(u))
+                * -math.expm1(-a_s * _softplus(u + ln_lam)))
+
+    return sum(scipy.integrate.quad(integrand, lo, hi, epsabs=1e-20, epsrel=1e-12,
+                                    limit=200)[0]
+               for lo, hi in zip(ends[:-1], ends[1:])) / math.log(2.0)
+
+
+def _log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def test_mean_capacity_oracle_table():
+    # 400 seeded laws over a_s 0.5-1e4, a_i 0.5-2e5, lam 1e-4-1e5: 200 over
+    # the whole box, 100 with a_s < 1 and 100 with a_i < 1.6, the shapes of
+    # windows of one to a few samples
+    rng = np.random.default_rng(20100201)
+    a_s = np.concatenate([_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 1.0, 100),
+                          _log_uniform(rng, 0.5, 1e4, 100)])
+    a_i = np.concatenate([_log_uniform(rng, 0.5, 2e5, 300), _log_uniform(rng, 0.5, 1.6, 100)])
+    lam = _log_uniform(rng, 1e-4, 1e5, 400)
+    got = _mean_capacity_grid(a_s, a_i, lam)
+    want = np.array([_lemma_quad(*law) for law in zip(a_s.tolist(), a_i.tolist(),
+                                                       lam.tolist())])
+    err = np.abs(got - want)
+    assert np.all(err <= np.maximum(ABS_TOL, REL_TOL * want))
+
+
+def test_mean_capacity_small_lam_series():
+    # at lam <= 1e-50 the mean is lam a_s / (a_i - 1)
+    # - lam^2 a_s (a_s + 1) / (2 (a_i - 1)(a_i - 2)), over ln 2, to double
+    # precision (a_i > 2); the rule meets REL_TOL on it, not just ABS_TOL
+    rng = np.random.default_rng(99)
+    a_s = _log_uniform(rng, 0.5, 1e4, 100)
+    a_i = 2.0 + _log_uniform(rng, 0.01, 2e5, 100)
+    lam = _log_uniform(rng, 1e-300, 1e-50, 100)
+    want = (lam * a_s / (a_i - 1.0)
+            - lam ** 2 * a_s * (a_s + 1.0) / (2.0 * (a_i - 1.0) * (a_i - 2.0))) / math.log(2.0)
+    got = _mean_capacity_grid(a_s, a_i, lam)
+    assert np.all(np.abs(got - want) <= REL_TOL * want)
 
 
 def test_mean_capacity_reference_value(defaults):
@@ -162,7 +218,7 @@ _LAW = st.tuples(st.floats(0.5, 1e5), st.floats(0.5, 1e5), st.floats(1e-6, 1e6))
        picks=st.lists(st.integers(0, 4), min_size=1, max_size=16),
        lams=st.lists(st.floats(1e-6, 1e6), min_size=16, max_size=16))
 @settings(deadline=None, max_examples=40)
-def test_mean_capacity_batch_with_repeated_pairs_equals_one_law_calls(laws, picks, lams):
+def test_mean_capacity_batch_with_repeated_laws_equals_one_law_calls(laws, picks, lams):
     # picked laws repeat; each repeat of an (a_s, a_i) pair keeps its own
     # lam or takes a fresh one, so pairs are shared by unequal laws too
     chosen = [laws[k % len(laws)] for k in picks]
