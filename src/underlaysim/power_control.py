@@ -308,13 +308,20 @@ _STEP_OFFSETS = np.arange(-64.0, 65.0)
 _OUTAGE_ORDER = 8
 
 
-def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, n_eff: float,
-                     p: float) -> float:
+def _gain_splits(pr_st: NakagamiGain) -> np.ndarray:
+    """The _GAIN_LEVELS quantiles of the gain law, computed once per law and
+    passed to every outage evaluation on it."""
+    return dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS)
+
+
+def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.ndarray,
+                     n_eff: float, p: float) -> float:
+    """Fading outage over n_eff samples at power p; splits are
+    _gain_splits(pr_st)."""
     thr = _interference_threshold(params, p)
     x_star = (thr - params.sigma2) / params.p_tx_pr
     spread = params.sigma2 * math.sqrt(
         (2.0 + 4.0 * x_star * params.p_tx_pr / params.sigma2) / n_eff) / params.p_tx_pr
-    splits = dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS)
     cuts = np.unique(np.concatenate([
         splits, np.clip(x_star + spread * _STEP_OFFSETS, splits[0], splits[-1])]))
     lo, hi = cuts[:-1], cuts[1:]
@@ -345,7 +352,7 @@ def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
     n = samples_for(tau, params.f_s)
-    return _outage_fading_n(params, pr_st, float(n), p)
+    return _outage_fading_n(params, pr_st, _gain_splits(pr_st), float(n), p)
 
 
 def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
@@ -358,9 +365,10 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     _check_tau(params, tau)
     n = samples_for(tau, params.f_s)
     tau_eff = n / params.f_s
+    splits = _gain_splits(pr_st)
 
     def outage_at(p: float) -> float:
-        return _outage_fading_n(params, pr_st, float(n), p)
+        return _outage_fading_n(params, pr_st, splits, float(n), p)
 
     if outage_at(params.p_full) <= params.rho_out:
         return PowerControlResult(params.p_full, Regime.POWER_LIMITED, tau_eff)
@@ -391,7 +399,7 @@ def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float) -
 
     def residual(gamma: float) -> float:
         law = NakagamiGain(pr_st.m, gamma * params.sigma2 / params.p_tx_pr)
-        return (_outage_fading_n(params, law, float(n), params.p_full)
+        return (_outage_fading_n(params, law, _gain_splits(law), float(n), params.p_full)
                 - params.rho_out)
 
     return specfun.find_root(residual, *_BOUND_BRACKET)

@@ -569,6 +569,27 @@ def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
     assert script.main([str(old), str(old)]) == 0
 
 
+def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "gate_snapshot", REPO / "scripts" / "gate_snapshot.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    assert script.main([str(tmp_path)]) == 0
+    assert [a for a in calls if a[0] == "validate"] == [
+        ["validate"], ["validate", "--seed", "7", "--trials", "20000"]]
+    figures = [a for a in calls if a[0] == "figure"]
+    assert figures == [["figure", fig_id, "--out", str(tmp_path / f"{fig_id}.csv"),
+                        "--trials", "2000"] for fig_id in FIGURE_IDS]
+    sweeps = [a for a in calls if a[0] == "sweep"]
+    assert [a[a.index("--out") + 1] for a in sweeps] == [
+        str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv")]
+    assert len(calls) == len(FIGURE_IDS) + 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "validate.txt", "validate_seed7_trials20000.txt"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

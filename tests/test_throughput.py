@@ -3,7 +3,8 @@
 mean_capacity is checked against scipy.integrate.quad on the same density,
 against quad on Hamdi's integrand over a table of seeded laws and the
 small-lam series, and against a 256-node Gauss-Legendre rule over the
-whole survival function, which shares no code with the library's rule.
+whole survival function, which shares no code with the library's rule;
+its in-place softplus against the np.logaddexp form it replaced.
 The fading average is checked against a quantile-space midpoint rule over
 both gains, and against the library's own outer grid with every cell kept
 and each cell's mean taken by the 256-node rule.
@@ -35,9 +36,11 @@ from underlaysim.throughput import (Model, TradeoffCurve, capacity_law_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
+from underlaysim import throughput
 from underlaysim.specfun import ABS_TOL, REL_TOL
 from underlaysim.throughput import (_kept_cells, _mean_capacity_fading,
-                                    _mean_capacity_grid, _outer_cells)
+                                    _mean_capacity_grid, _outer_cells,
+                                    _softplus as _softplus_into)
 
 
 # ---------------------------------------------------------------- prefactor
@@ -167,6 +170,65 @@ def test_mean_capacity_small_lam_series():
             - lam ** 2 * a_s * (a_s + 1.0) / (2.0 * (a_i - 1.0) * (a_i - 2.0))) / math.log(2.0)
     got = _mean_capacity_grid(a_s, a_i, lam)
     assert np.all(np.abs(got - want) <= REL_TOL * want)
+
+
+def test_softplus_matches_math_without_warning():
+    # the in-place softplus against the scalar oracle, within 2 ulp, over
+    # x = -750 ... 750: past x = 709, where exp overflows, and around the
+    # clamp at 36, where it switches to x
+    near_clamp = 36.0 + np.array([-1e-9, -1e-14, 0.0, 1e-14, 1e-9])
+    x = np.concatenate([np.linspace(-750.0, 750.0, 30_001), near_clamp,
+                        np.nextafter(36.0, [-np.inf, np.inf]), [708.0, 709.8, 710.0]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _softplus_into(x, np.empty_like(x))
+    want = np.array([_softplus(v) for v in x.tolist()])
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+
+def _logaddexp_softplus(x, out):
+    """The kernel's softplus as np.logaddexp(0, x), the form the clamped
+    one replaced: the reference for it."""
+    return np.logaddexp(0.0, x, out=out)
+
+
+def _overflowing_softplus(x, out):
+    """log1p(exp(x)) with exp's overflow ignored: inf past x ~ 709."""
+    with np.errstate(over="ignore"):
+        np.exp(x, out=out)
+    return np.log1p(out, out=out)
+
+
+def test_mean_capacity_matches_logaddexp_form(monkeypatch):
+    # the clamped softplus against np.logaddexp on the same cuts and nodes,
+    # within 2e-15 relative: on the oracle table's 400 laws, and on seeded
+    # laws at lam 1e-300-1e-50 (half of them a_i < 1) and 1e5-1e300
+    rng = np.random.default_rng(20100201)
+    oracle_box = (
+        np.concatenate([_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 1.0, 100),
+                        _log_uniform(rng, 0.5, 1e4, 100)]),
+        np.concatenate([_log_uniform(rng, 0.5, 2e5, 300), _log_uniform(rng, 0.5, 1.6, 100)]),
+        _log_uniform(rng, 1e-4, 1e5, 400))
+    rng = np.random.default_rng(1950)
+    small_lam = (_log_uniform(rng, 0.5, 1e4, 200),
+                 np.concatenate([_log_uniform(rng, 0.5, 2e5, 100),
+                                 _log_uniform(rng, 0.5, 1.0, 100)]),
+                 _log_uniform(rng, 1e-300, 1e-50, 200))
+    large_lam = (_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 2e5, 200),
+                 _log_uniform(rng, 1e5, 1e300, 200))
+
+    def means(softplus, laws):
+        with monkeypatch.context() as patch:
+            patch.setattr(throughput, "_softplus", softplus)
+            return _mean_capacity_grid(*laws)
+
+    for laws in (oracle_box, small_lam, large_lam):
+        want = means(_logaddexp_softplus, laws)
+        assert np.all(np.abs(_mean_capacity_grid(*laws) - want) <= 2e-15 * want)
+    # the naive form drops the integrand's tail above u ~ 709, which the
+    # small-lam laws with a_i < 1 reach
+    low_a_i = tuple(v[100:] for v in small_lam)
+    want = means(_logaddexp_softplus, low_a_i)
+    assert not np.all(np.abs(means(_overflowing_softplus, low_a_i) - want) <= 2e-15 * want)
 
 
 def test_mean_capacity_reference_value(defaults):
