@@ -562,8 +562,11 @@ def _det_sweep_cells(params: ScenarioParams, tau, gamma, rho_out,
     pc = controlled_power_det_array(params, tau, gamma, rho_out)
     labels = (Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value)
     rs = throughput_det_array(params, tau, pc).tolist() if include_rs else None
-    return _sweep_tails([linear_to_db(p) for p in pc.p_cont.tolist()],
-                        [labels[limited] for limited in pc.power_limited.tolist()], rs)
+    if not (pc.p_cont > 0.0).all():
+        raise ValueError("only positive values have a dB representation")
+    # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
+    p_db = [10.0 * v for v in map(math.log10, pc.p_cont.tolist())]
+    return _sweep_tails(p_db, [labels[limited] for limited in pc.power_limited.tolist()], rs)
 
 
 def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: float,

@@ -4,7 +4,8 @@ The analysis layers only ever need three numeric primitives beyond plain
 arithmetic: the regularized upper incomplete gamma function Q(a, x) and its
 inverse in x, Gauss-Legendre nodes and weights on a batch of panels, and
 bracketed scalar root finding. They are collected here so the rest of the
-package has a single place where accuracy targets live.
+package has a single place where accuracy targets live. scipy.special is
+the only scipy module the package imports.
 
 Every iterative result in the package meets one accuracy target, combined
 as max(ABS_TOL, REL_TOL * |value|) with ABS_TOL = 1e-10 and REL_TOL = 1e-8;
@@ -16,6 +17,12 @@ integral in the package places its own panel ends at the features of its
 integrand (for the fading outage, the gain law's quantiles and the
 estimator's step; for mean capacity, the two knees of Hamdi's integrand)
 and sums integrand times weight over whole node arrays at once.
+
+find_root is Brent's method (R. P. Brent, Algorithms for Minimization
+Without Derivatives, 1973, ch. 4), transcribed operation for operation from
+scipy's brentq.c, so its roots are bit-identical to scipy's brentq with the
+same tolerances. It starts from the two bracket values it has already
+checked, so no endpoint is evaluated twice.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "ABS_TOL",
@@ -117,9 +124,15 @@ def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     Requires g(lo) and g(hi) to be finite with opposite signs; an endpoint
     that is exactly zero is returned as the root. Raises BracketError when
     there is no sign change (callers lean on that to detect missing
-    operating bounds) and ConvergenceError when the iteration budget runs
-    out. The tolerance and the budget are the module's ABS_TOL, REL_TOL
-    and MAX_ITER, read at each call.
+    operating bounds), ConvergenceError when the iteration budget runs out,
+    and ValueError when g gives NaN inside the search. The tolerance and
+    the budget are the module's ABS_TOL, REL_TOL and MAX_ITER, read at each
+    call.
+
+    The loop is scipy's brentq.c step for step, so the root and the points
+    g is called at are those of scipy's brentq(g, lo, hi, xtol=ABS_TOL,
+    rtol=max(REL_TOL, 4 eps), maxiter=MAX_ITER), whose own bracket check
+    is the one above: g(lo) and g(hi) are computed once.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bracket endpoints must be finite")
@@ -137,9 +150,50 @@ def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
         raise BracketError(
             f"no sign change on [{lo!r}, {hi!r}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
     rtol = max(REL_TOL, 4.0 * np.finfo(float).eps)
-    root, info = optimize.brentq(
-        g, lo, hi, xtol=ABS_TOL, rtol=rtol, maxiter=MAX_ITER,
-        full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError("root search exhausted its iteration budget")
-    return float(root)
+    # xpre/xcur: the last two iterates; xblk: the point whose value has the
+    # sign opposite to fcur; spre/scur: the previous two steps
+    xpre, xcur, fpre, fcur = float(lo), float(hi), g_lo, g_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        # fpre and fcur are never NaN, so for nonzero values a sign test
+        # equals C's signbit comparison
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ABS_TOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or NaN here, and either one bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise ValueError(
+                f"the function value at x={xcur} is NaN; the root search cannot continue")
+    raise ConvergenceError("root search exhausted its iteration budget")

@@ -454,6 +454,21 @@ def test_sweep_tails_format_like_fmt(cells):
         f"{cli._fmt(p)},{regime},{cli._fmt(r)}" for p, regime, r in zip(p_db, regimes, rs)]
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
+    # the block's one array check raises linear_to_db's own error
+    rule = cli.controlled_power_det_array
+
+    def with_bad(*args):
+        pc = rule(*args)
+        return pc._replace(p_cont=np.where([False, True], bad, pc.p_cont))
+
+    monkeypatch.setattr(cli, "controlled_power_det_array", with_bad)
+    with pytest.raises(ValueError, match="^only positive values have a dB representation$"):
+        cli._det_sweep_cells(ScenarioParams(), np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
+                             np.array([0.1, 0.1]), False)
+
+
 def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
     # 100 ms leaves no room for the pilot. It is the sixth of six grid
     # points, alone in the second block of 5, so the first block has been

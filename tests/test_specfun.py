@@ -3,7 +3,8 @@
 The reference implementations at the top are deliberately naive: an
 ascending power series and a modified-Lentz continued fraction, written
 from the textbook recurrences with no shared code with the library path
-they check. Slow but honest.
+they check. Slow but honest. find_root is checked against
+scipy.optimize.brentq, which the package itself does not import.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,3 +194,83 @@ def test_find_root_reports_an_exhausted_budget(monkeypatch):
     monkeypatch.setattr(specfun, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="iteration budget"):
         find_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
+
+
+def _brentq(g, lo, hi):
+    """scipy's brentq with the tolerances and budget find_root uses."""
+    return scipy.optimize.brentq(
+        g, lo, hi, xtol=specfun.ABS_TOL,
+        rtol=max(specfun.REL_TOL, 4.0 * np.finfo(float).eps),
+        maxiter=specfun.MAX_ITER)
+
+
+def _logged(g):
+    """g plus the list of the points it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+    return wrapped, calls
+
+
+def _root_case(rng: np.random.Generator, kind: int):
+    """One bracketed function, with its root at a random point inside.
+
+    The kinds between them take every branch of Brent's step: smooth
+    functions that inverse interpolation nails, steep or kinked ones that
+    force extrapolation failures and bisection, a sign step that only
+    bisects, functions flat to 1e-6 and values so small (1e-300) that the
+    extrapolation's divisor underflows to zero. The last kind is a kink on
+    a bracket a few tolerances wide, where the tolerance term of the
+    short-step test decides between a step and a bisection.
+    """
+    lo = rng.uniform(-20.0, 5.0)
+    hi = lo + 10.0 ** (rng.uniform(-7.5, -6.3) if kind == 8 else rng.uniform(-7.5, 1.5))
+    c = lo + (hi - lo) * rng.uniform(0.001, 0.999)
+    s = 10.0 ** rng.uniform(-8.0, 8.0)
+    a = 10.0 ** rng.uniform(-2.0, 3.0)
+    k = int(rng.integers(1, 5)) * 2 - 1
+    g = [lambda x: s * (x - c) ** k,
+         lambda x: math.exp(x / 4.0) - math.exp(c / 4.0),
+         lambda x: math.tanh(a * (x - c)),
+         lambda x: 1e-6 * math.tanh(x - c),
+         lambda x: s if x > c else -s,
+         lambda x: math.atan(a * (x - c)) + 0.01 * (x - c) ** 3,
+         lambda x: math.copysign(math.log1p(abs(x - c)), x - c),
+         lambda x: 1e-300 * (x - c) ** 3,
+         lambda x: a * (x - c) if x > c else x - c][kind]
+    return g, lo, hi
+
+
+def test_find_root_is_bit_identical_to_brentq():
+    rng = np.random.default_rng(20161)
+    for i in range(6300):
+        g, lo, hi = _root_case(rng, i % 9)
+        mine, calls = _logged(g)
+        ref, ref_calls = _logged(g)
+        assert find_root(mine, lo, hi) == _brentq(ref, lo, hi), (i, lo, hi)
+        # the same points in the same order: the same steps were taken
+        assert calls == ref_calls, (i, lo, hi)
+
+
+def test_find_root_evaluates_each_bracket_end_once():
+    rng = np.random.default_rng(7)
+    for i in range(450):
+        g, lo, hi = _root_case(rng, i % 9)
+        mine, calls = _logged(g)
+        find_root(mine, lo, hi)
+        assert calls[:2] == [lo, hi]
+        assert lo not in calls[2:] and hi not in calls[2:]
+    # the whole search costs what brentq alone costs, bracket check included
+    mine, calls = _logged(lambda x: x ** 3 - 2.0)
+    find_root(mine, 0.0, 2.0)
+    ref, ref_calls = _logged(lambda x: x ** 3 - 2.0)
+    _brentq(ref, 0.0, 2.0)
+    assert calls == ref_calls
+    assert len(calls) == 9
+
+
+def test_find_root_rejects_nan_inside_the_search():
+    with pytest.raises(ValueError, match="NaN"):
+        find_root(lambda x: x - 1.0 if x in (0.0, 2.0) else math.nan, 0.0, 2.0)
