@@ -83,10 +83,11 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 _SWEEP_ROW_CAP = 1_000_000
-# grid points per array call of the m = inf sweep columns: one domain
-# check and one pass of row formatting per block, and each (points, 248)
-# mean-capacity temporary stays near 0.5 MB
-_SWEEP_BLOCK = 256
+# grid points per array call of the m = inf sweep columns: one power-rule
+# call, one domain check and one % format call per block. The mean-capacity
+# kernel bounds its own temporaries, so the block bounds only the per-point
+# arrays held at once (32 kB each)
+_SWEEP_BLOCK = 4096
 
 
 def _check_m(where: str, value: float, allow_inf: bool = False) -> float:
@@ -548,25 +549,32 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
     _write_csv(out_path, meta, header, [_csv_cells(row) + "\n" for row in rows])
 
 
-def _sweep_tails(p_db: list[float], regimes: list[str],
-                 rs: list[float] | None) -> list[str]:
-    """The "p_cont_dBm,regime(,rs)" text of each row, cells as _fmt gives them."""
-    if rs is None:
-        return [f"{p:.10g},{regime}" for p, regime in zip(p_db, regimes)]
-    return [f"{p:.10g},{regime},{r:.10g}" for p, regime, r in zip(p_db, regimes, rs)]
+def _format_rows(row_format: str, columns) -> list[str]:
+    """One text line per row: row_format, which ends in a newline, filled
+    with the row's entry of each column, every row in one % call. Under
+    %.10g a float prints as _fmt prints it; no cell may hold a line break."""
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return (row_format * len(columns[0]) % cells).splitlines(keepends=True)
 
 
-def _det_sweep_cells(params: ScenarioParams, tau, gamma, rho_out,
+_REGIME_CELLS = np.array([Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value],
+                         dtype=object)
+
+
+def _det_sweep_cells(params: ScenarioParams, keys, tau, gamma, rho_out,
                      include_rs: bool) -> list[str]:
-    """The text tails of m = inf rows at arrays of grid points."""
+    """The text of the m = inf rows at arrays of grid points; keys holds the
+    rows' tau, gamma and rho_out cells, one array each."""
     pc = controlled_power_det_array(params, tau, gamma, rho_out)
-    labels = (Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value)
-    rs = throughput_det_array(params, tau, pc).tolist() if include_rs else None
+    rs = [throughput_det_array(params, tau, pc).tolist()] if include_rs else []
     if not (pc.p_cont > 0.0).all():
         raise ValueError("only positive values have a dB representation")
     # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
     p_db = [10.0 * v for v in map(math.log10, pc.p_cont.tolist())]
-    return _sweep_tails(p_db, [labels[limited] for limited in pc.power_limited.tolist()], rs)
+    # tau, gamma, rho_out, m (inf), p_cont_dBm, regime (, rs)
+    row_format = "%s,%s,%s,inf,%.10g,%s" + ",%.10g" * include_rs + "\n"
+    regimes = _REGIME_CELLS[pc.power_limited.astype(np.intp)]
+    return _format_rows(row_format, [*keys, p_db, regimes, *rs])
 
 
 def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: float,
@@ -586,9 +594,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
 
     Rows run over tau, then gamma, rho_out and m. The m = inf columns are
     evaluated in array calls over blocks of _SWEEP_BLOCK (tau, gamma,
-    rho_out) points and formatted as text once per block; finite-m rows
-    call the fading routines row by row. Every row is held until the grid
-    is done, so a sweep that fails writes no CSV.
+    rho_out) points and formatted as text by one call per block; finite-m
+    rows call the fading routines row by row. Every row is held until the
+    grid is done, so a sweep that fails writes no CSV.
     """
     params = cfg.params()
     taus_ms = cfg.sweep_axis("tau_ms")
@@ -604,10 +612,10 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     if include_rs:
         header.append("rs")
     gammas = [db_to_linear(g_db) for g_db in gammas_db]
-    # key cells are formatted once per axis value and shared by the rows
-    tau_cells, gamma_cells, rho_cells, m_cells = (
-        [_fmt(v) for v in taus_ms], [_fmt(v) for v in gammas_db],
-        [_fmt(v) for v in rhos], [format(m, "g") for m in ms])
+    # key cells are formatted once per axis value and taken by the rows
+    key_cells = [np.array([_fmt(v) for v in values], dtype=object)
+                 for values in (taus_ms, gammas_db, rhos)]
+    m_cells = [format(m, "g") for m in ms]
     any_det = any(math.isinf(m) for m in ms)
     axes = (np.array(taus_ms) * 1e-3, np.array(gammas), np.array(rhos))
     shape = tuple(a.size for a in axes)
@@ -616,17 +624,17 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     for start in range(0, n_points, _SWEEP_BLOCK):
         block = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK, n_points)),
                                  shape)
-        points = list(zip(*(ix.tolist() for ix in block)))
-        keys = [f"{tau_cells[it]},{gamma_cells[ig]},{rho_cells[ir]}"
-                for it, ig, ir in points]
-        det = (_det_sweep_cells(params, *(axis[ix] for axis, ix in zip(axes, block)),
+        keys = [cells[ix] for cells, ix in zip(key_cells, block)]
+        det = (_det_sweep_cells(params, keys, *(axis[ix] for axis, ix in zip(axes, block)),
                                 include_rs) if any_det else None)
         columns = []
         for m, m_cell in zip(ms, m_cells):
-            tails = det if math.isinf(m) else [
-                _fading_sweep_tail(params, m, taus_ms[it] * 1e-3, gammas[ig], rhos[ir],
-                                   include_rs) for it, ig, ir in points]
-            columns.append([f"{key},{m_cell},{tail}\n" for key, tail in zip(keys, tails)])
+            columns.append(det if math.isinf(m) else [
+                f"{tau_cell},{gamma_cell},{rho_cell},{m_cell},"
+                + _fading_sweep_tail(params, m, taus_ms[it] * 1e-3, gammas[ig], rhos[ir],
+                                     include_rs) + "\n"
+                for tau_cell, gamma_cell, rho_cell, it, ig, ir in zip(
+                    *keys, *(ix.tolist() for ix in block))])
         # within a grid point the rows run over m
         rows.extend(itertools.chain.from_iterable(zip(*columns)))
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])

@@ -30,6 +30,7 @@ with large m approaching the deterministic channel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,11 @@ class GammaApprox:
 
 @dataclass(frozen=True)
 class NakagamiGain:
-    """Channel power-gain law under Nakagami-m fading: Gamma(m, mean/m)."""
+    """Channel power-gain law under Nakagami-m fading: Gamma(m, mean/m).
+
+    The scale mean / m must be a normal float: the density divides by it,
+    and 1 / scale overflows for a subnormal scale.
+    """
 
     m: float
     mean_gain: float
@@ -134,6 +139,8 @@ class NakagamiGain:
             raise ValueError("Nakagami parameter m must be at least 0.5")
         if not (self.mean_gain > 0.0 and math.isfinite(self.mean_gain)):
             raise ValueError("mean_gain must be finite and positive")
+        if not self.mean_gain / self.m >= sys.float_info.min:
+            raise ValueError("gain scale mean_gain / m is below the smallest normal float")
 
 
 @dataclass(frozen=True)

@@ -375,8 +375,12 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     p_lo = params.p_full
     for _ in range(80):
         p_lo /= 16.0
-        if outage_at(p_lo) <= params.rho_out:
+        outage = outage_at(p_lo)
+        if outage <= params.rho_out:
             break
+        if math.isnan(outage):
+            raise ValueError(f"the outage at p={p_lo!r} is NaN; the power rule "
+                             "cannot be bracketed")
     else:
         raise specfun.ConvergenceError("could not bracket the power rule from below")
 

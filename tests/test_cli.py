@@ -6,6 +6,7 @@ fig9b) optimize a curve per gamma and m and are left to the figure script.
 """
 
 import importlib.util
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -341,6 +342,22 @@ def test_sweep_surrogate_overflow_is_one_numeric_error_without_warning(tmp_path,
     assert not out.exists()
 
 
+def test_sweep_subnormal_fading_gain_scale_is_one_numeric_error_without_warning(
+        tmp_path, capsys):
+    # at -3000 dB the mean PR-ST gain gamma sigma2 / p_tx_pr is ~1e-310,
+    # subnormal: the gain law rejects it before its density overflows
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--out", str(out), "--set", "sweep.gamma_db=-3000",
+                   "--set", "sweep.tau_ms=1", "--set", "sweep.m=1"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numeric error: gain scale mean_gain / m is below the smallest normal float\n")
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m, message", [
     ("inf", "noncentrality must be finite and nonnegative"),
     ("1", "snr must be finite and nonnegative")])
@@ -443,15 +460,24 @@ _ODD_FLOATS = st.one_of(
     st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324]))
 
 
-@given(cells=st.lists(st.tuples(_ODD_FLOATS, st.sampled_from([r.value for r in Regime]),
-                                _ODD_FLOATS), min_size=1, max_size=20))
+@given(cells=st.lists(st.tuples(_ODD_FLOATS, _ODD_FLOATS,
+                                st.sampled_from([r.value for r in Regime]), _ODD_FLOATS),
+                      min_size=1, max_size=20))
 @settings(max_examples=200)
-def test_sweep_tails_format_like_fmt(cells):
-    p_db, regimes, rs = (list(col) for col in zip(*cells))
-    assert cli._sweep_tails(p_db, regimes, None) == [
-        f"{cli._fmt(p)},{regime}" for p, regime in zip(p_db, regimes)]
-    assert cli._sweep_tails(p_db, regimes, rs) == [
-        f"{cli._fmt(p)},{regime},{cli._fmt(r)}" for p, regime, r in zip(p_db, regimes, rs)]
+def test_sweep_rows_format_like_fmt(cells):
+    # the block formatter against _fmt, cell for cell; key cells come as
+    # object arrays of text, as the sweep takes them from its axes
+    keys, p_db, regimes, rs = (list(col) for col in zip(*cells))
+    key_cells = np.array([cli._fmt(k) for k in keys], dtype=object)
+    regime_cells = np.array(regimes, dtype=object)
+    assert cli._format_rows("%.10g,%s\n", [p_db, regime_cells]) == [
+        f"{cli._fmt(p)},{regime}\n" for p, regime in zip(p_db, regimes)]
+    assert cli._format_rows("%.10g,%s,%.10g\n", [p_db, regime_cells, rs]) == [
+        f"{cli._fmt(p)},{regime},{cli._fmt(r)}\n" for p, regime, r in zip(p_db, regimes, rs)]
+    assert cli._format_rows("%s,inf,%.10g,%s,%.10g\n",
+                            [key_cells, p_db, regime_cells, rs]) == [
+        ",".join(cli._fmt(c) for c in (k, "inf", p, regime, r)) + "\n"
+        for k, p, regime, r in zip(keys, p_db, regimes, rs)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -465,7 +491,8 @@ def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
 
     monkeypatch.setattr(cli, "controlled_power_det_array", with_bad)
     with pytest.raises(ValueError, match="^only positive values have a dB representation$"):
-        cli._det_sweep_cells(ScenarioParams(), np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
+        cli._det_sweep_cells(ScenarioParams(), [np.array(["1", "2"], dtype=object)] * 3,
+                             np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
                              np.array([0.1, 0.1]), False)
 
 
@@ -582,6 +609,88 @@ def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
     assert lines[1] == ("b.csv: header DIFFERS, rows 1/2, max rel drift 0, "
                         "text cells differing 0")
     assert script.main([str(old), str(old)]) == 0
+
+
+def _result_lines(wall, cpu, setup, rss, failed=0) -> str:
+    """Canned stdout of one perfbench run: a detail line, then the result."""
+    metrics = {"wall_s": (wall, "s"), "cpu_s": (cpu, "s"), "setup_s": (setup, "s"),
+               "peak_rss_mb": (rss, "MB")}
+    return "\n".join([json.dumps({"workload": "analytic", "ops": []}), json.dumps({
+        "correct": failed == 0, "attempted": 50, "failed": failed,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})]) + "\n"
+
+
+def _ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", REPO / "scripts" / "ab_bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_ab_bench_summarizes_canned_pairs_by_the_pair_rule(tmp_path, monkeypatch, capsys):
+    script = _ab_bench()
+    # wall_s: the change wins 9 of 10 pairs by ~0.04 s, against a parent
+    # quartile spread of ~0.005 s; cpu_s ties every pair, and the parent's
+    # runs spread over half their median, beyond the 25% bound; setup_s is
+    # 30% worse, beyond its 25% bound; peak_rss_mb is 1% worse, within its 5%
+    canned = {}
+    for k in range(1, 11):
+        wall = 0.19 + 0.001 * k
+        canned[("parent", k)] = _result_lines(wall, 0.1 * k, 0.5, 70.0, failed=int(k == 7))
+        canned[("change", k)] = _result_lines(0.2 if k == 3 else wall - 0.04, 0.1 * k, 0.65,
+                                              70.7)
+    order = []
+
+    def run_once(checkout, command, workload, seed, seconds):
+        assert (command, workload, seconds) == (["python3", "perfbench/run.py"],
+                                                "analytic", 10.0)
+        order.append((checkout.name, seed))
+        return script.parse_result(canned[(checkout.name, seed)])
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_bytes((REPO / "BENCHMARK.json").read_bytes())
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "analytic", "--pairs", "10", "--seconds", "10"]) == 0
+    # alternating order, one fresh seed per pair
+    assert order[:4] == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert sorted(order) == sorted((side, k) for side in ("parent", "change")
+                                   for k in range(1, 11))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "analytic: 10 pairs; failed operations: parent 1/500, change 0/500"
+    rows = {line.split()[0]: line for line in lines[2:]}
+    assert list(rows) == ["wall_s", "cpu_s", "setup_s", "peak_rss_mb"]
+    assert rows["wall_s"].split()[-3:] == ["9/10", "25%", "gain"]
+    assert rows["wall_s"].split()[2:10] == ["0.1955", "[0.1927,", "0.1983]",
+                                            "0.1565", "[0.1535,", "0.1593]", "-19.9%", "9/10"]
+    assert rows["cpu_s"].split()[-4:] == ["+0.0%", "0/10", "25%", "unresolved"]
+    assert rows["setup_s"].split()[-4:] == ["+30.0%", "0/10", "25%", "worse"]
+    assert rows["peak_rss_mb"].split()[-5:] == ["+1.0%", "0/10", "5%", "within", "bound"]
+
+
+def test_ab_bench_verdict_weighs_failures_and_spread():
+    script = _ab_bench()
+    metric = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+    def verdict(parent_walls, change_walls, change_failed=0):
+        pairs = [(script.parse_result(_result_lines(p, 1.0, 0.5, 70.0)),
+                  script.parse_result(_result_lines(c, 1.0, 0.5, 70.0, failed=change_failed)))
+                 for p, c in zip(parent_walls, change_walls)]
+        return script.summarize(metric, pairs)[0]["verdict"]
+
+    parent = [0.19 + 0.001 * k for k in range(10)]
+    faster = [w - 0.04 for w in parent]
+    assert verdict(parent, faster) == "gain"
+    # the same times, but the change fails an operation the parent does not
+    assert verdict(parent, faster, change_failed=1) == "within bound"
+    # the parent's runs spread over 25% of their median: too wide to tell a
+    # gain or a regression, unless every change run beats every parent run
+    wide = [1.0 + 0.1 * k for k in range(1, 11)]
+    assert verdict(wide, [w - 0.01 for w in wide]) == "unresolved"
+    assert verdict(wide, [w + 0.5 for w in wide]) == "unresolved"
+    assert verdict(wide, [0.5] * 10) == "gain"
+    assert verdict(wide, [1.05] * 10) == "within bound"
 
 
 def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):

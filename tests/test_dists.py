@@ -378,6 +378,18 @@ def test_nakagami_sampler_moments_and_ks():
     assert ks_distance(x, lambda v: nakagami_gain_cdf(gain, v)) <= 0.01
 
 
+def test_nakagami_rejects_a_subnormal_gain_scale():
+    # the scale mean_gain / m is what the density divides by: the smallest
+    # normal float is taken, anything below it is refused, whatever m is
+    tiny = np.finfo(float).tiny
+    assert NakagamiGain(m=1.0, mean_gain=tiny).mean_gain == tiny
+    assert NakagamiGain(m=0.5, mean_gain=tiny / 2.0).m == 0.5
+    for m, mean in [(1.0, tiny / 2.0), (2.0, 1.5 * tiny), (1.0, 1e-310), (4.0, 5e-324)]:
+        with pytest.raises(ValueError, match="^gain scale mean_gain / m is below the "
+                                             "smallest normal float$"):
+            NakagamiGain(m=m, mean_gain=mean)
+
+
 def test_nakagami_validation():
     with pytest.raises(ValueError):
         NakagamiGain(m=0.4, mean_gain=1.0)

@@ -20,6 +20,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from underlaysim import power_control
 from underlaysim.dists import NakagamiGain
 from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        Regime, ScenarioParams,
@@ -439,6 +440,23 @@ def test_controlled_power_fading_power_limited(defaults):
     res = controlled_power_fading(params, pr_st, 1e-3)
     assert res.regime is Regime.POWER_LIMITED
     assert res.p_cont == params.p_full
+
+
+def test_controlled_power_fading_stops_at_a_nan_outage(defaults, monkeypatch):
+    # a NaN outage is no verdict on the constraint: the downward bracket
+    # search raises at once, as find_root does, instead of taking 80 steps
+    powers = []
+
+    def outage(params, pr_st, splits, n_eff, p):
+        powers.append(p)
+        return 1.0 if p == params.p_full else math.nan
+
+    monkeypatch.setattr(power_control, "_outage_fading_n", outage)
+    pr_st = default_fading(defaults, 1.0).pr_st
+    with pytest.raises(ValueError, match=r"^the outage at p=0\.0625 is NaN; the power "
+                                         r"rule cannot be bracketed$"):
+        controlled_power_fading(defaults, pr_st, 1e-3)
+    assert powers == [1.0, 1.0 / 16.0]
 
 
 def test_perf_bound_fading_monotone_in_m(defaults):

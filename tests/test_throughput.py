@@ -293,6 +293,49 @@ def test_mean_capacity_batch_with_repeated_laws_equals_one_law_calls(laws, picks
         assert batch[k] == _mean_capacity_grid(a_s[k], a_i[k], lam[k])
 
 
+def test_mean_capacity_passes_equal_one_law_calls(monkeypatch):
+    # passes of 3 laws split a (4, 5) batch unevenly, with a_s broadcast
+    # from one value; every mean is bit-identical to the law taken alone
+    rng = np.random.default_rng(14)
+    a_s = 3.0
+    a_i = 10.0 ** rng.uniform(-0.3, 5.0, (4, 5))
+    lam = 10.0 ** rng.uniform(-6.0, 6.0, (4, 5))
+    monkeypatch.setattr(throughput, "_LAW_CHUNK", 3)
+    batch = _mean_capacity_grid(a_s, a_i, lam)
+    assert batch.shape == (4, 5)
+    for k in np.ndindex(batch.shape):
+        assert batch[k] == _mean_capacity_grid(a_s, a_i[k], lam[k])
+
+
+@given(points=st.lists(_DET_POINT, min_size=1, max_size=4))
+@settings(deadline=None, max_examples=20)
+def test_det_rate_array_evaluates_each_distinct_law_once(defaults, points):
+    # the grid of the test above: the rates equal those of every point's
+    # own law, bit for bit, and the kernel sees each distinct (n, p) once
+    grid = []
+    for samples, half, g_db, rho in points:
+        tau = (samples + 0.5 * half) * 1e-6
+        grid += [(tau, g_db, rho), (tau, g_db, rho), (tau, -30.0, 0.5), (tau, -30.0, 0.6)]
+    tau, g_db, rho = (np.array(v) for v in zip(*grid))
+    pc = controlled_power_det_array(defaults, tau, 10.0 ** (g_db / 10.0), rho)
+    every_point = prefactor(defaults, tau) * mean_capacity(throughput._capacity_law(
+        defaults, pc.n, defaults.g_st_sr, defaults.g_pt_sr, pc.p_cont))
+    seen = []
+    kernel = throughput._mean_capacity_grid
+
+    def counted(a_s, a_i, lam):
+        seen.append(np.size(lam))
+        return kernel(a_s, a_i, lam)
+
+    throughput._mean_capacity_grid = counted
+    try:
+        rates = throughput_det_array(defaults, tau, pc)
+    finally:
+        throughput._mean_capacity_grid = kernel
+    assert np.array_equal(rates, every_point)
+    assert seen == [len(set(zip(pc.n.tolist(), pc.p_cont.tolist())))]
+
+
 def test_throughput_det_below_ideal(defaults):
     ideal = throughput_ideal_det(defaults)
     for tau in [1e-4, 1e-3, 1e-2]:
