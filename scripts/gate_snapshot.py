@@ -8,7 +8,12 @@ OUT_DIR receives, flat:
   stdout on the built-in default config, and with --seed 7 --trials 20000;
 - one <fig_id>.csv per figure id, at --trials 2000;
 - power_table.csv and rate_table.csv: the two benchmark sweep tables, from
-  the specs in perfbench/workloads.py, unshuffled (seed None).
+  the specs in perfbench/workloads.py, unshuffled (seed None);
+- fading_sweep.csv: a small sweep with rates over m = 0.5, 1 and inf, the
+  finite-m rows' path.
+
+The commands run on the checkout's own src/, ahead of any installed copy
+of the package.
 
 Take one snapshot per commit; then `diff -r OLD_DIR NEW_DIR` checks the
 bytes and `python scripts/csv_drift.py OLD_DIR NEW_DIR` reports the largest
@@ -21,12 +26,17 @@ import io
 import sys
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
 from underlaysim import cli
 
-REPO = Path(__file__).resolve().parent.parent
 VALIDATE_RUNS = {"validate": [],
                  "validate_seed7_trials20000": ["--seed", "7", "--trials", "20000"]}
 FIGURE_TRIALS = "2000"
+# 24 grid points, power- and interference-limited, each at m = 0.5, 1, inf
+FADING_SWEEP = {"tau_ms": "logspace 0.1 10 4", "gamma_db": "-20, -5, 10",
+                "rho_out": "0.05, 0.1", "m": "0.5, 1, inf", "include_rs": "true"}
 
 
 def _sweep_tables():
@@ -48,6 +58,9 @@ def _runs(out_dir: Path):
                        "--trials", FIGURE_TRIALS], None
     for name, spec in _sweep_tables().items():
         yield name, spec.argv(str(REPO), str(out_dir / f"{name}.csv"), None), None
+    yield "fading_sweep", ["sweep", "--out", str(out_dir / "fading_sweep.csv"),
+                           *(f"--set=sweep.{key}={value}"
+                             for key, value in FADING_SWEEP.items())], None
 
 
 def main(argv=None) -> int:

@@ -6,12 +6,15 @@ run unchanged, so --config, --set, --seed, --trials and --jobs work as
 they do there. Expect the full set to take a while: the tradeoff figures
 re-optimize the sensing time per scenario and the overlay figures run
 Monte Carlo per marker. Passing --trials with a smaller count is the
-quickest way to a fast draft.
+quickest way to a fast draft. The figures come from the checkout's own
+src/, ahead of any installed copy of the package.
 """
 
 import argparse
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from underlaysim.cli import FIGURE_IDS, main as cli_main
 

@@ -28,9 +28,9 @@ from .power_control import (FadingLinks, Regime, ScenarioParams,
                             perf_bound_asymptote, perf_bound_det,
                             perf_bound_fading, samples_for)
 from .throughput import (Model, capacity_law_det, mean_capacity,
-                         optimize_tradeoff, throughput_det,
-                         throughput_det_array, throughput_fading,
-                         throughput_ideal_det, throughput_no_pc_det)
+                         optimize_tradeoff, throughput_det_array,
+                         throughput_fading_at, throughput_ideal_det,
+                         throughput_no_pc_det)
 
 __all__ = [
     "ConfigError",
@@ -336,17 +336,25 @@ def _power(params: ScenarioParams, links: FadingLinks | None, tau: float):
     return controlled_power_fading(params, links.pr_st, tau)
 
 
-def _rate(params: ScenarioParams, links: FadingLinks | None, tau: float) -> float:
+def _rate(params: ScenarioParams, links: FadingLinks | None,
+          tau: float) -> tuple[float, float]:
+    """Throughput at tau and the controlled power it is taken at, from one
+    solve of the power rule."""
     if links is None:
-        return throughput_det(params, tau)
-    return throughput_fading(params, links, tau)
+        pc = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
+        return float(throughput_det_array(params, tau, pc)), float(pc.p_cont)
+    pc = controlled_power_fading(params, links.pr_st, tau)
+    return throughput_fading_at(params, links, tau, pc), pc.p_cont
 
 
 def _simulate(params: ScenarioParams, links: FadingLinks | None, tau: float,
-              trials: int, seed: int, jobs: int):
+              trials: int, seed: int, jobs: int, power: float):
+    """Monte Carlo at tau, transmitting at power, already solved by _rate."""
     if links is None:
-        return montecarlo.run_trials_det(params, tau, trials, seed, jobs=jobs)
-    return montecarlo.run_trials_fading(params, links, tau, trials, seed, jobs=jobs)
+        return montecarlo.run_trials_det(params, tau, trials, seed,
+                                         fixed_power=power, jobs=jobs)
+    return montecarlo.run_trials_fading(params, links, tau, trials, seed,
+                                        fixed_power=power, jobs=jobs)
 
 
 def _bound(params: ScenarioParams, m: float, tau: float) -> float:
@@ -465,9 +473,11 @@ def _rate_table(cfg: ScenarioConfig, ms):
     for i, tau in enumerate(_FIG68_TAUS):
         row = [tau * 1e3]
         for k, lk in enumerate(links):
-            row += [_rate(params, lk, float(tau)), ideal[k]]
+            r_s, p_cont = _rate(params, lk, float(tau))
+            row += [r_s, ideal[k]]
             if i % _MARKER_STRIDE == 0:
-                mc = _simulate(params, lk, float(tau), trials, seed + 100 * k + i, jobs)
+                mc = _simulate(params, lk, float(tau), trials, seed + 100 * k + i, jobs,
+                               p_cont)
                 row.append(mc.mean_throughput)
             else:
                 row.append("")
@@ -579,13 +589,13 @@ def _det_sweep_cells(params: ScenarioParams, keys, tau, gamma, rho_out,
 
 def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: float,
                        rho_out: float, include_rs: bool) -> str:
-    """The text tail of one finite-m row."""
+    """The text tail of one finite-m row; the rate reuses the row's power."""
     p2 = replace(params, gamma=gamma, rho_out=rho_out)
-    links = _links(p2, m)
-    pc = _power(p2, links, tau)
+    links = default_fading(p2, m)
+    pc = controlled_power_fading(p2, links.pr_st, tau)
     cells = [linear_to_db(pc.p_cont), pc.regime.value]
     if include_rs:
-        cells.append(_rate(p2, links, tau))
+        cells.append(throughput_fading_at(p2, links, tau, pc))
     return _csv_cells(cells)
 
 
@@ -746,33 +756,28 @@ def _validate_checks(cfg: ScenarioConfig):
            f"tau_opt {curve.tau_opt * 1e3:.3f} ms, gap {gap:.4f}",
            "interior peak, gap in [0, 0.15]")
 
-    # 10: fading power ordering in m, capped by the deterministic channel
-    p_prev = 0.0
-    ok = True
-    values = []
-    for m in (0.5, 1.0, 2.0, 5.0):
-        links = default_fading(params, m)
-        p_m = controlled_power_fading(params, links.pr_st, tau_ref).p_cont
-        values.append(p_m)
-        ok = ok and p_m > p_prev
-        p_prev = p_m
-    ok = ok and p_prev < pc.p_cont
+    # 10: fading power ordering in m, capped by the deterministic channel;
+    # checks 11 and 12 reuse the m = 1 rule
+    solved = {m: controlled_power_fading(params, default_fading(params, m).pr_st, tau_ref)
+              for m in (0.5, 1.0, 2.0, 5.0)}
+    values = [res.p_cont for res in solved.values()]
+    ok = all(p1 < p2 for p1, p2 in zip([0.0] + values, values + [pc.p_cont]))
     yield ("fading power monotone in m", ok,
            ", ".join(f"{linear_to_db(v):.2f}" for v in values) + " dBm",
            "increasing, below det")
 
     # 11: fading outage against simulation
     links = default_fading(params, 1.0)
-    pcf = controlled_power_fading(params, links.pr_st, tau_ref)
-    mcf = montecarlo.run_trials_fading(params, links, tau_ref, mc_small,
-                                       seed + 1, jobs=jobs)
+    pcf = solved[1.0]
+    mcf = montecarlo.run_trials_fading(params, links, tau_ref, mc_small, seed + 1,
+                                       fixed_power=pcf.p_cont, jobs=jobs)
     gap = abs(mcf.outage_rate - params.rho_out)
     ok = gap <= 4.0 * mcf.outage_se and pcf.regime is not None
     yield ("outage self-consistency (fading)", ok, f"mc gap {gap:.2e}",
            f"<= 4 se ({4.0 * mcf.outage_se:.2e})")
 
     # 12: fading throughput against simulation
-    r_analytic = throughput_fading(params, links, tau_ref)
+    r_analytic = throughput_fading_at(params, links, tau_ref, pcf)
     gap = abs(mcf.mean_throughput - r_analytic)
     ok = gap <= 4.0 * mcf.throughput_se
     yield ("throughput vs simulation (fading)", ok, f"gap {gap:.2e}",

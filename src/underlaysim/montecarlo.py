@@ -145,8 +145,9 @@ def run_trials_det(params: ScenarioParams, tau: float, n_trials: int, seed: int,
                    fixed_power: float | None = None, jobs: int = 1) -> McSummary:
     """Simulate n_trials frames with deterministic link gains.
 
-    fixed_power bypasses the power rule (the transmitter just uses that
-    power); otherwise the outage-constrained rule supplies it.
+    fixed_power, an already-solved or fixed power, bypasses the power rule
+    (the transmitter just uses that power, and the summary's regime is
+    None); otherwise the outage-constrained rule supplies it.
     """
     return _run_trials(params, None, tau, n_trials, seed, fixed_power, jobs)
 
@@ -154,7 +155,11 @@ def run_trials_det(params: ScenarioParams, tau: float, n_trials: int, seed: int,
 def run_trials_fading(params: ScenarioParams, links: FadingLinks, tau: float,
                       n_trials: int, seed: int, fixed_power: float | None = None,
                       jobs: int = 1) -> McSummary:
-    """Simulate n_trials frames with Nakagami link gains, fresh per frame."""
+    """Simulate n_trials frames with Nakagami link gains, fresh per frame.
+
+    fixed_power, an already-solved or fixed power, bypasses the fading
+    power rule, as in run_trials_det.
+    """
     return _run_trials(params, links, tau, n_trials, seed, fixed_power, jobs)
 
 

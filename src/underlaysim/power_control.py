@@ -294,24 +294,36 @@ def perf_bound_asymptote(params: ScenarioParams) -> float:
 # mean / m). The estimate's conditional outage is a smoothed step in x at
 # x* = (thr - sigma2) / p_tx_pr, where the estimate's mean meets thr, of
 # width s, the estimate's spread there in gain units. The gain range is split
-# at the law's own quantiles and at x* + k s, k = -64 ... 64, clipped into
-# the range, so the panels follow the density and the step however narrow it
-# is; each panel gets an 8-node Gauss-Legendre rule, in ln x below the median,
-# where the density rises like x^(m - 1), and in x above it. The mass outside
-# the outer quantiles (2e-12) is dropped. Against a scipy quad oracle on
-# m 0.5-50, n 10-9e4, gamma -15/0 dB and p 1e-6-1 mW the rule stays within
-# max(specfun.ABS_TOL, specfun.REL_TOL * value) (tests/test_power_control.py).
+# at the law's own quantiles and at the 31 cuts x* + k s, k = 0, +-1 ... +-8,
+# +-10, +-12, +-16, +-24, +-32, +-48, +-64, clipped into the range, so the
+# panels follow the density and the step however narrow it is; each panel
+# gets an 8-node Gauss-Legendre rule, in ln x below the median, where the
+# density rises like x^(m - 1), and in x above it. The mass outside the outer
+# quantiles (2e-12) is dropped. The lowest split is held at the smallest
+# normal float, so ln x stays finite however small the mean gain; the mass
+# below a split so raised (37% of it at m = 0.5 and a mean gain of 1e-307)
+# is kept, at the conditional outage of that split. Against a scipy quad
+# oracle on m 0.5-50, n 10-9e4, gamma -15/0 dB and p 1e-6-1 mW the rule
+# stays within max(specfun.ABS_TOL, specfun.REL_TOL * value), and against
+# the 129 uniform cuts k = -64 ... 64 it replaced within 3.9e-14 relative on
+# m 0.5-200, n 10-9e4, gamma -20-10 dB and p 1e-6-1 mW, wherever the outage
+# exceeds 1e-20 (tests/test_power_control.py).
 _GAIN_LEVELS = np.array([1e-12, 1e-8, 1e-5, 1e-3, 0.02, 0.2, 0.5, 0.8, 0.98,
                          1.0 - 1e-3, 1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-12])
 _GAIN_MEDIAN = 6  # index of the 0.5 split
-_STEP_OFFSETS = np.arange(-64.0, 65.0)
+_SMALLEST_SPLIT = np.finfo(float).tiny
+_STEP_HALF = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 16.0,
+                       24.0, 32.0, 48.0, 64.0])
+_STEP_OFFSETS = np.concatenate([-_STEP_HALF[::-1], [0.0], _STEP_HALF])
 _OUTAGE_ORDER = 8
 
 
 def _gain_splits(pr_st: NakagamiGain) -> np.ndarray:
     """The _GAIN_LEVELS quantiles of the gain law, computed once per law and
-    passed to every outage evaluation on it."""
-    return dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS)
+    passed to every outage evaluation on it. A split that underflows (the
+    1e-12 quantile at m = 0.5 and a mean gain near 1e-300) is raised to the
+    smallest normal float, whose logarithm the panels can take."""
+    return np.maximum(dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS), _SMALLEST_SPLIT)
 
 
 def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.ndarray,
@@ -334,11 +346,17 @@ def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.nda
     scale = pr_st.mean_gain / pr_st.m
     y = x / scale
     density = np.exp(special.xlogy(pr_st.m - 1.0, y) - y - special.gammaln(pr_st.m)) / scale
+    mass = w * density
+    if splits[0] == _SMALLEST_SPLIT:
+        # the gains below the raised split act as no gain at all: their
+        # mass, far above 1e-12 once the split is raised, sits on one node
+        x = np.append(x, _SMALLEST_SPLIT)
+        mass = np.append(mass, special.gammainc(pr_st.m, _SMALLEST_SPLIT / scale))
     # a receive SNR that overflows fails the law's own finiteness check
     with np.errstate(over="ignore"):
         snr = x * params.p_tx_pr / params.sigma2
     approx = dists.gamma_match(dists.received_power_law(snr, n_eff, params.sigma2))
-    return float(np.sum(w * density * specfun.reg_upper_gamma(approx.shape, thr / approx.scale)))
+    return float(np.sum(mass * specfun.reg_upper_gamma(approx.shape, thr / approx.scale)))
 
 
 def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
@@ -360,34 +378,38 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     """Largest admissible transmit power under PR-ST fading.
 
     No closed form here: the outage is monotone in the power, so the rule
-    is a bracketed root in log power, capped at p_full.
+    is a bracketed root in log power, capped at p_full. The outage is
+    evaluated once per power: each is taken at exp(log p), the power the
+    root search sees, and kept, so the regime check at p_full and the last
+    bracketing step serve as the search's two bracket values.
     """
     _check_tau(params, tau)
     n = samples_for(tau, params.f_s)
     tau_eff = n / params.f_s
     splits = _gain_splits(pr_st)
+    residuals: dict[float, float] = {}
 
-    def outage_at(p: float) -> float:
-        return _outage_fading_n(params, pr_st, splits, float(n), p)
+    def residual(log_p: float) -> float:
+        if log_p not in residuals:
+            residuals[log_p] = (_outage_fading_n(params, pr_st, splits, float(n),
+                                                 math.exp(log_p)) - params.rho_out)
+        return residuals[log_p]
 
-    if outage_at(params.p_full) <= params.rho_out:
+    log_full = math.log(params.p_full)
+    if residual(log_full) <= 0.0:
         return PowerControlResult(params.p_full, Regime.POWER_LIMITED, tau_eff)
     p_lo = params.p_full
     for _ in range(80):
         p_lo /= 16.0
-        outage = outage_at(p_lo)
-        if outage <= params.rho_out:
+        excess = residual(math.log(p_lo))
+        if excess <= 0.0:
             break
-        if math.isnan(outage):
+        if math.isnan(excess):
             raise ValueError(f"the outage at p={p_lo!r} is NaN; the power rule "
                              "cannot be bracketed")
     else:
         raise specfun.ConvergenceError("could not bracket the power rule from below")
-
-    def residual(log_p: float) -> float:
-        return outage_at(math.exp(log_p)) - params.rho_out
-
-    log_root = specfun.find_root(residual, math.log(p_lo), math.log(params.p_full))
+    log_root = specfun.find_root(residual, math.log(p_lo), log_full)
     return PowerControlResult(math.exp(log_root), Regime.INTERFERENCE_LIMITED, tau_eff)
 
 

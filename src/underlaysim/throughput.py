@@ -33,9 +33,10 @@ from scipy import special
 
 from . import dists, specfun
 from .dists import CapacityDist
-from .power_control import (DetPowerArrays, FadingLinks, ScenarioParams,
-                            _check_tau, _gain_splits, _outage_det_n,
-                            _outage_fading_n, controlled_power_det_array,
+from .power_control import (DetPowerArrays, FadingLinks, PowerControlResult,
+                            ScenarioParams, _check_tau, _gain_splits,
+                            _outage_det_n, _outage_fading_n,
+                            controlled_power_det_array,
                             controlled_power_fading, samples_for)
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "throughput_det",
     "throughput_ideal_det",
     "throughput_no_pc_det",
+    "throughput_fading_at",
     "throughput_fading",
     "throughput_ideal_fading",
     "throughput_no_pc_fading",
@@ -340,10 +342,18 @@ def _mean_capacity_fading(params: ScenarioParams, links: FadingLinks,
     return float(weight[keep] @ _mean_capacity_grid(a_s[keep], a_i[keep], lam[keep]))
 
 
+def throughput_fading_at(params: ScenarioParams, links: FadingLinks, tau: float,
+                         power: PowerControlResult) -> float:
+    """Secondary throughput at sensing time tau under Nakagami fading, at
+    the outcome of controlled_power_fading for (links.pr_st, tau), so a
+    caller that already holds the solved power does not solve it again."""
+    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau, power.p_cont)
+
+
 def throughput_fading(params: ScenarioParams, links: FadingLinks, tau: float) -> float:
     """Secondary throughput at sensing time tau under Nakagami fading."""
-    pc = controlled_power_fading(params, links.pr_st, tau)
-    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau, pc.p_cont)
+    return throughput_fading_at(params, links, tau,
+                                controlled_power_fading(params, links.pr_st, tau))
 
 
 def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float:
@@ -421,8 +431,9 @@ def optimize_tradeoff(params: ScenarioParams, model: Model,
                       links: FadingLinks | None = None) -> TradeoffCurve:
     """Trace the rate-versus-tau curve and locate its optimum.
 
-    ESTIMATION scans default_tau_grid and refines the best cell by
-    golden-section search until the bracket is narrower than _TAU_TOL.
+    ESTIMATION scans default_tau_grid (deterministic channels in one array
+    call) and refines the best cell by golden-section search until the
+    bracket is narrower than _TAU_TOL.
     IDEAL is flat, so the curve just records the constant;
     NO_POWER_CONTROL has no free tau and collapses to its single forced
     point.
@@ -443,7 +454,13 @@ def optimize_tradeoff(params: ScenarioParams, model: Model,
         return throughput_fading(params, links, tau)
 
     grid = default_tau_grid(params)
-    values = np.array([rate(t) for t in grid])
+    if links is None:
+        # one array call: each point equals throughput_det there, bit for bit
+        values = throughput_det_array(
+            params, grid, controlled_power_det_array(params, grid, params.gamma,
+                                                     params.rho_out))
+    else:
+        values = np.array([rate(t) for t in grid])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

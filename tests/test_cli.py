@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim import __version__, cli, dists, specfun
+from underlaysim import (__version__, cli, dists, montecarlo, power_control,
+                         specfun, throughput)
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
@@ -358,6 +359,33 @@ def test_sweep_subnormal_fading_gain_scale_is_one_numeric_error_without_warning(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma_db", ["-2900", "-2970"])
+def test_sweep_m_half_at_a_tiny_normal_gain_scale_is_power_limited_without_warning(
+        tmp_path, gamma_db):
+    # at m = 0.5 the 1e-12 gain quantile underflows from ~-2840 dB on; the
+    # rule still runs and the ceiling binds
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--out", str(out), "--set", f"sweep.gamma_db={gamma_db}",
+                   "--set", "sweep.tau_ms=1", "--set", "sweep.m=0.5"])
+    assert rc == 0
+    assert _read_csv(out)[2] == [["1", gamma_db, "0.1", "0.5", "0", "power-limited"]]
+
+
+def test_sweep_m_half_at_a_subnormal_gain_scale_is_one_numeric_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--out", str(out), "--set", "sweep.gamma_db=-3000",
+                   "--set", "sweep.tau_ms=1", "--set", "sweep.m=0.5"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numeric error: gain scale mean_gain / m is below the smallest normal float\n")
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m, message", [
     ("inf", "noncentrality must be finite and nonnegative"),
     ("1", "snr must be finite and nonnegative")])
@@ -440,9 +468,9 @@ def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch)
                 p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
                 det = controlled_power_det(p2, tau)
                 links = default_fading(p2, 1.0)
-                fading = cli._power(p2, links, tau)
+                fading = controlled_power_fading(p2, links.pr_st, tau)
                 rows = [("inf", det, throughput_det(p2, tau)),
-                        ("1", fading, cli._rate(p2, links, tau))]
+                        ("1", fading, throughput_fading(p2, links, tau))]
                 for m, pc, rs in rows:
                     regimes.add((m, pc.regime))
                     key = [float(tau_ms), float(g_db), float(rho), m]
@@ -517,7 +545,36 @@ def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def _logged_fading_rules(monkeypatch) -> list:
+    """(m, tau) of every fading power rule solved, through every binding."""
+    rule = power_control.controlled_power_fading
+    solved = []
+
+    def logged(params, pr_st, tau):
+        solved.append((pr_st.m, tau))
+        return rule(params, pr_st, tau)
+
+    for module in (power_control, throughput, montecarlo, cli):
+        monkeypatch.setattr(module, "controlled_power_fading", logged)
+    return solved
+
+
+def test_sweep_solves_each_fading_row_once(tmp_path, monkeypatch):
+    solved = _logged_fading_rules(monkeypatch)
+    assert main(["sweep", "--out", str(tmp_path / "x.csv"), "--set", "sweep.m=1, inf",
+                 "--set", "sweep.tau_ms=0.5, 2", "--set", "sweep.include_rs=true"]) == 0
+    assert solved == [(1.0, 0.5e-3), (1.0, 2e-3)]
+
+
 # ---------------------------------------------------------------- validate
+
+def test_validate_solves_each_fading_rule_once(monkeypatch, capsys):
+    # checks 11 and 12 and the fading Monte Carlo reuse check 10's m = 1 rule
+    solved = _logged_fading_rules(monkeypatch)
+    main(["validate", "--trials", "2000"])
+    assert solved == [(m, 1e-3) for m in (0.5, 1.0, 2.0, 5.0)]
+    assert "check 12" in capsys.readouterr().out
+
 
 def test_validate_passes_on_defaults(tmp_path, capsys):
     # 20000 trials is the regime the KS and 4-sigma windows are calibrated
@@ -708,8 +765,10 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
                         "--trials", "2000"] for fig_id in FIGURE_IDS]
     sweeps = [a for a in calls if a[0] == "sweep"]
     assert [a[a.index("--out") + 1] for a in sweeps] == [
-        str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv")]
-    assert len(calls) == len(FIGURE_IDS) + 4
+        str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv"),
+        str(tmp_path / "fading_sweep.csv")]
+    assert {"--set=sweep.m=0.5, 1, inf", "--set=sweep.include_rs=true"} <= set(sweeps[2])
+    assert len(calls) == len(FIGURE_IDS) + 5
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "validate.txt", "validate_seed7_trials20000.txt"]
 

@@ -383,6 +383,69 @@ def test_outage_fading_matches_oracle_grid(defaults, m, n, gamma_db, p):
     assert abs(got - want) <= max(ABS_TOL, REL_TOL * want)
 
 
+def test_step_cuts_match_the_129_uniform_cuts(defaults, monkeypatch):
+    # the 31 step cuts against the 129 uniform ones k = -64 ... 64 they
+    # replaced, on the same splits and nodes; below an outage of 1e-20 the
+    # coarser far panels may lose relative digits, on values far below ABS_TOL
+    cases = [(replace(defaults, gamma=db_to_linear(float(gamma_db))), m, n, float(p))
+             for m in (0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 200.0)
+             for n in (10, 100, 1000, 5000, 20_000, 90_000)
+             for gamma_db in np.linspace(-20.0, 10.0, 5)
+             for p in np.geomspace(1e-6, 1.0, 13)]
+
+    def outages():
+        out = []
+        for params, m, n, p in cases:
+            pr_st = default_fading(params, m).pr_st
+            out.append(power_control._outage_fading_n(
+                params, pr_st, power_control._gain_splits(pr_st), float(n), p))
+        return np.array(out)
+
+    assert power_control._STEP_OFFSETS.size == 31
+    got = outages()
+    monkeypatch.setattr(power_control, "_STEP_OFFSETS", np.arange(-64.0, 65.0))
+    want = outages()
+    assert (np.abs(got - want) <= 1e-12 * want + 1e-30).all()
+
+
+def test_controlled_power_fading_evaluates_each_power_once(defaults, monkeypatch):
+    # the regime check at p_full and the last bracketing step are the root
+    # search's bracket values, not evaluated again
+    outage_fading_n = power_control._outage_fading_n
+    powers = []
+
+    def logged(params, pr_st, splits, n_eff, p):
+        powers.append(p)
+        return outage_fading_n(params, pr_st, splits, n_eff, p)
+
+    monkeypatch.setattr(power_control, "_outage_fading_n", logged)
+    for params, m, tau in [(defaults, 0.5, 1e-3), (defaults, 1.0, 1e-3),
+                           (defaults, 5.0, 1e-4), (replace(defaults, rho_out=1e-5), 1.0, 1e-3),
+                           (replace(defaults, p_full=0.1), 2.0, 1e-2),
+                           (replace(defaults, gamma=db_to_linear(-20.0)), 1.0, 1e-3)]:
+        powers.clear()
+        res = controlled_power_fading(params, default_fading(params, m).pr_st, tau)
+        assert len(set(powers)) == len(powers) >= 1
+        # every evaluation is at a power inside [p_lo, p_full]
+        assert max(powers) == pytest.approx(params.p_full, rel=1e-15)
+        if res.regime is Regime.INTERFERENCE_LIMITED:
+            assert min(powers) < res.p_cont < max(powers)
+
+
+@pytest.mark.parametrize("gamma_db", [-2900.0, -2970.0])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_fading_outage_keeps_the_gain_mass_below_the_smallest_normal_split(
+        defaults, gamma_db, n):
+    # at m = 0.5 and a mean gain of 1e-300 or 1e-307 the 1e-12 gain quantile
+    # underflows; every gain is then far too weak to move the estimate, so
+    # the outage is the noise-only one, with no warning on the way
+    params = replace(defaults, gamma=db_to_linear(gamma_db))
+    got = outage_fading(params, default_fading(params, 0.5).pr_st, n / params.f_s,
+                        params.p_full)
+    want = outage_det(replace(params, gamma=1e-300), n / params.f_s, params.p_full)
+    assert got == pytest.approx(want, rel=REL_TOL)
+
+
 def test_controlled_power_fading_small_budget_matches_oracle_root(defaults):
     params = replace(defaults, rho_out=1e-5)
     pr_st = default_fading(params, 1.0).pr_st

@@ -383,6 +383,17 @@ def test_tradeoff_unimodal_with_interior_peak(defaults):
     assert curve.model is Model.ESTIMATION
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"rho_out": 0.01}, {"gamma": db_to_linear(-20.0)}, {"p_full": 0.1},
+    {"gamma": db_to_linear(10.0), "g_pt_sr": 1e-9}])
+def test_det_tradeoff_grid_equals_the_scalar_rate_bit_for_bit(defaults, overrides):
+    # the grid is one array call; each point must be throughput_det there
+    params = replace(defaults, **overrides)
+    curve = optimize_tradeoff(params, Model.ESTIMATION)
+    assert [v for _, v in curve.points] == [throughput_det(params, t)
+                                            for t, _ in curve.points]
+
+
 def test_tradeoff_tighter_budget_senses_longer(defaults):
     loose = optimize_tradeoff(defaults, Model.ESTIMATION)
     tight = optimize_tradeoff(replace(defaults, rho_out=0.01), Model.ESTIMATION)
