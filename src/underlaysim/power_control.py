@@ -327,9 +327,14 @@ def _gain_splits(pr_st: NakagamiGain) -> np.ndarray:
 
 
 def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.ndarray,
-                     n_eff: float, p: float) -> float:
-    """Fading outage over n_eff samples at power p; splits are
-    _gain_splits(pr_st)."""
+                     n_eff: float, p: float) -> tuple[float, float]:
+    """Fading outage over n_eff samples at power p, and its slope
+    d outage / d ln p; splits are _gain_splits(pr_st).
+
+    The slope is taken on the same nodes with the panels held fixed: the
+    threshold moves as d thr / d ln p = -(thr - sigma2), and Q(a, t) falls
+    at the rate of the gamma density of shape a at t.
+    """
     thr = _interference_threshold(params, p)
     x_star = (thr - params.sigma2) / params.p_tx_pr
     spread = params.sigma2 * math.sqrt(
@@ -356,7 +361,11 @@ def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.nda
     with np.errstate(over="ignore"):
         snr = x * params.p_tx_pr / params.sigma2
     approx = dists.gamma_match(dists.received_power_law(snr, n_eff, params.sigma2))
-    return float(np.sum(mass * specfun.reg_upper_gamma(approx.shape, thr / approx.scale)))
+    t = thr / approx.scale
+    outage = float(np.sum(mass * specfun.reg_upper_gamma(approx.shape, t)))
+    step_density = np.exp(special.xlogy(approx.shape - 1.0, t) - t
+                          - special.gammaln(approx.shape)) / approx.scale
+    return outage, float(np.sum(mass * step_density)) * (thr - params.sigma2)
 
 
 def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
@@ -370,7 +379,18 @@ def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
     n = samples_for(tau, params.f_s)
-    return _outage_fading_n(params, pr_st, _gain_splits(pr_st), float(n), p)
+    return _outage_fading_n(params, pr_st, _gain_splits(pr_st), float(n), p)[0]
+
+
+def _perfect_knowledge_power(params: ScenarioParams, gain: float) -> float:
+    """The power rule with the PR-ST gain known: min(theta_i / gain, p_full).
+    A gain that underflows to 0 gives p_full."""
+    return min(params.theta_i / gain, params.p_full) if gain > 0.0 else params.p_full
+
+
+# a step down from the lowest power known to exceed the budget, while no
+# power below the root is known: the factor 16 of a plain bracket search
+_LOG_STEP_DOWN = math.log(16.0)
 
 
 def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
@@ -378,39 +398,66 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     """Largest admissible transmit power under PR-ST fading.
 
     No closed form here: the outage is monotone in the power, so the rule
-    is a bracketed root in log power, capped at p_full. The outage is
-    evaluated once per power: each is taken at exp(log p), the power the
-    root search sees, and kept, so the regime check at p_full and the last
-    bracketing step serve as the search's two bracket values.
+    is its root in log power, capped at p_full. After the regime check at
+    p_full, a safeguarded Newton iteration in ln p starts from the
+    perfect-knowledge power at the gain law's upper rho_out-quantile, on
+    the slope each outage evaluation returns (_outage_fading_n). It keeps a
+    sign bracket around the root. A step that leaves the bracket bisects
+    it instead, or, while no power below the root is known, steps down by
+    a factor of 16 from the lowest power above it; so does a step that
+    would go further down than that. It stops, as specfun.find_root does,
+    on a step below (ABS_TOL + REL_TOL |ln p|) / 2, so the root meets the
+    package's one accuracy target, max(ABS_TOL, REL_TOL |ln p|) in ln p
+    (specfun). Each power is evaluated once; a NaN outage raises
+    ValueError at once, and a search still open after MAX_ITER steps
+    raises specfun.ConvergenceError.
     """
     _check_tau(params, tau)
     n = samples_for(tau, params.f_s)
     tau_eff = n / params.f_s
     splits = _gain_splits(pr_st)
-    residuals: dict[float, float] = {}
 
-    def residual(log_p: float) -> float:
-        if log_p not in residuals:
-            residuals[log_p] = (_outage_fading_n(params, pr_st, splits, float(n),
-                                                 math.exp(log_p)) - params.rho_out)
-        return residuals[log_p]
+    def residual(log_p: float) -> tuple[float, float]:
+        p = math.exp(log_p)
+        outage, slope = _outage_fading_n(params, pr_st, splits, float(n), p)
+        if math.isnan(outage):
+            raise ValueError(f"the outage at p={p!r} is NaN; the power rule "
+                             "cannot be solved")
+        return outage - params.rho_out, slope
 
-    log_full = math.log(params.p_full)
-    if residual(log_full) <= 0.0:
+    log_hi = math.log(params.p_full)
+    excess, slope = residual(log_hi)
+    if excess <= 0.0:
         return PowerControlResult(params.p_full, Regime.POWER_LIMITED, tau_eff)
-    p_lo = params.p_full
-    for _ in range(80):
-        p_lo /= 16.0
-        excess = residual(math.log(p_lo))
-        if excess <= 0.0:
+    log_lo = -math.inf  # no power below the root known yet
+    # at most log_hi, which keeps its excess and slope when it is log_hi
+    log_p = math.log(_perfect_knowledge_power(
+        params, dists.nakagami_gain_quantile(pr_st, 1.0 - params.rho_out)))
+    if log_p < log_hi:
+        excess, slope = residual(log_p)
+    for _ in range(specfun.MAX_ITER):
+        if excess > 0.0:
+            log_hi = log_p
+        elif excess < 0.0:
+            log_lo = log_p
+        else:
             break
-        if math.isnan(excess):
-            raise ValueError(f"the outage at p={p_lo!r} is NaN; the power rule "
-                             "cannot be bracketed")
+        delta = (specfun.ABS_TOL + specfun.REL_TOL * abs(log_p)) / 2
+        # log_p is an end of the bracket, and a Newton step on a positive
+        # slope points inside it; one below delta is taken as it stands,
+        # since it may round back onto that end
+        step = -excess / slope if slope > 0.0 else math.nan
+        if not abs(step) < delta:
+            floor = log_lo if log_lo > -math.inf else log_hi - _LOG_STEP_DOWN
+            if not floor < log_p + step < log_hi:
+                step = (0.5 * (log_lo + log_hi) if log_lo > -math.inf else floor) - log_p
+        log_p += step
+        if abs(step) < delta:
+            break
+        excess, slope = residual(log_p)
     else:
-        raise specfun.ConvergenceError("could not bracket the power rule from below")
-    log_root = specfun.find_root(residual, math.log(p_lo), log_full)
-    return PowerControlResult(math.exp(log_root), Regime.INTERFERENCE_LIMITED, tau_eff)
+        raise specfun.ConvergenceError("the power rule did not converge")
+    return PowerControlResult(math.exp(log_p), Regime.INTERFERENCE_LIMITED, tau_eff)
 
 
 def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float) -> float:
@@ -425,7 +472,7 @@ def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float) -
 
     def residual(gamma: float) -> float:
         law = NakagamiGain(pr_st.m, gamma * params.sigma2 / params.p_tx_pr)
-        return (_outage_fading_n(params, law, _gain_splits(law), float(n), params.p_full)
+        return (_outage_fading_n(params, law, _gain_splits(law), float(n), params.p_full)[0]
                 - params.rho_out)
 
     return specfun.find_root(residual, *_BOUND_BRACKET)

@@ -22,7 +22,10 @@ find_root is Brent's method (R. P. Brent, Algorithms for Minimization
 Without Derivatives, 1973, ch. 4), transcribed operation for operation from
 scipy's brentq.c, so its roots are bit-identical to scipy's brentq with the
 same tolerances. It starts from the two bracket values it has already
-checked, so no endpoint is evaluated twice.
+checked, so no endpoint is evaluated twice. It is the package's one general
+root routine. The fading power rule alone has the outage's slope at hand,
+and runs a safeguarded Newton iteration on find_root's stop test instead
+(power_control.controlled_power_fading).
 """
 
 from __future__ import annotations

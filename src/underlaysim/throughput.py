@@ -36,6 +36,7 @@ from .dists import CapacityDist
 from .power_control import (DetPowerArrays, FadingLinks, PowerControlResult,
                             ScenarioParams, _check_tau, _gain_splits,
                             _outage_det_n, _outage_fading_n,
+                            _perfect_knowledge_power,
                             controlled_power_det_array,
                             controlled_power_fading, samples_for)
 
@@ -225,7 +226,7 @@ def _ideal_power(params: ScenarioParams, links: FadingLinks | None) -> float:
         gain = params.gamma * params.sigma2 / params.p_tx_pr
     else:
         gain = dists.nakagami_gain_quantile(links.pr_st, 1.0 - params.rho_out)
-    return min(params.theta_i / gain, params.p_full)
+    return _perfect_knowledge_power(params, gain)
 
 
 def throughput_ideal_det(params: ScenarioParams) -> float:
@@ -378,7 +379,7 @@ def throughput_no_pc_fading(params: ScenarioParams,
 
     def residual(log_n: float) -> float:
         return (_outage_fading_n(params, links.pr_st, splits, math.exp(log_n),
-                                 params.p_full) - params.rho_out)
+                                 params.p_full)[0] - params.rho_out)
 
     n_forced = _no_pc_window(params, residual)
     if math.isnan(n_forced):

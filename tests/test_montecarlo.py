@@ -6,11 +6,16 @@ fixed seeds give fixed outputs, worker partitioning never changes a
 result, and the summaries are faithful to the raw trials.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from underlaysim import cli, montecarlo
 from underlaysim.montecarlo import (BLOCK, _block_sizes, ks_distance,
                                     run_trials_det, run_trials_fading)
 from underlaysim.power_control import (Regime, controlled_power_det,
@@ -100,7 +105,12 @@ def test_random_streams_are_pinned(defaults):
     assert det.mean_capacity == 2.474082118573879
     fading = run_trials_fading(defaults, default_fading(defaults, 1.0), 1e-3, 5000, SEED)
     assert fading.outage_rate == 0.1024
-    assert fading.mean_capacity == 1.5307886894483265
+    assert fading.mean_capacity == 1.530788690614351
+    # the stream itself, at a power fixed apart from the power rule
+    fixed = run_trials_fading(defaults, default_fading(defaults, 1.0), 1e-3, 5000, SEED,
+                              fixed_power=0.04336161078437545)
+    assert fixed.outage_rate == 0.1024
+    assert fixed.mean_capacity == 1.5307886894483265
 
 
 def test_fading_partitioning_matches_single_process(defaults):
@@ -124,3 +134,75 @@ def test_ks_distance_hand_value():
     assert ks_distance(samples, lambda x: x) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
         ks_distance(np.array([]), lambda x: x)
+
+
+def _ks_full(sorted_samples, cdf):
+    """The KS distance from the CDF at every sample: the oracle."""
+    n = sorted_samples.size
+    f = np.asarray(cdf(sorted_samples), dtype=float)
+    steps_hi = np.arange(1, n + 1) / n
+    steps_lo = np.arange(0, n) / n
+    return float(max(np.max(steps_hi - f), np.max(f - steps_lo)))
+
+
+_CDFS = {
+    "normal": scipy.special.ndtr,
+    "steep": lambda x: scipy.special.ndtr((x - 0.3) / 1e-3),
+    "flat": lambda x: scipy.special.ndtr(x / 1e3),
+    "constant": lambda x: np.full(np.shape(x), 0.4),
+    "step": lambda x: (x >= 0.0).astype(float),
+}
+
+
+@given(values=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.3, 2.0]),
+                                 st.floats(-5.0, 5.0)), min_size=1, max_size=50),
+       cdf=st.sampled_from(sorted(_CDFS)))
+@settings(deadline=None, max_examples=200)
+def test_ks_distance_equals_the_full_formula_on_small_samples(values, cdf):
+    x = np.sort(np.array(values))
+    assert ks_distance(x, _CDFS[cdf]) == _ks_full(x, _CDFS[cdf])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20_000),
+       decimals=st.sampled_from([None, 1, 3]), cdf=st.sampled_from(sorted(_CDFS)))
+@settings(deadline=None, max_examples=100)
+def test_ks_distance_equals_the_full_formula_on_large_samples(seed, n, decimals, cdf):
+    # rounding the draws makes ties
+    x = np.random.default_rng(seed).normal(size=n)
+    x = np.sort(x if decimals is None else np.round(x, decimals))
+    assert ks_distance(x, _CDFS[cdf]) == _ks_full(x, _CDFS[cdf])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cdf", sorted(_CDFS))
+def test_ks_distance_equals_the_full_formula_on_one_to_three_samples(n, cdf):
+    for values in itertools.product([-1.0, 0.0, 0.3, 2.0], repeat=n):
+        x = np.sort(np.array(values))
+        assert ks_distance(x, _CDFS[cdf]) == _ks_full(x, _CDFS[cdf])
+
+
+def test_ks_distance_is_nan_at_a_nan_cdf_value():
+    x = np.linspace(0.0, 1.0, 1001)
+    for bad in (x[0], x[-1], x[500]):
+        assert math.isnan(ks_distance(x, lambda v: np.where(v == bad, math.nan, v)))
+
+
+def test_ks_distance_on_the_validate_draws_sees_a_tenth_of_the_cdf(monkeypatch):
+    # check 8 of validate: 20 000 capacity draws against the capacity law
+    points, sizes = [], []
+
+    def counting_ks(sorted_samples, cdf):
+        def counted(x):
+            points.append(np.size(x))
+            return cdf(x)
+
+        got = ks_distance(sorted_samples, counted)
+        assert got == _ks_full(sorted_samples, cdf)
+        sizes.append(sorted_samples.size)
+        return got
+
+    monkeypatch.setattr(montecarlo, "ks_distance", counting_ks)
+    name, ok, _, _ = next(itertools.islice(cli._validate_checks(cli.default_config()), 7, None))
+    assert name == "capacity law KS vs exact draws" and ok
+    assert sizes == [20_000]
+    assert sum(points) <= 2_000

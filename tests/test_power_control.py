@@ -20,7 +20,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from underlaysim import power_control
+from underlaysim import power_control, specfun
 from underlaysim.dists import NakagamiGain
 from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        Regime, ScenarioParams,
@@ -409,8 +409,8 @@ def test_step_cuts_match_the_129_uniform_cuts(defaults, monkeypatch):
 
 
 def test_controlled_power_fading_evaluates_each_power_once(defaults, monkeypatch):
-    # the regime check at p_full and the last bracketing step are the root
-    # search's bracket values, not evaluated again
+    # the regime check at p_full comes first; the search then starts at the
+    # perfect-knowledge power and never returns to a power it has seen
     outage_fading_n = power_control._outage_fading_n
     powers = []
 
@@ -424,12 +424,170 @@ def test_controlled_power_fading_evaluates_each_power_once(defaults, monkeypatch
                            (replace(defaults, p_full=0.1), 2.0, 1e-2),
                            (replace(defaults, gamma=db_to_linear(-20.0)), 1.0, 1e-3)]:
         powers.clear()
-        res = controlled_power_fading(params, default_fading(params, m).pr_st, tau)
+        pr_st = default_fading(params, m).pr_st
+        res = controlled_power_fading(params, pr_st, tau)
         assert len(set(powers)) == len(powers) >= 1
-        # every evaluation is at a power inside [p_lo, p_full]
-        assert max(powers) == pytest.approx(params.p_full, rel=1e-15)
+        assert powers[0] == pytest.approx(params.p_full, rel=1e-15)
+        assert max(powers) == powers[0]
         if res.regime is Regime.INTERFERENCE_LIMITED:
-            assert min(powers) < res.p_cont < max(powers)
+            ideal = params.theta_i / scipy.stats.gamma.isf(
+                params.rho_out, m, scale=pr_st.mean_gain / m)
+            assert powers[1] == pytest.approx(min(ideal, params.p_full), rel=1e-12)
+            assert min(powers) * (1.0 - 1e-7) < res.p_cont < max(powers)
+        else:
+            assert powers == [params.p_full]
+
+
+def test_controlled_power_fading_stops_at_a_nan_outage(defaults, monkeypatch):
+    # a NaN outage is no verdict on the constraint: the search raises at
+    # once, naming the power, whether the NaN comes at p_full or below it
+    pr_st = default_fading(defaults, 1.0).pr_st
+    for nan_at_full in (False, True):
+        powers = []
+
+        def outage(params, pr_st, splits, n_eff, p):
+            powers.append(p)
+            if p == params.p_full and not nan_at_full:
+                return 1.0, 0.0
+            return math.nan, math.nan
+
+        monkeypatch.setattr(power_control, "_outage_fading_n", outage)
+        with pytest.raises(ValueError) as info:
+            controlled_power_fading(defaults, pr_st, 1e-3)
+        assert str(info.value) == (f"the outage at p={powers[-1]!r} is NaN; the power "
+                                   "rule cannot be solved")
+        if nan_at_full:
+            assert powers == [1.0]
+        else:
+            # the second power is the perfect-knowledge one, 0.0434 mW
+            assert len(powers) == 2 and powers[0] == 1.0
+            assert powers[1] == pytest.approx(defaults.theta_i / scipy.stats.expon.isf(
+                defaults.rho_out, scale=pr_st.mean_gain), rel=1e-12)
+
+
+def test_controlled_power_fading_reports_an_exhausted_budget(defaults, monkeypatch):
+    # an outage that never meets the budget: the search steps down by
+    # factors of 16 until its iteration budget runs out
+    powers = []
+
+    def outage(params, pr_st, splits, n_eff, p):
+        powers.append(p)
+        return 1.0, 0.0
+
+    monkeypatch.setattr(power_control, "_outage_fading_n", outage)
+    with pytest.raises(specfun.ConvergenceError, match="did not converge"):
+        controlled_power_fading(defaults, default_fading(defaults, 1.0).pr_st, 1e-3)
+    assert len(powers) == specfun.MAX_ITER + 2
+    assert all(p2 == pytest.approx(p1 / 16.0, rel=1e-12)
+               for p1, p2 in zip(powers[1:], powers[2:]))
+
+
+def _tight_fading_root(params, pr_st, tau):
+    """ln p at which the package's own fading outage meets rho_out, by
+    scipy's brentq at 1e-15 tolerances."""
+    n = float(samples_for(tau, params.f_s))
+    splits = power_control._gain_splits(pr_st)
+
+    def residual(log_p):
+        return (power_control._outage_fading_n(params, pr_st, splits, n, math.exp(log_p))[0]
+                - params.rho_out)
+
+    lo = math.log(params.p_full)
+    while residual(lo) > 0.0:
+        lo -= math.log(16.0)
+    return scipy.optimize.brentq(residual, lo, math.log(params.p_full),
+                                 xtol=1e-15, rtol=1e-15, maxiter=500)
+
+
+@given(gamma_db=st.floats(-20.0, 10.0), m=st.floats(0.5, 50.0),
+       tau=st.floats(1e-5, 5e-2), rho=st.floats(1e-3, 0.3))
+@settings(deadline=None, max_examples=60)
+def test_controlled_power_fading_meets_a_tight_brentq_root(defaults, gamma_db, m, tau, rho):
+    params = replace(defaults, gamma=db_to_linear(gamma_db), rho_out=rho)
+    pr_st = default_fading(params, m).pr_st
+    res = controlled_power_fading(params, pr_st, tau)
+    if res.regime is Regime.POWER_LIMITED:
+        assert res.p_cont == params.p_full
+        assert outage_fading(params, pr_st, tau, params.p_full) <= rho
+        return
+    want = _tight_fading_root(params, pr_st, tau)
+    assert abs(math.log(res.p_cont) - want) <= max(ABS_TOL, REL_TOL * abs(want))
+
+
+@given(gamma_db=st.floats(-20.0, 10.0), m=st.floats(0.5, 50.0),
+       tau=st.floats(1e-5, 5e-2), rho=st.floats(1e-3, 0.3),
+       m_factor=st.floats(1.05, 10.0), rho_factor=st.floats(1.01, 3.0))
+@settings(deadline=None, max_examples=60)
+def test_controlled_power_fading_monotone_in_budget_and_m(defaults, gamma_db, m, tau, rho,
+                                                          m_factor, rho_factor):
+    # a looser budget never costs power; milder fading never does either,
+    # for budgets rho_out <= 0.15 (from about 0.19 on, the gain law's upper
+    # rho_out-quantile itself is not monotone in m); each comparison allows
+    # the two roots' accuracy targets
+    params = replace(defaults, gamma=db_to_linear(gamma_db), rho_out=rho)
+
+    def log_power(params, m):
+        return math.log(controlled_power_fading(
+            params, default_fading(params, m).pr_st, tau).p_cont)
+
+    base = log_power(params, m)
+    slack = 2.0 * max(ABS_TOL, REL_TOL * abs(base))
+    assert base <= log_power(replace(params, rho_out=rho * rho_factor), m) + slack
+    if rho <= 0.15:
+        assert base <= log_power(params, min(m * m_factor, 50.0)) + slack
+
+
+def test_validate_fading_rules_take_few_outage_evaluations(defaults, monkeypatch):
+    # validate's four rules at 1 ms; the bracket search of /16 steps and
+    # Brent's method took 53 evaluations
+    outage_fading_n = power_control._outage_fading_n
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return outage_fading_n(*args)
+
+    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
+    for m in (0.5, 1.0, 2.0, 5.0):
+        res = controlled_power_fading(defaults, default_fading(defaults, m).pr_st, 1e-3)
+        assert res.regime is Regime.INTERFERENCE_LIMITED
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("gamma_db, m, tau", [(0.0, 5.0, 1e-4), (10.0, 0.5, 1e-5)])
+def test_controlled_power_fading_ends_on_a_newton_step_below_the_tolerance(
+        defaults, monkeypatch, gamma_db, m, tau):
+    # at rho_out = 0.3 the last Newton step here rounds back onto the
+    # bracket end it starts from; taken as it stands it ends the search,
+    # where a bracket test would restart it from a bisection (31-33 calls)
+    outage_fading_n = power_control._outage_fading_n
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return outage_fading_n(*args)
+
+    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
+    params = replace(defaults, gamma=db_to_linear(gamma_db), rho_out=0.3)
+    res = controlled_power_fading(params, default_fading(params, m).pr_st, tau)
+    assert res.regime is Regime.INTERFERENCE_LIMITED
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("gamma_db", [-2900.0, -2970.0])
+def test_controlled_power_fading_at_a_tiny_mean_gain(defaults, gamma_db):
+    # at m = 0.5 and a mean gain of 1e-300 or 1e-307 every gain is far too
+    # weak to move the estimate: the rule is the noise-only one, power-limited
+    # at 1000 samples and interference-limited at 10
+    params = replace(defaults, gamma=db_to_linear(gamma_db))
+    pr_st = default_fading(params, 0.5).pr_st
+    assert controlled_power_fading(params, pr_st, 1e-3).regime is Regime.POWER_LIMITED
+    res = controlled_power_fading(params, pr_st, 1e-5)
+    assert res.regime is Regime.INTERFERENCE_LIMITED
+    noise_only = controlled_power_det(replace(params, gamma=1e-300), 1e-5).p_cont
+    assert res.p_cont == pytest.approx(noise_only, rel=1e-7)
+    # a gain quantile that underflows to 0 starts the search at p_full
+    assert power_control._perfect_knowledge_power(params, 0.0) == params.p_full
 
 
 @pytest.mark.parametrize("gamma_db", [-2900.0, -2970.0])
@@ -503,23 +661,6 @@ def test_controlled_power_fading_power_limited(defaults):
     res = controlled_power_fading(params, pr_st, 1e-3)
     assert res.regime is Regime.POWER_LIMITED
     assert res.p_cont == params.p_full
-
-
-def test_controlled_power_fading_stops_at_a_nan_outage(defaults, monkeypatch):
-    # a NaN outage is no verdict on the constraint: the downward bracket
-    # search raises at once, as find_root does, instead of taking 80 steps
-    powers = []
-
-    def outage(params, pr_st, splits, n_eff, p):
-        powers.append(p)
-        return 1.0 if p == params.p_full else math.nan
-
-    monkeypatch.setattr(power_control, "_outage_fading_n", outage)
-    pr_st = default_fading(defaults, 1.0).pr_st
-    with pytest.raises(ValueError, match=r"^the outage at p=0\.0625 is NaN; the power "
-                                         r"rule cannot be bracketed$"):
-        controlled_power_fading(defaults, pr_st, 1e-3)
-    assert powers == [1.0, 1.0 / 16.0]
 
 
 def test_perf_bound_fading_monotone_in_m(defaults):
