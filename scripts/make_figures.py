@@ -2,8 +2,8 @@
 
 Runs the CLI figure command once per figure id. Every argument this
 script does not own (--out-dir, --only) goes to each `underlaysim figure`
-run unchanged, so --config, --set, --seed, --trials and --jobs work as
-they do there. Expect the full set to take a while: the tradeoff figures
+run unchanged, so --config, --set, --seed, --trials and --jobs (only 1,
+kept for existing command lines) work as they do there. Expect the full set to take a while: the tradeoff figures
 re-optimize the sensing time per scenario and the overlay figures run
 Monte Carlo per marker. Passing --trials with a smaller count is the
 quickest way to a fast draft. The figures come from the checkout's own

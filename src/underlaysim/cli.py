@@ -178,12 +178,6 @@ class ScenarioConfig:
             raise ConfigError("mc.seed must be nonnegative")
         return n
 
-    def jobs(self) -> int:
-        n = self._int("mc", "jobs")
-        if n < 1:
-            raise ConfigError("mc.jobs must be at least 1")
-        return n
-
     def sweep_axis(self, key: str) -> list[float]:
         raw = self.get("sweep", key).strip()
         parts = raw.split()
@@ -229,7 +223,8 @@ class ScenarioConfig:
         self.m_values()
         self.trials()
         self.seed()
-        self.jobs()
+        if self._int("mc", "jobs") != 1:
+            raise ConfigError("mc.jobs must be 1: Monte Carlo runs in one process")
         for key in ("tau_ms", "gamma_db", "rho_out", "m"):
             self.sweep_axis(key)
         self.include_rs()
@@ -348,13 +343,11 @@ def _rate(params: ScenarioParams, links: FadingLinks | None,
 
 
 def _simulate(params: ScenarioParams, links: FadingLinks | None, tau: float,
-              trials: int, seed: int, jobs: int, power: float):
+              trials: int, seed: int, power: float):
     """Monte Carlo at tau, transmitting at power, already solved by _rate."""
     if links is None:
-        return montecarlo.run_trials_det(params, tau, trials, seed,
-                                         fixed_power=power, jobs=jobs)
-    return montecarlo.run_trials_fading(params, links, tau, trials, seed,
-                                        fixed_power=power, jobs=jobs)
+        return montecarlo.run_trials_det(params, tau, trials, seed, power)
+    return montecarlo.run_trials_fading(params, links, tau, trials, seed, power)
 
 
 def _bound(params: ScenarioParams, m: float, tau: float) -> float:
@@ -399,14 +392,13 @@ def _fig4(cfg: ScenarioConfig, panel: str):
     traces = list(_fig4_traces(cfg, panel))
     header = ["c_bits"]
     cols, sims = [], []
-    trials, seed, jobs = cfg.trials(), cfg.seed(), cfg.jobs()
+    trials, seed = cfg.trials(), cfg.seed()
     for k, (label, p2, tau) in enumerate(traces):
         dist = capacity_law_det(p2, tau, _FIG4_POWER)
         cols.append(dists.capacity_cdf(dist, grid))
         header.append(f"cdf_{label}")
-        mc = montecarlo.run_trials_det(p2, tau, trials, seed + k,
-                                       fixed_power=_FIG4_POWER, jobs=jobs)
-        sims.append(_empirical_cdf(mc.c_hat_sorted, grid))
+        mc = montecarlo.run_trials_det(p2, tau, trials, seed + k, _FIG4_POWER)
+        sims.append(_empirical_cdf(np.sort(mc.c_hat), grid))
     header.extend(f"sim_{label}" for label, _, _ in traces)
     rows = []
     for i, c in enumerate(grid):
@@ -462,7 +454,7 @@ def _rate_table(cfg: ScenarioConfig, ms):
     """Throughput over tau, its perfect-knowledge bound and a simulated
     overlay, three columns per m."""
     params = cfg.params()
-    trials, seed, jobs = cfg.trials(), cfg.seed(), cfg.jobs()
+    trials, seed = cfg.trials(), cfg.seed()
     links = [_links(params, m) for m in ms]
     # the ideal model is flat in tau, so its optimum is its rate
     ideal = [optimize_tradeoff(params, Model.IDEAL, links=lk).r_s_opt for lk in links]
@@ -476,8 +468,7 @@ def _rate_table(cfg: ScenarioConfig, ms):
             r_s, p_cont = _rate(params, lk, float(tau))
             row += [r_s, ideal[k]]
             if i % _MARKER_STRIDE == 0:
-                mc = _simulate(params, lk, float(tau), trials, seed + 100 * k + i, jobs,
-                               p_cont)
+                mc = _simulate(params, lk, float(tau), trials, seed + 100 * k + i, p_cont)
                 row.append(mc.mean_throughput)
             else:
                 row.append("")
@@ -662,7 +653,7 @@ def _validate_checks(cfg: ScenarioConfig):
     params = cfg.params()
     trials = min(cfg.trials(), 100_000)
     mc_small = min(trials, 20_000)
-    seed, jobs = cfg.seed(), cfg.jobs()
+    seed = cfg.seed()
     tau_ref = 1e-3
 
     # 1: the gamma surrogate must preserve both matched moments exactly
@@ -702,7 +693,7 @@ def _validate_checks(cfg: ScenarioConfig):
            "-10.40 +- 0.1 dB, limit -10 dB")
 
     # 5: the closed-form power rule against simulated outage
-    mc = montecarlo.run_trials_det(params, tau_ref, trials, seed, jobs=jobs)
+    mc = montecarlo.run_trials_det(params, tau_ref, trials, seed, pc.p_cont)
     resid = abs(outage_det(params, tau_ref, pc.p_cont) - params.rho_out)
     gap = abs(mc.outage_rate - params.rho_out)
     ok = resid <= 1e-9 and gap <= 4.0 * mc.outage_se
@@ -770,7 +761,7 @@ def _validate_checks(cfg: ScenarioConfig):
     links = default_fading(params, 1.0)
     pcf = solved[1.0]
     mcf = montecarlo.run_trials_fading(params, links, tau_ref, mc_small, seed + 1,
-                                       fixed_power=pcf.p_cont, jobs=jobs)
+                                       pcf.p_cont)
     gap = abs(mcf.outage_rate - params.rho_out)
     ok = gap <= 4.0 * mcf.outage_se and pcf.regime is not None
     yield ("outage self-consistency (fading)", ok, f"mc gap {gap:.2e}",
@@ -791,7 +782,7 @@ def _validate_checks(cfg: ScenarioConfig):
     else:
         resid = abs(outage_det(p_probe, tau_f, p_probe.p_full) - p_probe.rho_out)
         mc_npc = montecarlo.run_trials_det(p_probe, tau_f, mc_small, seed + 2,
-                                           fixed_power=p_probe.p_full, jobs=jobs)
+                                           p_probe.p_full)
         gap = abs(mc_npc.outage_rate - p_probe.rho_out)
         ok = resid <= 1e-3 and gap <= 4.0 * mc_npc.outage_se
         yield ("no-control calibration", ok,
@@ -843,7 +834,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override one setting; repeatable")
     sub.add_argument("--seed", type=int, help="override mc.seed")
     sub.add_argument("--trials", type=int, help="override mc.trials")
-    sub.add_argument("--jobs", type=int, help="override mc.jobs")
+    sub.add_argument("--jobs", type=int,
+                     help="override mc.jobs; only 1 is accepted (Monte Carlo runs "
+                          "in one process), kept for existing command lines")
 
 
 def main(argv=None) -> int:

@@ -3,33 +3,31 @@
 Every trial replays one frame end to end through the exact laws, with no
 gamma surrogates anywhere: the receive-power, pilot-gain, and interference
 estimates are each drawn from their own scaled noncentral chi-square law
-by numpy's exact generator (dists.sample_ncx2), the power rule is applied,
-and the trial records what the primary would have experienced. Summaries
-then carry everything the analytic side predicts: outage rate, mean
-estimated capacity, throughput, and sorted samples for distribution-level
-comparisons.
+by numpy's exact generator (dists.sample_ncx2), the secondary transmits at
+the power the caller gives (solved by a power rule or fixed), and the
+trial records what the primary would have experienced. Summaries carry
+what the analytic side predicts: outage rate, mean estimated capacity,
+throughput, and the estimated capacities in trial order for
+distribution-level comparisons.
 
 Reproducibility discipline: trials are grouped in fixed blocks of 4096 and
 block j draws from Generator(Philox(SeedSequence(seed, spawn_key=(j,)))).
 Within a block the draw order is fixed (fading gains first where present,
 then receive-power, pilot, interference). Results are merged in block order
-with compensated summation, so splitting the blocks across workers, or any
-other partition, reproduces a single-process run bit for bit.
+with compensated summation, so blocks computed in any order reproduce a
+run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dists import (interference_power_law, pilot_gain_law, received_power_law,
                     sample_nakagami, sample_ncx2)
-from .power_control import (FadingLinks, Regime, ScenarioParams,
-                            controlled_power_det, controlled_power_fading,
-                            samples_for)
+from .power_control import FadingLinks, ScenarioParams, samples_for
 from .throughput import prefactor
 
 __all__ = [
@@ -45,21 +43,17 @@ BLOCK = 4096
 
 @dataclass(frozen=True)
 class McSummary:
-    """Aggregates of a run plus sorted samples for CDF-level checks."""
+    """Aggregates of a run plus its estimated capacities, in trial order."""
 
     n_trials: int
-    seed: int
     tau: float
-    p_used: float
-    regime: Regime | None
     outage_rate: float
     outage_se: float
     mean_capacity: float
     capacity_se: float
     mean_throughput: float
     throughput_se: float
-    p_hat_sorted: np.ndarray
-    c_hat_sorted: np.ndarray
+    c_hat: np.ndarray
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -72,10 +66,10 @@ def _block_sizes(n_trials: int) -> list[int]:
     return [BLOCK] * full + ([rem] if rem else [])
 
 
-def _block(args):
-    """One block's receive-power estimates, estimated capacities and
-    interference at the PR. links None stands for fixed link gains."""
-    params, links, tau, p_used, seed, block, size = args
+def _block(params: ScenarioParams, links: FadingLinks | None, tau: float,
+           power: float, seed: int, block: int, size: int):
+    """One block's estimated capacities and interference at the PR. links
+    None stands for fixed link gains."""
     rng = _rng_for_block(seed, block)
     n = samples_for(tau, params.f_s)
     if links is None:
@@ -90,77 +84,51 @@ def _block(args):
                         rng, size)
     i_hat = sample_ncx2(interference_power_law(x_pt, params.p_tx_pt, n, params.sigma2),
                         rng, size)
-    c_hat = np.log2(1.0 + g_hat * p_used / i_hat)
-    interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * p_used
-    return p_hat, c_hat, interference
+    c_hat = np.log2(1.0 + g_hat * power / i_hat)
+    interference = np.maximum(p_hat - params.sigma2, 0.0) / params.p_tx_pr * power
+    return c_hat, interference
 
 
-def _summarize(params: ScenarioParams, tau: float, p_used: float,
-               regime: Regime | None, seed: int, blocks) -> McSummary:
-    p_hat = np.concatenate([b[0] for b in blocks])
-    c_hat = np.concatenate([b[1] for b in blocks])
-    interference = np.concatenate([b[2] for b in blocks])
-    n = p_hat.size
-    outage = interference > params.theta_i
-    # per-block partials merged in block order, insensitive to partitioning
-    outage_count = math.fsum(float(np.sum(b[2] > params.theta_i)) for b in blocks)
-    c_sum = math.fsum(float(np.sum(b[1])) for b in blocks)
-    outage_rate = outage_count / n
-    mean_c = c_sum / n
+def _summarize(params: ScenarioParams, tau: float, blocks) -> McSummary:
+    c_hat = np.concatenate([b[0] for b in blocks])
+    outage = np.concatenate([b[1] for b in blocks]) > params.theta_i
+    n = c_hat.size
+    outage_rate = np.count_nonzero(outage) / n
+    # per-block sums merged in block order, insensitive to partitioning
+    mean_c = math.fsum(float(np.sum(b[0])) for b in blocks) / n
     outage_se = float(np.std(outage.astype(float), ddof=1)) / math.sqrt(n)
     c_se = float(np.std(c_hat, ddof=1)) / math.sqrt(n)
     pf = prefactor(params, tau)
     return McSummary(
-        n_trials=n, seed=seed, tau=tau, p_used=p_used, regime=regime,
-        outage_rate=outage_rate, outage_se=outage_se,
+        n_trials=n, tau=tau, outage_rate=outage_rate, outage_se=outage_se,
         mean_capacity=mean_c, capacity_se=c_se,
-        mean_throughput=pf * mean_c, throughput_se=pf * c_se,
-        p_hat_sorted=np.sort(p_hat), c_hat_sorted=np.sort(c_hat))
+        mean_throughput=pf * mean_c, throughput_se=pf * c_se, c_hat=c_hat)
 
 
 def _run_trials(params: ScenarioParams, links: FadingLinks | None, tau: float,
-                n_trials: int, seed: int, fixed_power: float | None,
-                jobs: int) -> McSummary:
+                n_trials: int, seed: int, power: float) -> McSummary:
     if n_trials < 2:
         raise ValueError("need at least two trials")
-    if fixed_power is None:
-        pc = (controlled_power_det(params, tau) if links is None
-              else controlled_power_fading(params, links.pr_st, tau))
-        p_used, regime = pc.p_cont, pc.regime
-    else:
-        if not (fixed_power > 0.0 and math.isfinite(fixed_power)):
-            raise ValueError("fixed_power must be finite and positive")
-        p_used, regime = float(fixed_power), None
-    tasks = [(params, links, tau, p_used, seed, j, size)
-             for j, size in enumerate(_block_sizes(n_trials))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_block, tasks))
-    else:
-        blocks = [_block(t) for t in tasks]
-    return _summarize(params, tau, p_used, regime, seed, blocks)
+    if not (power > 0.0 and math.isfinite(power)):
+        raise ValueError("power must be finite and positive")
+    blocks = [_block(params, links, tau, power, seed, j, size)
+              for j, size in enumerate(_block_sizes(n_trials))]
+    return _summarize(params, tau, blocks)
 
 
 def run_trials_det(params: ScenarioParams, tau: float, n_trials: int, seed: int,
-                   fixed_power: float | None = None, jobs: int = 1) -> McSummary:
-    """Simulate n_trials frames with deterministic link gains.
-
-    fixed_power, an already-solved or fixed power, bypasses the power rule
-    (the transmitter just uses that power, and the summary's regime is
-    None); otherwise the outage-constrained rule supplies it.
-    """
-    return _run_trials(params, None, tau, n_trials, seed, fixed_power, jobs)
+                   power: float) -> McSummary:
+    """Simulate n_trials frames with deterministic link gains, the
+    secondary transmitting at power (mW): a solved power rule's or a
+    fixed one."""
+    return _run_trials(params, None, tau, n_trials, seed, power)
 
 
 def run_trials_fading(params: ScenarioParams, links: FadingLinks, tau: float,
-                      n_trials: int, seed: int, fixed_power: float | None = None,
-                      jobs: int = 1) -> McSummary:
-    """Simulate n_trials frames with Nakagami link gains, fresh per frame.
-
-    fixed_power, an already-solved or fixed power, bypasses the fading
-    power rule, as in run_trials_det.
-    """
-    return _run_trials(params, links, tau, n_trials, seed, fixed_power, jobs)
+                      n_trials: int, seed: int, power: float) -> McSummary:
+    """Simulate n_trials frames with Nakagami link gains, fresh per frame,
+    the secondary transmitting at power, as in run_trials_det."""
+    return _run_trials(params, links, tau, n_trials, seed, power)
 
 
 def ks_distance(sorted_samples: np.ndarray, cdf) -> float:

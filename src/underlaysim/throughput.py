@@ -242,8 +242,10 @@ def _no_pc_window(params: ScenarioParams, residual) -> float:
     residual(log n) must be the outage at p_full minus rho_out, decreasing
     in n. Returns the n at which it crosses zero; the smallest usable
     window when even that satisfies the constraint; nan when no window
-    inside the frame does.
+    inside the frame does. Each bracket end is evaluated once: find_root
+    reads the memoized values.
     """
+    residual = functools.lru_cache(maxsize=None)(residual)
     n_lo = 2.0
     n_hi = 0.999 * (params.frame_len - params.tau_p) * params.f_s
     if residual(math.log(n_hi)) > 0.0:

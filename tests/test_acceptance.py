@@ -34,11 +34,12 @@ from underlaysim.dists import (NakagamiGain, capacity_cdf, capacity_pdf,
 from underlaysim.montecarlo import (ks_distance, run_trials_det,
                                     run_trials_fading)
 from underlaysim.power_control import (Regime, controlled_power_det,
+                                       controlled_power_fading,
                                        db_to_linear, default_fading,
                                        linear_to_db, perf_bound_asymptote,
                                        perf_bound_det, perf_bound_fading)
 from underlaysim.throughput import (Model, capacity_law_det,
-                                    optimize_tradeoff, throughput_fading,
+                                    optimize_tradeoff, throughput_fading_at,
                                     throughput_ideal_det,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
@@ -113,7 +114,7 @@ def test_outage_calibration_interference_limited(defaults, record):
                 ok = False
                 details.append(f"rho={rho} tau={tau}: not interference-limited")
                 continue
-            mc = run_trials_det(params, tau, TRIALS, SEED + k, jobs=2)
+            mc = run_trials_det(params, tau, TRIALS, SEED + k, pc.p_cont)
             gap = abs(mc.outage_rate - rho)
             worst = max(worst, gap)
             ok = ok and gap <= 0.015
@@ -191,8 +192,8 @@ def test_fading_outage_calibration(defaults, record):
     ok = True
     for k, m in enumerate((1.0, 5.0)):
         links = default_fading(defaults, m)
-        mc = run_trials_fading(defaults, links, 1e-3, TRIALS, SEED + 70 + k,
-                               jobs=2)
+        power = controlled_power_fading(defaults, links.pr_st, 1e-3).p_cont
+        mc = run_trials_fading(defaults, links, 1e-3, TRIALS, SEED + 70 + k, power)
         gap = abs(mc.outage_rate - defaults.rho_out)
         worst = max(worst, gap)
         ok = ok and gap <= 0.02
@@ -210,9 +211,10 @@ def test_fading_throughput_dominance_and_simulation(defaults, record):
         links = default_fading(defaults, m)
         rates[m] = []
         for k, tau in enumerate(taus):
-            r = throughput_fading(defaults, links, float(tau))
+            pc = controlled_power_fading(defaults, links.pr_st, float(tau))
+            r = throughput_fading_at(defaults, links, float(tau), pc)
             mc = run_trials_fading(defaults, links, float(tau), TRIALS,
-                                   SEED + 80 + 10 * int(m) + k, jobs=2)
+                                   SEED + 80 + 10 * int(m) + k, pc.p_cont)
             z = abs(r - mc.mean_throughput) / mc.throughput_se
             worst_z = max(worst_z, z)
             ok = ok and z <= 3.0

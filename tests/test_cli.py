@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim import (__version__, cli, dists, montecarlo, power_control,
-                         specfun, throughput)
+from underlaysim import (__version__, cli, dists, power_control, specfun,
+                         throughput)
 from underlaysim.cli import (ConfigError, FIGURE_IDS, apply_set,
                              default_config, main, parse_config,
                              render_config)
@@ -554,7 +554,7 @@ def _logged_fading_rules(monkeypatch) -> list:
         solved.append((pr_st.m, tau))
         return rule(params, pr_st, tau)
 
-    for module in (power_control, throughput, montecarlo, cli):
+    for module in (power_control, throughput, cli):
         monkeypatch.setattr(module, "controlled_power_fading", logged)
     return solved
 
@@ -616,6 +616,18 @@ def test_bad_set_value_is_config_error(tmp_path):
     rc = main(["sweep", "--out", str(tmp_path / "x.csv"),
                "--set", "scenario.rho_out=2"])
     assert rc == 2
+
+
+def test_only_one_job_is_accepted(tmp_path, capsys):
+    # --jobs 1 and mc.jobs = 1 stay valid for existing command lines and configs
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--out", out, "--jobs", "1",
+                 "--config", str(REPO / "configs" / "default.ini")]) == 0
+    capsys.readouterr()
+    for extra in (["--jobs", "2"], ["--set", "mc.jobs=2"]):
+        assert main(["sweep", "--out", out, *extra]) == 2
+        assert ("mc.jobs must be 1: Monte Carlo runs in one process"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -2,8 +2,8 @@
 
 Statistical agreement with the analytic layer is exercised by the
 acceptance tests; here the focus is that the harness itself is exact:
-fixed seeds give fixed outputs, worker partitioning never changes a
-result, and the summaries are faithful to the raw trials.
+fixed seeds give fixed outputs, the order blocks are computed in never
+changes a result, and the summaries are faithful to the raw trials.
 """
 
 import itertools
@@ -16,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from underlaysim import cli, montecarlo
-from underlaysim.montecarlo import (BLOCK, _block_sizes, ks_distance,
-                                    run_trials_det, run_trials_fading)
-from underlaysim.power_control import (Regime, controlled_power_det,
+from underlaysim.montecarlo import (BLOCK, _block, _block_sizes, _summarize,
+                                    ks_distance, run_trials_det, run_trials_fading)
+from underlaysim.power_control import (controlled_power_det, controlled_power_fading,
                                        default_fading)
 from underlaysim.throughput import prefactor
 
 SEED = 20250311
+# the m = 1 fading rule's power at 1 ms on the default scenario (mW)
+FADING_POWER = 0.04336161078437545
 
 
 def test_block_sizes_partition_the_trial_count():
@@ -33,65 +35,77 @@ def test_block_sizes_partition_the_trial_count():
         assert 0 < sizes[-1] <= BLOCK
 
 
+def _blocks_in_reverse(params, links, tau, n, power):
+    """The run's blocks computed last first, then put back in block order."""
+    sizes = list(enumerate(_block_sizes(n)))
+    done = {j: _block(params, links, tau, power, SEED, j, size)
+            for j, size in reversed(sizes)}
+    return _summarize(params, tau, [done[j] for j, _ in sizes])
+
+
+def _assert_same_run(merged, run):
+    assert np.array_equal(merged.c_hat, run.c_hat)
+    assert merged.mean_capacity == run.mean_capacity
+    assert merged.outage_rate == run.outage_rate
+
+
 def test_partitioning_does_not_change_results(defaults):
     n = 3 * BLOCK + 123
-    runs = [run_trials_det(defaults, 1e-4, n, SEED, jobs=j) for j in [1, 2, 3]]
-    base = runs[0]
-    for other in runs[1:]:
-        assert other.outage_rate == base.outage_rate
-        assert other.mean_capacity == base.mean_capacity
-        assert other.mean_throughput == base.mean_throughput
-        assert np.array_equal(other.p_hat_sorted, base.p_hat_sorted)
-        assert np.array_equal(other.c_hat_sorted, base.c_hat_sorted)
+    power = controlled_power_det(defaults, 1e-4).p_cont
+    _assert_same_run(_blocks_in_reverse(defaults, None, 1e-4, n, power),
+                     run_trials_det(defaults, 1e-4, n, SEED, power))
+
+
+def test_fading_partitioning_matches_single_process(defaults):
+    links = default_fading(defaults, 1.0)
+    n = BLOCK + 77
+    _assert_same_run(_blocks_in_reverse(defaults, links, 1e-4, n, FADING_POWER),
+                     run_trials_fading(defaults, links, 1e-4, n, SEED, FADING_POWER))
 
 
 def test_seed_controls_the_draws(defaults):
-    a = run_trials_det(defaults, 1e-4, 5000, SEED)
-    b = run_trials_det(defaults, 1e-4, 5000, SEED)
-    c = run_trials_det(defaults, 1e-4, 5000, SEED + 1)
-    assert np.array_equal(a.c_hat_sorted, b.c_hat_sorted)
+    a = run_trials_det(defaults, 1e-4, 5000, SEED, 0.025)
+    b = run_trials_det(defaults, 1e-4, 5000, SEED, 0.025)
+    c = run_trials_det(defaults, 1e-4, 5000, SEED + 1, 0.025)
+    assert np.array_equal(a.c_hat, b.c_hat)
     assert a.outage_rate == b.outage_rate
-    assert not np.array_equal(a.c_hat_sorted, c.c_hat_sorted)
+    assert not np.array_equal(a.c_hat, c.c_hat)
 
 
 def test_power_rule_feeds_the_simulation(defaults):
-    res = run_trials_det(defaults, 1e-3, 20_000, SEED)
-    pc = controlled_power_det(defaults, 1e-3)
-    assert res.p_used == pc.p_cont
-    assert res.regime is Regime.INTERFERENCE_LIMITED
-    # the rule calibrates the outage to the budget
+    # the rule calibrates the simulated outage to the budget
+    res = run_trials_det(defaults, 1e-3, 20_000, SEED,
+                         controlled_power_det(defaults, 1e-3).p_cont)
     assert abs(res.outage_rate - defaults.rho_out) <= 5.0 * res.outage_se
 
 
-def test_fixed_power_bypasses_the_rule(defaults):
-    res = run_trials_det(defaults, 1e-3, 3000, SEED, fixed_power=0.025)
-    assert res.p_used == 0.025
-    assert res.regime is None
-    with pytest.raises(ValueError):
-        run_trials_det(defaults, 1e-3, 3000, SEED, fixed_power=0.0)
-    with pytest.raises(ValueError):
-        run_trials_det(defaults, 1e-3, 1, SEED)
+def test_power_and_trial_count_are_checked(defaults):
+    links = default_fading(defaults, 1.0)
+    for power in (0.0, -0.025, math.nan, math.inf):
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            run_trials_det(defaults, 1e-3, 3000, SEED, power)
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            run_trials_fading(defaults, links, 1e-3, 3000, SEED, power)
+    with pytest.raises(ValueError, match="two trials"):
+        run_trials_det(defaults, 1e-3, 1, SEED, 0.025)
 
 
 def test_summary_is_faithful_to_the_trials(defaults):
     n = 200
-    res = run_trials_det(defaults, 1e-3, n, SEED)
+    power = controlled_power_det(defaults, 1e-3).p_cont
+    res = run_trials_det(defaults, 1e-3, n, SEED, power)
+    c_hat, interference = _block(defaults, None, 1e-3, power, SEED, 0, n)
     assert res.n_trials == n
-    assert res.p_hat_sorted.size == res.c_hat_sorted.size == n
-    assert np.all(np.diff(res.p_hat_sorted) >= 0.0)
-    assert np.all(np.diff(res.c_hat_sorted) >= 0.0)
-    # interference at the PR is monotone in the receive-power estimate, so
-    # the sorted estimates carry every trial's outage flag
-    interference = (np.maximum(res.p_hat_sorted - defaults.sigma2, 0.0)
-                    / defaults.p_tx_pr * res.p_used)
+    assert res.tau == 1e-3
+    assert np.array_equal(res.c_hat, c_hat)
     outage = interference > defaults.theta_i
     assert 0 < outage.sum() < n
     assert outage.mean() == pytest.approx(res.outage_rate, abs=1e-15)
     assert res.outage_se == pytest.approx(
         np.std(outage.astype(float), ddof=1) / math.sqrt(n), rel=1e-12)
-    assert res.mean_capacity == pytest.approx(res.c_hat_sorted.mean(), rel=1e-12)
+    assert res.mean_capacity == pytest.approx(c_hat.mean(), rel=1e-12)
     assert res.capacity_se == pytest.approx(
-        np.std(res.c_hat_sorted, ddof=1) / math.sqrt(n), rel=1e-12)
+        np.std(c_hat, ddof=1) / math.sqrt(n), rel=1e-12)
     # summaries derive from one another
     assert res.mean_throughput == prefactor(defaults, 1e-3) * res.mean_capacity
     assert res.throughput_se == prefactor(defaults, 1e-3) * res.capacity_se
@@ -100,33 +114,28 @@ def test_summary_is_faithful_to_the_trials(defaults):
 def test_random_streams_are_pinned(defaults):
     # exact values of both random streams over two blocks; any change to
     # the draw order or to a noncentrality expression moves them
-    det = run_trials_det(defaults, 1e-3, 5000, SEED)
+    det = run_trials_det(defaults, 1e-3, 5000, SEED,
+                         controlled_power_det(defaults, 1e-3).p_cont)
     assert det.outage_rate == 0.096
     assert det.mean_capacity == 2.474082118573879
-    fading = run_trials_fading(defaults, default_fading(defaults, 1.0), 1e-3, 5000, SEED)
+    links = default_fading(defaults, 1.0)
+    fading = run_trials_fading(defaults, links, 1e-3, 5000, SEED,
+                               controlled_power_fading(defaults, links.pr_st, 1e-3).p_cont)
     assert fading.outage_rate == 0.1024
     assert fading.mean_capacity == 1.530788690614351
     # the stream itself, at a power fixed apart from the power rule
-    fixed = run_trials_fading(defaults, default_fading(defaults, 1.0), 1e-3, 5000, SEED,
-                              fixed_power=0.04336161078437545)
+    fixed = run_trials_fading(defaults, links, 1e-3, 5000, SEED, FADING_POWER)
     assert fixed.outage_rate == 0.1024
     assert fixed.mean_capacity == 1.5307886894483265
 
 
-def test_fading_partitioning_matches_single_process(defaults):
-    links = default_fading(defaults, 1.0)
-    n = BLOCK + 77
-    one = run_trials_fading(defaults, links, 1e-4, n, SEED, jobs=1)
-    two = run_trials_fading(defaults, links, 1e-4, n, SEED, jobs=2)
-    assert one.outage_rate == two.outage_rate
-    assert np.array_equal(one.c_hat_sorted, two.c_hat_sorted)
-
-
 def test_fading_uses_its_power_rule(defaults):
+    # the fading rule's power calibrates the two-layer simulated outage
     links = default_fading(defaults, 1.0)
-    res = run_trials_fading(defaults, links, 1e-3, 4000, SEED)
-    assert res.regime is Regime.INTERFERENCE_LIMITED
-    assert res.p_used < defaults.p_full
+    pc = controlled_power_fading(defaults, links.pr_st, 1e-3)
+    assert pc.p_cont < defaults.p_full
+    res = run_trials_fading(defaults, links, 1e-3, 4000, SEED, pc.p_cont)
+    assert abs(res.outage_rate - defaults.rho_out) <= 5.0 * res.outage_se
 
 
 def test_ks_distance_hand_value():

@@ -558,3 +558,21 @@ def test_no_pc_fading_unattainable_at_high_snr(defaults):
     tau_f, r_npc = throughput_no_pc_fading(defaults, links)
     assert math.isnan(tau_f)
     assert r_npc == 0.0
+
+
+def test_no_pc_fading_evaluates_each_window_once(defaults, monkeypatch):
+    # the benchmark's no-control point: the bracket ends are evaluated once,
+    # then find_root reads them from the memo
+    params = replace(defaults, gamma=db_to_linear(-15.0))
+    links = default_fading(params, 1.0)
+    outage = throughput._outage_fading_n
+    windows = []
+
+    def counted(params, gain, splits, n, p):
+        windows.append(n)
+        return outage(params, gain, splits, n, p)
+
+    monkeypatch.setattr(throughput, "_outage_fading_n", counted)
+    assert throughput_no_pc_fading(params, links) == (0.001145502034076036,
+                                                      5.024957076336232)
+    assert len(windows) == len(set(windows)) == 12
