@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import itertools
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, dists, montecarlo, specfun, throughput
 from .dists import NakagamiGain
-from .power_control import (FadingLinks, Regime, ScenarioParams,
+from .power_control import (Regime, ScenarioParams, _pr_st_gain,
                             controlled_power_det, controlled_power_det_array,
                             controlled_power_fading, db_to_linear,
                             default_fading, linear_to_db, outage_det,
@@ -30,7 +31,7 @@ from .power_control import (FadingLinks, Regime, ScenarioParams,
 from .throughput import (Model, capacity_law_det, mean_capacity,
                          optimize_tradeoff, throughput_det_array,
                          throughput_fading_at, throughput_ideal_det,
-                         throughput_no_pc_det)
+                         throughput_ideal_fading, throughput_no_pc_det)
 
 __all__ = [
     "ConfigError",
@@ -317,52 +318,29 @@ def _m_suffix(m: float) -> str:
     return "_m" + format(m, "g").replace(".", "p").replace("-", "m")
 
 
-# The deterministic channel is the m = inf member of each fading family.
-# links None stands for it, as in throughput.optimize_tradeoff, and the
-# helpers below are the one place that picks the det or the fading routine.
-
-def _links(params: ScenarioParams, m: float) -> FadingLinks | None:
-    return None if math.isinf(m) else default_fading(params, m)
-
-
-def _power(params: ScenarioParams, links: FadingLinks | None, tau: float):
-    if links is None:
-        return controlled_power_det(params, tau)
-    return controlled_power_fading(params, links.pr_st, tau)
-
-
-def _rate(params: ScenarioParams, links: FadingLinks | None,
-          tau: float) -> tuple[float, float]:
-    """Throughput at tau and the controlled power it is taken at, from one
-    solve of the power rule."""
-    if links is None:
-        pc = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
-        return float(throughput_det_array(params, tau, pc)), float(pc.p_cont)
-    pc = controlled_power_fading(params, links.pr_st, tau)
-    return throughput_fading_at(params, links, tau, pc), pc.p_cont
-
-
-def _simulate(params: ScenarioParams, links: FadingLinks | None, tau: float,
-              trials: int, seed: int, power: float):
-    """Monte Carlo at tau, transmitting at power, already solved by _rate."""
-    if links is None:
-        return montecarlo.run_trials_det(params, tau, trials, seed, power)
-    return montecarlo.run_trials_fading(params, links, tau, trials, seed, power)
-
-
 def _bound(params: ScenarioParams, m: float, tau: float) -> float:
-    # the fading bound reads only m: it retunes the mean gain as it searches
-    if math.isinf(m):
-        return perf_bound_det(params, tau)
-    return perf_bound_fading(params, NakagamiGain(m, 1.0), tau)
+    """Regime bound in dB, or nan where the window is too short to have one."""
+    try:
+        if math.isinf(m):
+            return linear_to_db(perf_bound_det(params, tau))
+        # the fading bound reads only m: it retunes the mean gain as it searches
+        return linear_to_db(perf_bound_fading(params, NakagamiGain(m, 1.0), tau))
+    except specfun.BracketError:
+        return math.nan
 
 
 # every third row carries the simulated overlay so plotted markers stay sparse
 _MARKER_STRIDE = 3
 
 
-def _empirical_cdf(sorted_samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_samples, grid, side="right") / sorted_samples.size
+def _markers(n_rows: int, value_at) -> list:
+    """An overlay column: value_at(i) on every _MARKER_STRIDE-th row i, blank
+    elsewhere."""
+    return [value_at(i) if i % _MARKER_STRIDE == 0 else "" for i in range(n_rows)]
+
+
+def _marker_note(trials: int, per: str) -> str:
+    return f"simulated overlay at every {_MARKER_STRIDE}rd row, {trials} trials per {per}"
 
 
 _FIG4_INR_OFFSETS = (-10.0, 0.0, 10.0)
@@ -389,44 +367,26 @@ def _fig4_traces(cfg: ScenarioConfig, panel: str):
 
 def _fig4(cfg: ScenarioConfig, panel: str):
     grid = np.linspace(2.0, 8.0, 241)
-    traces = list(_fig4_traces(cfg, panel))
-    header = ["c_bits"]
-    cols, sims = [], []
     trials, seed = cfg.trials(), cfg.seed()
-    for k, (label, p2, tau) in enumerate(traces):
-        dist = capacity_law_det(p2, tau, _FIG4_POWER)
-        cols.append(dists.capacity_cdf(dist, grid))
-        header.append(f"cdf_{label}")
-        mc = montecarlo.run_trials_det(p2, tau, trials, seed + k, _FIG4_POWER)
-        sims.append(_empirical_cdf(np.sort(mc.c_hat), grid))
-    header.extend(f"sim_{label}" for label, _, _ in traces)
-    rows = []
-    for i, c in enumerate(grid):
-        row = [c] + [col[i] for col in cols]
-        for sim in sims:
-            row.append(sim[i] if i % _MARKER_STRIDE == 0 else "")
-        rows.append(row)
-    notes = [f"simulated overlay at every {_MARKER_STRIDE}rd row, "
-             f"{trials} trials per trace"]
-    return header, rows, notes
+    cdfs, sims = {}, {}
+    for k, (label, p2, tau) in enumerate(_fig4_traces(cfg, panel)):
+        cdfs[f"cdf_{label}"] = dists.capacity_cdf(capacity_law_det(p2, tau, _FIG4_POWER),
+                                                  grid)
+        c_hat = np.sort(montecarlo.run_trials_det(p2, tau, trials, seed + k,
+                                                  _FIG4_POWER).c_hat)
+        empirical_cdf = np.searchsorted(c_hat, grid, side="right") / c_hat.size
+        sims[f"sim_{label}"] = _markers(grid.size, empirical_cdf.__getitem__)
+    return {"c_bits": grid, **cdfs, **sims}, [_marker_note(trials, "trace")]
 
 
 def _bound_table(cfg: ScenarioConfig, taus, columns, missing_note: str):
     """Regime bound in dB over tau; columns are (suffix, m) pairs."""
     params = cfg.params()
-    header = ["tau_ms"] + [f"gamma_star_dB{suffix}" for suffix, _ in columns]
-    rows, missing = [], 0
-    for tau in taus:
-        row = [tau * 1e3]
-        for _, m in columns:
-            try:
-                row.append(linear_to_db(_bound(params, m, float(tau))))
-            except specfun.BracketError:
-                row.append(math.nan)
-                missing += 1
-        rows.append(row)
+    bounds = {f"gamma_star_dB{suffix}": [_bound(params, m, float(tau)) for tau in taus]
+              for suffix, m in columns}
+    missing = sum(map(math.isnan, itertools.chain.from_iterable(bounds.values())))
     notes = [f"{missing} {missing_note}"] if missing else []
-    return header, rows, notes
+    return {"tau_ms": taus * 1e3, **bounds}, notes
 
 
 _FIG5_M = (0.5, 1.0, 2.0, 5.0)
@@ -434,48 +394,54 @@ _FIG68_TAUS = np.geomspace(1e-5, 1e-2, 37)
 
 
 def _power_table(cfg: ScenarioConfig, ms):
-    """Controlled and perfect-knowledge power over tau, two columns per m."""
+    """Controlled and perfect-knowledge power over tau, two columns per m.
+    Both read only the PR-ST law, so they need no PT-SR gain."""
     params = cfg.params()
-    links = [_links(params, m) for m in ms]
-    ideal = [linear_to_db(throughput._ideal_power(params, lk)) for lk in links]
-    header = ["tau_ms"]
+    table = {"tau_ms": _FIG68_TAUS * 1e3}
     for m in ms:
-        header += [f"p_cont_dBm{_m_suffix(m)}", f"p_cont_dBm_ideal{_m_suffix(m)}"]
-    rows = []
-    for tau in _FIG68_TAUS:
-        row = [tau * 1e3]
-        for lk, p_ideal in zip(links, ideal):
-            row += [linear_to_db(_power(params, lk, float(tau)).p_cont), p_ideal]
-        rows.append(row)
-    return header, rows, []
+        if math.isinf(m):
+            pr_st = None
+            powers = controlled_power_det_array(params, _FIG68_TAUS, params.gamma,
+                                                params.rho_out).p_cont.tolist()
+        else:
+            pr_st = NakagamiGain(m, _pr_st_gain(params))
+            powers = [controlled_power_fading(params, pr_st, tau).p_cont
+                      for tau in _FIG68_TAUS.tolist()]
+        ideal = linear_to_db(throughput._ideal_power(params, pr_st))
+        # dB per value: numpy's log10 can differ from math.log10 in the last bit
+        table[f"p_cont_dBm{_m_suffix(m)}"] = list(map(linear_to_db, powers))
+        table[f"p_cont_dBm_ideal{_m_suffix(m)}"] = [ideal] * _FIG68_TAUS.size
+    return table, []
 
 
 def _rate_table(cfg: ScenarioConfig, ms):
     """Throughput over tau, its perfect-knowledge bound and a simulated
-    overlay, three columns per m."""
+    overlay at the same power, three columns per m."""
     params = cfg.params()
     trials, seed = cfg.trials(), cfg.seed()
-    links = [_links(params, m) for m in ms]
-    # the ideal model is flat in tau, so its optimum is its rate
-    ideal = [optimize_tradeoff(params, Model.IDEAL, links=lk).r_s_opt for lk in links]
-    header = ["tau_ms"]
-    for m in ms:
-        header += [f"rs_{tag}{_m_suffix(m)}" for tag in ("EM", "IM", "sim")]
-    rows = []
-    for i, tau in enumerate(_FIG68_TAUS):
-        row = [tau * 1e3]
-        for k, lk in enumerate(links):
-            r_s, p_cont = _rate(params, lk, float(tau))
-            row += [r_s, ideal[k]]
-            if i % _MARKER_STRIDE == 0:
-                mc = _simulate(params, lk, float(tau), trials, seed + 100 * k + i, p_cont)
-                row.append(mc.mean_throughput)
-            else:
-                row.append("")
-        rows.append(row)
-    notes = [f"simulated overlay at every {_MARKER_STRIDE}rd row, "
-             f"{trials} trials per marker"]
-    return header, rows, notes
+    taus = _FIG68_TAUS.tolist()
+    table = {"tau_ms": _FIG68_TAUS * 1e3}
+    for k, m in enumerate(ms):
+        if math.isinf(m):
+            pc = controlled_power_det_array(params, _FIG68_TAUS, params.gamma,
+                                            params.rho_out)
+            rates = throughput_det_array(params, _FIG68_TAUS, pc).tolist()
+            powers = pc.p_cont.tolist()
+            ideal = throughput_ideal_det(params)
+            simulate = functools.partial(montecarlo.run_trials_det, params)
+        else:
+            links = default_fading(params, m)
+            solved = [controlled_power_fading(params, links.pr_st, tau) for tau in taus]
+            rates = [throughput_fading_at(params, links, tau, pc)
+                     for tau, pc in zip(taus, solved)]
+            powers = [pc.p_cont for pc in solved]
+            ideal = throughput_ideal_fading(params, links)
+            simulate = functools.partial(montecarlo.run_trials_fading, params, links)
+        table[f"rs_EM{_m_suffix(m)}"] = rates
+        table[f"rs_IM{_m_suffix(m)}"] = [ideal] * len(taus)
+        table[f"rs_sim{_m_suffix(m)}"] = _markers(len(taus), lambda i: simulate(
+            taus[i], trials, seed + 100 * k + i, powers[i]).mean_throughput)
+    return table, [_marker_note(trials, "marker")]
 
 
 _FIG79_GAMMAS_DB = np.linspace(-20.0, 10.0, 13)
@@ -497,25 +463,26 @@ def _tradeoff_table(cfg: ScenarioConfig, panel: str, columns):
     params = cfg.params()
     if panel == "b":
         params = replace(params, g_pt_sr=params.g_pt_sr * 10.0)
-    header = ["gamma_dB"]
-    for suffix, _, _ in columns:
-        header += [f"rs_{tag}{suffix}" for tag in _MODEL_TAGS]
-    rows = []
-    for g_db in _FIG79_GAMMAS_DB:
-        row = [g_db]
-        for _, overrides, m in columns:
-            p2 = replace(params, gamma=db_to_linear(float(g_db)), **overrides)
-            links = _links(p2, m)
-            row += [optimize_tradeoff(p2, model, links=links).r_s_opt for model in Model]
-        rows.append(row)
+    table = {"gamma_dB": _FIG79_GAMMAS_DB}
+    for suffix, overrides, m in columns:
+        rates = []
+        for g_db in _FIG79_GAMMAS_DB.tolist():
+            p2 = replace(params, gamma=db_to_linear(g_db), **overrides)
+            links = None if math.isinf(m) else default_fading(p2, m)
+            rates.append([optimize_tradeoff(p2, model, links=links).r_s_opt
+                          for model in Model])
+        table.update((f"rs_{tag}{suffix}", col) for tag, col in zip(_MODEL_TAGS, zip(*rates)))
     notes = ["EM column reports the tau-optimized throughput per gamma"]
-    return header, rows, notes
+    return table, notes
 
 
 def _fig9_columns(cfg: ScenarioConfig):
     return [(_m_suffix(m), {}, m) for m in cfg.m_values()]
 
 
+# Each builder returns (table, notes): table maps header names to
+# equal-length columns, the axis first. A builder fills one column per m over
+# the whole axis; the m = inf power and rate columns are one array call each.
 _FIGURES = {
     # fig3 runs well past the frame so the curve visibly flattens onto the
     # long-window limit; the bound itself has no frame dependence
@@ -545,9 +512,10 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
     if fig_id not in _FIGURES:
         raise ConfigError(f"unknown figure id {fig_id!r}; "
                           f"choose from {', '.join(FIGURE_IDS)}")
-    header, rows, notes = _FIGURES[fig_id](cfg)
+    table, notes = _FIGURES[fig_id](cfg)
     meta = _meta_lines(cfg, f"figure {fig_id}", notes)
-    _write_csv(out_path, meta, header, [_csv_cells(row) + "\n" for row in rows])
+    _write_csv(out_path, meta, list(table),
+               [_csv_cells(row) + "\n" for row in zip(*table.values(), strict=True)])
 
 
 def _format_rows(row_format: str, columns) -> list[str]:
@@ -582,11 +550,11 @@ def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: floa
                        rho_out: float, include_rs: bool) -> str:
     """The text tail of one finite-m row; the rate reuses the row's power."""
     p2 = replace(params, gamma=gamma, rho_out=rho_out)
-    links = default_fading(p2, m)
-    pc = controlled_power_fading(p2, links.pr_st, tau)
+    # the power reads only the PR-ST law, which needs no PT-SR gain
+    pc = controlled_power_fading(p2, NakagamiGain(m, _pr_st_gain(p2)), tau)
     cells = [linear_to_db(pc.p_cont), pc.regime.value]
     if include_rs:
-        cells.append(throughput_fading_at(p2, links, tau, pc))
+        cells.append(throughput_fading_at(p2, default_fading(p2, m), tau, pc))
     return _csv_cells(cells)
 
 

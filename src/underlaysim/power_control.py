@@ -161,12 +161,18 @@ class FadingLinks(NamedTuple):
     st_sr: NakagamiGain
 
 
+def _pr_st_gain(params: ScenarioParams) -> float:
+    """The PR-ST gain that the scenario's receive SNR gamma implies; under
+    fading, the mean gain of its law. It needs no PT-SR gain."""
+    return params.gamma * params.sigma2 / params.p_tx_pr
+
+
 def default_fading(params: ScenarioParams, m: float) -> FadingLinks:
     """Fading laws whose mean gains reproduce the scenario's link budget."""
     if params.g_pt_sr <= 0.0:
         raise ValueError("fading links need a positive PT-SR gain")
     return FadingLinks(
-        pr_st=NakagamiGain(m, params.gamma * params.sigma2 / params.p_tx_pr),
+        pr_st=NakagamiGain(m, _pr_st_gain(params)),
         pt_sr=NakagamiGain(m, params.g_pt_sr),
         st_sr=NakagamiGain(m, params.g_st_sr),
     )

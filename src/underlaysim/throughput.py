@@ -36,7 +36,7 @@ from .dists import CapacityDist
 from .power_control import (DetPowerArrays, FadingLinks, PowerControlResult,
                             ScenarioParams, _check_tau, _gain_splits,
                             _outage_det_n, _outage_fading_n,
-                            _perfect_knowledge_power,
+                            _perfect_knowledge_power, _pr_st_gain,
                             controlled_power_det_array,
                             controlled_power_fading, samples_for)
 
@@ -216,16 +216,16 @@ def throughput_det(params: ScenarioParams, tau: float) -> float:
     return float(throughput_det_array(params, tau, power))
 
 
-def _ideal_power(params: ScenarioParams, links: FadingLinks | None) -> float:
+def _ideal_power(params: ScenarioParams, pr_st: dists.NakagamiGain | None) -> float:
     """Perfect-knowledge transmit power: min(theta_i / gain, p_full).
 
-    gain is the known PR-ST gain for deterministic channels (links None)
-    and the upper rho_out-quantile of its law under fading.
+    gain is the known PR-ST gain for deterministic channels (pr_st None)
+    and the upper rho_out-quantile of the PR-ST law pr_st under fading.
     """
-    if links is None:
-        gain = params.gamma * params.sigma2 / params.p_tx_pr
+    if pr_st is None:
+        gain = _pr_st_gain(params)
     else:
-        gain = dists.nakagami_gain_quantile(links.pr_st, 1.0 - params.rho_out)
+        gain = dists.nakagami_gain_quantile(pr_st, 1.0 - params.rho_out)
     return _perfect_knowledge_power(params, gain)
 
 
@@ -366,7 +366,7 @@ def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float
     gain; the rate averages the true-SINR capacity over the other two
     links. Flat in tau.
     """
-    p = _ideal_power(params, links)
+    p = _ideal_power(params, links.pr_st)
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
     rate = np.log1p(x_s[:, None] * p
@@ -451,18 +451,15 @@ def optimize_tradeoff(params: ScenarioParams, model: Model,
                       else throughput_no_pc_fading(params, links))
         return TradeoffCurve(((tau_f, r_s),), tau_f, r_s, model)
 
-    def rate(tau: float) -> float:
-        if links is None:
-            return throughput_det(params, tau)
-        return throughput_fading(params, links, tau)
-
     grid = default_tau_grid(params)
     if links is None:
+        rate = functools.partial(throughput_det, params)
         # one array call: each point equals throughput_det there, bit for bit
         values = throughput_det_array(
             params, grid, controlled_power_det_array(params, grid, params.gamma,
                                                      params.rho_out))
     else:
+        rate = functools.partial(throughput_fading, params, links)
         values = np.array([rate(t) for t in grid])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]

@@ -1,8 +1,8 @@
 """CLI surface: config handling, figure CSVs, sweeps, the validate gate.
 
 Everything runs in process through main(); the CSVs land in tmp_path.
-fig8b runs with one m (fading.m = 1); the fading tradeoff figures (fig9a,
-fig9b) optimize a curve per gamma and m and are left to the figure script.
+fig8b and fig9a run with one m (fading.m = 1); fig9b, which optimizes a
+fading curve per gamma and m too, is left to the figure script.
 """
 
 import importlib.util
@@ -26,7 +26,7 @@ from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, linear_to_db,
-                                       perf_bound_fading)
+                                       perf_bound_det, perf_bound_fading)
 from underlaysim.throughput import (Model, capacity_law_det, optimize_tradeoff,
                                     throughput_det, throughput_fading,
                                     throughput_ideal_det, throughput_no_pc_det)
@@ -187,13 +187,29 @@ def test_fig4a_capacity_cdfs(tmp_path):
     assert rows[0][4] != "" and rows[1][4] == "" and rows[3][4] != ""
 
 
-def test_fig4b_needs_no_pt_sr_gain_in_db(tmp_path):
+@pytest.mark.parametrize("argv, n_rows", [
     # only panel a offsets the PT-SR gain in dB; panel b must not need it
-    out = tmp_path / "fig4b.csv"
-    assert main(["figure", "fig4b", "--out", str(out), "--trials", "10",
-                 "--set", "scenario.g_pt_sr_db=-inf"]) == 0
-    _, header, rows = _read_csv(out)
-    assert header[1] == "cdf_tau_0p1ms" and len(rows) == 241
+    (["figure", "fig4b"], 241),
+    # the power columns and the power-only sweep read only the PR-ST law
+    (["figure", "fig8a"], 37),
+    (["sweep", "--set", "sweep.m=1"], 13),
+    # a fading rate reads the PT-SR law, which a zero gain cannot make
+    (["figure", "fig8b"], None),
+    (["sweep", "--set", "sweep.m=1", "--set", "sweep.include_rs=true"], None),
+], ids=["fig4b", "fig8a", "sweep_power_m1", "fig8b", "sweep_rates_m1"])
+def test_a_zero_pt_sr_gain_fails_only_where_a_pt_sr_law_is_read(tmp_path, capsys,
+                                                                argv, n_rows):
+    out = tmp_path / "x.csv"
+    rc = main([*argv, "--out", str(out), "--trials", "10",
+               "--set", "scenario.g_pt_sr_db=-inf"])
+    err = capsys.readouterr().err
+    if n_rows is None:
+        assert rc == 3
+        assert err == "numeric error: fading links need a positive PT-SR gain\n"
+        assert not out.exists()
+    else:
+        assert rc == 0 and err == ""
+        assert len(_read_csv(out)[2]) == n_rows
 
 
 def _fig4b_cdf_tau_1ms(p, c):
@@ -205,12 +221,21 @@ def _fig7_params(p, g_db, p_full_db):
     return replace(p, gamma=db_to_linear(g_db), p_full=db_to_linear(p_full_db))
 
 
+def _fig9a_rs_em_m1(p, g_db):
+    p2 = replace(p, gamma=db_to_linear(g_db))
+    return optimize_tradeoff(p2, Model.ESTIMATION, links=default_fading(p2, 1.0)).r_s_opt
+
+
 _PFULL_HEADER = ["gamma_dB"] + [f"rs_{model}_pfull_{p}dBm" for p in ("0", "m10")
                                 for model in ("EM", "IM", "NPC")]
 
 # figure id, header, rows, note lines, then one cell (column, value in the
 # first column) and the library call that must reproduce it
 _FIGURE_TABLES = [
+    ("fig3", ["tau_ms", "gamma_star_dB"], 49,
+     ["8 short-window rows have no operating bound; cells left nan"],
+     "gamma_star_dB", 300.0,
+     lambda p, tau_ms: linear_to_db(perf_bound_det(p, tau_ms * 1e-3))),
     ("fig4b",
      ["c_bits"] + [f"{kind}_tau_{t}ms" for kind in ("cdf", "sim")
                    for t in ("0p1", "1", "10")],
@@ -223,6 +248,12 @@ _FIGURE_TABLES = [
      "gamma_star_dB_m1", 1.0,
      lambda p, tau_ms: linear_to_db(perf_bound_fading(
          p, dists.NakagamiGain(1.0, 1.0), tau_ms * 1e-3))),
+    ("fig6a", ["tau_ms", "p_cont_dBm", "p_cont_dBm_ideal"], 37, [],
+     "p_cont_dBm", 1.0,
+     lambda p, tau_ms: linear_to_db(controlled_power_det(p, tau_ms * 1e-3).p_cont)),
+    ("fig6b", ["tau_ms", "rs_EM", "rs_IM", "rs_sim"],
+     37, ["simulated overlay at every 3rd row, 300 trials per marker"],
+     "rs_EM", 1.0, lambda p, tau_ms: throughput_det(p, tau_ms * 1e-3)),
     ("fig7a", _PFULL_HEADER, 13,
      ["EM column reports the tau-optimized throughput per gamma"],
      "rs_EM_pfull_0dBm", 0.0,
@@ -243,9 +274,13 @@ _FIGURE_TABLES = [
      37, ["simulated overlay at every 3rd row, 300 trials per marker"],
      "rs_EM_m1", 1.0,
      lambda p, tau_ms: throughput_fading(p, default_fading(p, 1.0), tau_ms * 1e-3)),
+    ("fig9a", ["gamma_dB", "rs_EM_m1", "rs_IM_m1", "rs_NPC_m1"], 13,
+     ["EM column reports the tau-optimized throughput per gamma"],
+     "rs_EM_m1", -10.0,
+     _fig9a_rs_em_m1),
 ]
-# extra arguments per figure id: fig8b runs one m to stay cheap
-_FIGURE_ARGS = {"fig8b": ["--set", "fading.m=1"]}
+# extra arguments per figure id: the fading rate figures run one m to stay cheap
+_FIGURE_ARGS = {fig_id: ["--set", "fading.m=1"] for fig_id in ("fig8b", "fig9a")}
 
 
 @pytest.mark.parametrize(
@@ -646,11 +681,16 @@ def test_config_domain_errors_exit_2(tmp_path, capsys, setting, message):
     assert message in capsys.readouterr().err
 
 
-def test_make_figures_forwards_cli_arguments(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "make_figures", REPO / "scripts" / "make_figures.py")
+def _script(name: str):
+    """scripts/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_make_figures_forwards_cli_arguments(tmp_path):
+    script = _script("make_figures")
     assert script.main(["--out-dir", str(tmp_path), "--only", "fig3",
                         "--set", "scenario.gamma_db=-3", "--seed", "5"]) == 0
     meta, _, _ = _read_csv(tmp_path / "fig3.csv")
@@ -659,10 +699,7 @@ def test_make_figures_forwards_cli_arguments(tmp_path):
 
 
 def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "csv_drift", REPO / "scripts" / "csv_drift.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("csv_drift")
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
@@ -680,6 +717,50 @@ def test_csv_drift_reports_header_rows_and_largest_drift(tmp_path, capsys):
     assert script.main([str(old), str(old)]) == 0
 
 
+@pytest.mark.parametrize("old, new, drift", [
+    ("1.5", "1.5", 0.0),
+    ("1.5", "1.50", 0.0),
+    ("nan", "nan", 0.0),
+    ("-inf", "-inf", 0.0),
+    ("nan", "1.5", math.inf),
+    ("1.5", "nan", math.inf),
+    ("1.5", "inf", math.inf),
+    ("2", "-2", 2.0),
+    ("4", "5", 0.2),
+    ("", "1.5", None),
+    ("power-limited", "power-limited", None),
+])
+def test_csv_drift_cell_rule(old, new, drift):
+    # |new - old| / max(|old|, |new|); a text cell on either side is not measured
+    assert _script("csv_drift").cell_drift(old, new) == drift
+
+
+def test_csv_drift_counts_text_cells_and_exits_1_on_a_shape_change(tmp_path, capsys):
+    script = _script("csv_drift")
+
+    def run(old_files: dict, new_files: dict) -> tuple[int, list[str]]:
+        """Exit code and stdout lines of one comparison of fresh directories."""
+        case = tmp_path / str(len(list(tmp_path.iterdir())))
+        for side, files in (("old", old_files), ("new", new_files)):
+            (case / side).mkdir(parents=True)
+            for name, text in files.items():
+                (case / side / name).write_text(text)
+        rc = script.main([str(case / "old"), str(case / "new")])
+        return rc, capsys.readouterr().out.splitlines()
+
+    table = "# note\ntau,rs\n1,2\n2,\n3,nan\n"
+    # a blank marker cell against a number is one differing text cell
+    assert run({"a.csv": table}, {"a.csv": table.replace("2,\n", "2,0.5\n")}) == (0, [
+        "a.csv: header same, rows 3/3, max rel drift 0, text cells differing 1"])
+    assert run({"a.csv": "tau,rs\n1,2\n"}, {"a.csv": "tau,rs_EM\n1,2\n"}) == (1, [
+        "a.csv: header DIFFERS, rows 1/1, max rel drift 0, text cells differing 0"])
+    assert run({"a.csv": "tau,rs\n1,2\n"}, {"a.csv": "tau,rs\n1,2\n2,2\n"}) == (1, [
+        "a.csv: header same, rows 1/2, max rel drift 0, text cells differing 0"])
+    assert run({"a.csv": table}, {}) == (1, ["a.csv: missing in new"])
+    assert run({}, {"a.csv": table}) == (1, ["a.csv: missing in old"])
+    assert script.main([str(tmp_path)]) == 2
+
+
 def _result_lines(wall, cpu, setup, rss, failed=0) -> str:
     """Canned stdout of one perfbench run: a detail line, then the result."""
     metrics = {"wall_s": (wall, "s"), "cpu_s": (cpu, "s"), "setup_s": (setup, "s"),
@@ -689,15 +770,8 @@ def _result_lines(wall, cpu, setup, rss, failed=0) -> str:
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})]) + "\n"
 
 
-def _ab_bench():
-    spec = importlib.util.spec_from_file_location("ab_bench", REPO / "scripts" / "ab_bench.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_ab_bench_summarizes_canned_pairs_by_the_pair_rule(tmp_path, monkeypatch, capsys):
-    script = _ab_bench()
+    script = _script("ab_bench")
     # wall_s: the change wins 9 of 10 pairs by ~0.04 s, against a parent
     # quartile spread of ~0.005 s; cpu_s ties every pair, and the parent's
     # runs spread over half their median, beyond the 25% bound; setup_s is
@@ -739,7 +813,7 @@ def test_ab_bench_summarizes_canned_pairs_by_the_pair_rule(tmp_path, monkeypatch
 
 
 def test_ab_bench_verdict_weighs_failures_and_spread():
-    script = _ab_bench()
+    script = _script("ab_bench")
     metric = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
 
     def verdict(parent_walls, change_walls, change_failed=0):
@@ -763,10 +837,7 @@ def test_ab_bench_verdict_weighs_failures_and_spread():
 
 
 def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "gate_snapshot", REPO / "scripts" / "gate_snapshot.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("gate_snapshot")
     calls = []
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
     assert script.main([str(tmp_path)]) == 0
