@@ -17,7 +17,7 @@ from .power_control import (FadingLinks, PowerControlResult, Regime,
                             controlled_power_fading, default_fading,
                             perf_bound_det, perf_bound_fading)
 from .specfun import BracketError, ConvergenceError
-from .throughput import Model, TradeoffCurve, optimize_tradeoff
+from .throughput import TradeoffCurve, optimize_tradeoff
 
 __all__ = [
     "__version__",
@@ -26,7 +26,6 @@ __all__ = [
     "ConvergenceError",
     "FadingLinks",
     "GammaApprox",
-    "Model",
     "NakagamiGain",
     "NcChiSq",
     "PowerControlResult",

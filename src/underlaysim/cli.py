@@ -20,18 +20,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, dists, montecarlo, specfun, throughput
-from .dists import NakagamiGain
-from .power_control import (Regime, ScenarioParams, _pr_st_gain,
-                            controlled_power_det, controlled_power_det_array,
+from . import __version__, dists, montecarlo, specfun
+from .power_control import (Regime, ScenarioParams, controlled_power_det,
+                            controlled_power_det_array,
                             controlled_power_fading, db_to_linear,
-                            default_fading, linear_to_db, outage_det,
-                            perf_bound_asymptote, perf_bound_det,
-                            perf_bound_fading, samples_for)
-from .throughput import (Model, capacity_law_det, mean_capacity,
-                         optimize_tradeoff, throughput_det_array,
-                         throughput_fading_at, throughput_ideal_det,
-                         throughput_ideal_fading, throughput_no_pc_det)
+                            default_fading, ideal_power, linear_to_db,
+                            outage_det, perf_bound_asymptote, perf_bound_det,
+                            perf_bound_fading, pr_st_law, samples_for)
+from .throughput import (capacity_law_det, mean_capacity, optimize_tradeoff,
+                         throughput_det_array, throughput_fading_at,
+                         throughput_ideal_det, throughput_ideal_fading,
+                         throughput_no_pc_det, throughput_no_pc_fading)
 
 __all__ = [
     "ConfigError",
@@ -323,8 +322,7 @@ def _bound(params: ScenarioParams, m: float, tau: float) -> float:
     try:
         if math.isinf(m):
             return linear_to_db(perf_bound_det(params, tau))
-        # the fading bound reads only m: it retunes the mean gain as it searches
-        return linear_to_db(perf_bound_fading(params, NakagamiGain(m, 1.0), tau))
+        return linear_to_db(perf_bound_fading(params, m, tau))
     except specfun.BracketError:
         return math.nan
 
@@ -404,10 +402,10 @@ def _power_table(cfg: ScenarioConfig, ms):
             powers = controlled_power_det_array(params, _FIG68_TAUS, params.gamma,
                                                 params.rho_out).p_cont.tolist()
         else:
-            pr_st = NakagamiGain(m, _pr_st_gain(params))
+            pr_st = pr_st_law(params, m)
             powers = [controlled_power_fading(params, pr_st, tau).p_cont
                       for tau in _FIG68_TAUS.tolist()]
-        ideal = linear_to_db(throughput._ideal_power(params, pr_st))
+        ideal = linear_to_db(ideal_power(params, pr_st))
         # dB per value: numpy's log10 can differ from math.log10 in the last bit
         table[f"p_cont_dBm{_m_suffix(m)}"] = list(map(linear_to_db, powers))
         table[f"p_cont_dBm_ideal{_m_suffix(m)}"] = [ideal] * _FIG68_TAUS.size
@@ -445,8 +443,6 @@ def _rate_table(cfg: ScenarioConfig, ms):
 
 
 _FIG79_GAMMAS_DB = np.linspace(-20.0, 10.0, 13)
-# column tags of the Model members, in enum order
-_MODEL_TAGS = ("EM", "IM", "NPC")
 
 
 def _pfull_tag(p_db: float) -> str:
@@ -458,8 +454,10 @@ _FIG7_COLUMNS = tuple((f"_{_pfull_tag(p_db)}", {"p_full": db_to_linear(p_db)}, m
 
 
 def _tradeoff_table(cfg: ScenarioConfig, panel: str, columns):
-    """Best rate of each model per gamma; columns are (suffix, scenario
-    overrides, m) triples. Panel b has a ten times stronger PT-SR link."""
+    """Per gamma, the tau-optimized estimation rate (EM), the perfect-knowledge
+    bound (IM) and the no-power-control baseline (NPC); columns are (suffix,
+    scenario overrides, m) triples. Panel b has a ten times stronger PT-SR
+    link."""
     params = cfg.params()
     if panel == "b":
         params = replace(params, g_pt_sr=params.g_pt_sr * 10.0)
@@ -468,10 +466,16 @@ def _tradeoff_table(cfg: ScenarioConfig, panel: str, columns):
         rates = []
         for g_db in _FIG79_GAMMAS_DB.tolist():
             p2 = replace(params, gamma=db_to_linear(g_db), **overrides)
-            links = None if math.isinf(m) else default_fading(p2, m)
-            rates.append([optimize_tradeoff(p2, model, links=links).r_s_opt
-                          for model in Model])
-        table.update((f"rs_{tag}{suffix}", col) for tag, col in zip(_MODEL_TAGS, zip(*rates)))
+            if math.isinf(m):
+                rates.append((optimize_tradeoff(p2).r_s_opt, throughput_ideal_det(p2),
+                              throughput_no_pc_det(p2)[1]))
+            else:
+                links = default_fading(p2, m)
+                rates.append((optimize_tradeoff(p2, links).r_s_opt,
+                              throughput_ideal_fading(p2, links),
+                              throughput_no_pc_fading(p2, links)[1]))
+        table.update((f"rs_{tag}{suffix}", col)
+                     for tag, col in zip(("EM", "IM", "NPC"), zip(*rates)))
     notes = ["EM column reports the tau-optimized throughput per gamma"]
     return table, notes
 
@@ -551,7 +555,7 @@ def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: floa
     """The text tail of one finite-m row; the rate reuses the row's power."""
     p2 = replace(params, gamma=gamma, rho_out=rho_out)
     # the power reads only the PR-ST law, which needs no PT-SR gain
-    pc = controlled_power_fading(p2, NakagamiGain(m, _pr_st_gain(p2)), tau)
+    pc = controlled_power_fading(p2, pr_st_law(p2, m), tau)
     cells = [linear_to_db(pc.p_cont), pc.regime.value]
     if include_rs:
         cells.append(throughput_fading_at(p2, default_fading(p2, m), tau, pc))
@@ -706,7 +710,7 @@ def _validate_checks(cfg: ScenarioConfig):
     yield "capacity law KS vs exact draws", ks <= 0.02, f"{ks:.4f}", "<= 0.02"
 
     # 9: the estimation-throughput curve peaks inside the grid, near ideal
-    curve = optimize_tradeoff(params, Model.ESTIMATION)
+    curve = optimize_tradeoff(params)
     grid_taus = [t for t, _ in curve.points]
     interior = grid_taus[0] < curve.tau_opt < grid_taus[-1]
     gap = throughput_ideal_det(params) - curve.r_s_opt
@@ -731,7 +735,7 @@ def _validate_checks(cfg: ScenarioConfig):
     mcf = montecarlo.run_trials_fading(params, links, tau_ref, mc_small, seed + 1,
                                        pcf.p_cont)
     gap = abs(mcf.outage_rate - params.rho_out)
-    ok = gap <= 4.0 * mcf.outage_se and pcf.regime is not None
+    ok = gap <= 4.0 * mcf.outage_se
     yield ("outage self-consistency (fading)", ok, f"mc gap {gap:.2e}",
            f"<= 4 se ({4.0 * mcf.outage_se:.2e})")
 

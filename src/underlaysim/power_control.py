@@ -10,12 +10,14 @@ the threshold theta_i except with probability rho_out. Two regimes fall out:
   sits strictly below the hardware ceiling p_full;
 - power-limited: even at p_full the constraint holds, so the ceiling binds.
 
-The boundary between the regimes, as a function of the PR-to-ST receive SNR
-gamma, is the operating bound solved by perf_bound_det / perf_bound_fading:
-above the bound the system is interference-limited, below it power-limited.
-The bound only exists once the sensing window holds enough samples for the
-estimator's upper tail to pin down the outage level; for shorter windows the
-root search reports a missing bracket rather than a clamped value.
+The boundary between the regimes is the equation outage at p_full =
+rho_out (_excess_at_full). Its root in the PR-to-ST receive SNR gamma is the
+operating bound of perf_bound_det / perf_bound_fading: above it the system
+is interference-limited, below it power-limited. The bound only exists once
+the sensing window holds enough samples for the estimator's upper tail to
+pin down the outage level; for shorter windows the root search reports a
+missing bracket rather than a clamped value. Its root in the window length
+is forced_window, the sensing time of transmission without power control.
 
 Fading variants average the outage over the Nakagami-m law of the PR-ST
 power gain; gamma then plays the role of the mean receive SNR.
@@ -24,6 +26,7 @@ power gain; gamma then plays the role of the mean receive SNR.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -42,7 +45,9 @@ __all__ = [
     "PowerControlResult",
     "DetPowerArrays",
     "FadingLinks",
+    "pr_st_law",
     "default_fading",
+    "ideal_power",
     "samples_for",
     "outage_det",
     "controlled_power_det_array",
@@ -52,6 +57,7 @@ __all__ = [
     "outage_fading",
     "controlled_power_fading",
     "perf_bound_fading",
+    "forced_window",
 ]
 
 
@@ -122,6 +128,11 @@ class ScenarioParams:
     def pilot_samples(self) -> int:
         return samples_for(self.tau_p, self.f_s)
 
+    def check_tau(self, tau) -> None:
+        """tau, a scalar or an array, must leave room for the pilot in the frame."""
+        if not np.all((tau > 0.0) & (tau < self.frame_len - self.tau_p)):
+            raise ValueError("tau must leave room for the pilot inside the frame")
+
 
 class Regime(enum.Enum):
     INTERFERENCE_LIMITED = "interference-limited"
@@ -130,16 +141,10 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerControlResult:
-    """Controlled power, the binding regime, and the effective sensing time.
-
-    tau_eff is the requested tau rounded to a whole number of samples; the
-    estimator laws see tau_eff while time budgets elsewhere keep the
-    requested tau.
-    """
+    """Controlled power and the binding regime."""
 
     p_cont: float
     regime: Regime
-    tau_eff: float
 
 
 class DetPowerArrays(NamedTuple):
@@ -167,15 +172,33 @@ def _pr_st_gain(params: ScenarioParams) -> float:
     return params.gamma * params.sigma2 / params.p_tx_pr
 
 
+def pr_st_law(params: ScenarioParams, m: float) -> NakagamiGain:
+    """The Nakagami-m PR-ST gain law whose mean gain the scenario's gamma
+    implies. The power rules read only this law, so it needs no PT-SR gain."""
+    return NakagamiGain(m, _pr_st_gain(params))
+
+
 def default_fading(params: ScenarioParams, m: float) -> FadingLinks:
     """Fading laws whose mean gains reproduce the scenario's link budget."""
     if params.g_pt_sr <= 0.0:
         raise ValueError("fading links need a positive PT-SR gain")
     return FadingLinks(
-        pr_st=NakagamiGain(m, _pr_st_gain(params)),
+        pr_st=pr_st_law(params, m),
         pt_sr=NakagamiGain(m, params.g_pt_sr),
         st_sr=NakagamiGain(m, params.g_st_sr),
     )
+
+
+def ideal_power(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> float:
+    """Perfect-knowledge transmit power: min(theta_i / gain, p_full).
+
+    gain is the known PR-ST gain for deterministic channels (pr_st None)
+    and the upper rho_out-quantile of the PR-ST law pr_st under fading. A
+    gain that underflows to 0 gives p_full.
+    """
+    gain = (_pr_st_gain(params) if pr_st is None
+            else dists.nakagami_gain_quantile(pr_st, 1.0 - params.rho_out))
+    return min(params.theta_i / gain, params.p_full) if gain > 0.0 else params.p_full
 
 
 def samples_for(tau: float, f_s: float) -> int:
@@ -186,12 +209,6 @@ def samples_for(tau: float, f_s: float) -> int:
     if n < 1:
         raise ValueError("sensing window shorter than one sample")
     return n
-
-
-def _check_tau(params: ScenarioParams, tau) -> None:
-    """tau, a scalar or an array, must leave room for the pilot in the frame."""
-    if not np.all((tau > 0.0) & (tau < params.frame_len - params.tau_p)):
-        raise ValueError("tau must leave room for the pilot inside the frame")
 
 
 def _interference_threshold(params: ScenarioParams, p: float) -> float:
@@ -234,7 +251,7 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
         raise ValueError("gamma must be finite and positive")
     if not ((rho_out > 0.0) & (rho_out < 1.0)).all():
         raise ValueError("rho_out must lie strictly in (0, 1)")
-    _check_tau(params, tau)
+    params.check_tau(tau)
     # rint, like round(), takes half-sample windows to the even count
     n = np.rint(tau * params.f_s)
     if not (n >= 1.0).all():
@@ -257,7 +274,7 @@ def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResu
     rho_out, with the regime labelled."""
     pc = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
     regime = Regime.POWER_LIMITED if pc.power_limited else Regime.INTERFERENCE_LIMITED
-    return PowerControlResult(float(pc.p_cont), regime, float(pc.n) / params.f_s)
+    return PowerControlResult(float(pc.p_cont), regime)
 
 
 # receive SNRs (linear) searched for the regime bound, both channels
@@ -267,7 +284,7 @@ _BOUND_BRACKET = (1e-6, 1e3)
 def perf_bound_det(params: ScenarioParams, tau: float) -> float:
     """Receive SNR separating the regimes, deterministic channel.
 
-    Solves outage-at-p_full(gamma) = rho_out over _BOUND_BRACKET. Raises
+    Solves _excess_at_full(gamma) = 0 over _BOUND_BRACKET. Raises
     specfun.BracketError when the window is too short for the bound to
     exist anywhere in the bracket. The window is not tied to a frame:
     the bound is a property of the estimator alone, so tau may exceed
@@ -278,12 +295,10 @@ def perf_bound_det(params: ScenarioParams, tau: float) -> float:
     shortfall is about 0.28 dB at 100 ms and at most 0.2 dB from about
     193 ms on.
     """
-    samples_for(tau, params.f_s)
-
-    def residual(gamma: float) -> float:
-        return outage_det(replace(params, gamma=gamma), tau, params.p_full) - params.rho_out
-
-    return specfun.find_root(residual, *_BOUND_BRACKET)
+    n = samples_for(tau, params.f_s)
+    return specfun.find_root(
+        lambda gamma: _excess_at_full(replace(params, gamma=gamma), None, n),
+        *_BOUND_BRACKET)
 
 
 def perf_bound_asymptote(params: ScenarioParams) -> float:
@@ -388,10 +403,15 @@ def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
     return _outage_fading_n(params, pr_st, _gain_splits(pr_st), float(n), p)[0]
 
 
-def _perfect_knowledge_power(params: ScenarioParams, gain: float) -> float:
-    """The power rule with the PR-ST gain known: min(theta_i / gain, p_full).
-    A gain that underflows to 0 gives p_full."""
-    return min(params.theta_i / gain, params.p_full) if gain > 0.0 else params.p_full
+def _excess_at_full(params: ScenarioParams, pr_st: NakagamiGain | None,
+                    n: float) -> float:
+    """Outage at p_full over n samples, which need not be whole, minus
+    rho_out: deterministic channel for pr_st None, else averaged over the
+    PR-ST law pr_st. Its root in gamma, where it rises, is the regime
+    bound; its root in n, where it falls, is the forced window."""
+    outage = (_outage_det_n(params, n, params.p_full) if pr_st is None else
+              _outage_fading_n(params, pr_st, _gain_splits(pr_st), n, params.p_full)[0])
+    return outage - params.rho_out
 
 
 # a step down from the lowest power known to exceed the budget, while no
@@ -418,9 +438,8 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     ValueError at once, and a search still open after MAX_ITER steps
     raises specfun.ConvergenceError.
     """
-    _check_tau(params, tau)
+    params.check_tau(tau)
     n = samples_for(tau, params.f_s)
-    tau_eff = n / params.f_s
     splits = _gain_splits(pr_st)
 
     def residual(log_p: float) -> tuple[float, float]:
@@ -434,11 +453,10 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     log_hi = math.log(params.p_full)
     excess, slope = residual(log_hi)
     if excess <= 0.0:
-        return PowerControlResult(params.p_full, Regime.POWER_LIMITED, tau_eff)
+        return PowerControlResult(params.p_full, Regime.POWER_LIMITED)
     log_lo = -math.inf  # no power below the root known yet
     # at most log_hi, which keeps its excess and slope when it is log_hi
-    log_p = math.log(_perfect_knowledge_power(
-        params, dists.nakagami_gain_quantile(pr_st, 1.0 - params.rho_out)))
+    log_p = math.log(ideal_power(params, pr_st))
     if log_p < log_hi:
         excess, slope = residual(log_p)
     for _ in range(specfun.MAX_ITER):
@@ -463,22 +481,41 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
         excess, slope = residual(log_p)
     else:
         raise specfun.ConvergenceError("the power rule did not converge")
-    return PowerControlResult(math.exp(log_p), Regime.INTERFERENCE_LIMITED, tau_eff)
+    return PowerControlResult(math.exp(log_p), Regime.INTERFERENCE_LIMITED)
 
 
-def perf_bound_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float) -> float:
-    """Mean receive SNR separating the regimes under PR-ST fading.
+def perf_bound_fading(params: ScenarioParams, m: float, tau: float) -> float:
+    """Mean receive SNR separating the regimes under Nakagami-m PR-ST fading.
 
-    Only the m of pr_st is used; its mean gain is retied to the searched
-    SNR through mean_gain = gamma * sigma2 / p_tx_pr at every step. Raises
+    Solves _excess_at_full = 0 on pr_st_law at the searched SNR. Raises
     specfun.BracketError when no bound exists in _BOUND_BRACKET. As in the
     deterministic variant, tau is not frame-bounded here.
     """
     n = samples_for(tau, params.f_s)
+    return specfun.find_root(
+        lambda gamma: _excess_at_full(params, pr_st_law(replace(params, gamma=gamma), m), n),
+        *_BOUND_BRACKET)
 
-    def residual(gamma: float) -> float:
-        law = NakagamiGain(pr_st.m, gamma * params.sigma2 / params.p_tx_pr)
-        return (_outage_fading_n(params, law, _gain_splits(law), float(n), params.p_full)[0]
-                - params.rho_out)
 
-    return specfun.find_root(residual, *_BOUND_BRACKET)
+def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> float:
+    """Sensing time without power control: the window at which the outage
+    at p_full meets rho_out, deterministic for pr_st None, else under the
+    PR-ST law pr_st.
+
+    Solves _excess_at_full = 0 in ln n, n continuous, from two samples to
+    0.999 of the frame less its pilot. Returns two samples' time when even
+    that window meets the constraint, and nan when no window inside the
+    frame does. find_root reads the memoized bracket ends.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def excess(log_n: float) -> float:
+        return _excess_at_full(params, pr_st, math.exp(log_n))
+
+    log_lo = math.log(2.0)
+    log_hi = math.log(0.999 * (params.frame_len - params.tau_p) * params.f_s)
+    if excess(log_hi) > 0.0:
+        return math.nan
+    if excess(log_lo) <= 0.0:
+        return 2.0 / params.f_s
+    return math.exp(specfun.find_root(excess, log_lo, log_hi)) / params.f_s

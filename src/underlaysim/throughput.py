@@ -8,22 +8,20 @@ controlled power (the estimate-conditioned constraint loosens as the
 estimator concentrates) but a shorter transmission: the product peaks at an
 interior tau, which optimize_tradeoff locates.
 
-Three models are compared on the same scenario:
+The estimation system is compared with two baselines on the same scenario:
 
-- ESTIMATION: the working system; throughput is the prefactor times the
-  mean of the estimated capacity under the controlled power.
-- IDEAL: perfect channel knowledge at the ST; no estimation, no pilot, no
-  prefactor, power min(theta_i / gain, p_full) against the true PR-ST gain
-  (its outage-quantile under fading). An upper bound, flat in tau.
-- NO_POWER_CONTROL: transmission at p_full with the sensing window forced
-  to the length at which the regime bound equals the scenario's gamma. If
-  no window length achieves that, the model transmits nothing and reports
-  zero throughput with an undefined tau.
+- the estimation system (throughput_det, throughput_fading): the prefactor
+  times the mean of the estimated capacity under the controlled power.
+- perfect knowledge (throughput_ideal_*): no estimation, no pilot, no
+  prefactor, at power_control.ideal_power. An upper bound, flat in tau.
+- no power control (throughput_no_pc_*): transmission at p_full over
+  power_control.forced_window. If no window inside the frame meets the
+  outage constraint, the baseline transmits nothing and reports zero
+  throughput with an undefined tau.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -34,14 +32,11 @@ from scipy import special
 from . import dists, specfun
 from .dists import CapacityDist
 from .power_control import (DetPowerArrays, FadingLinks, PowerControlResult,
-                            ScenarioParams, _check_tau, _gain_splits,
-                            _outage_det_n, _outage_fading_n,
-                            _perfect_knowledge_power, _pr_st_gain,
-                            controlled_power_det_array,
-                            controlled_power_fading, samples_for)
+                            ScenarioParams, controlled_power_det_array,
+                            controlled_power_fading, forced_window,
+                            ideal_power, samples_for)
 
 __all__ = [
-    "Model",
     "TradeoffCurve",
     "prefactor",
     "capacity_law_det",
@@ -60,25 +55,18 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-class Model(enum.Enum):
-    ESTIMATION = "estimation"
-    IDEAL = "ideal"
-    NO_POWER_CONTROL = "no-power-control"
-
-
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Sampled rate-versus-tau curve plus its located optimum."""
+    """Sampled estimation rate-versus-tau curve plus its located optimum."""
 
     points: tuple[tuple[float, float], ...]
     tau_opt: float
     r_s_opt: float
-    model: Model
 
 
 def prefactor(params: ScenarioParams, tau):
     """Fraction of the frame left for payload transmission, elementwise."""
-    _check_tau(params, tau)
+    params.check_tau(tau)
     return (params.frame_len - tau - params.tau_p / 2.0) / params.frame_len
 
 
@@ -216,60 +204,24 @@ def throughput_det(params: ScenarioParams, tau: float) -> float:
     return float(throughput_det_array(params, tau, power))
 
 
-def _ideal_power(params: ScenarioParams, pr_st: dists.NakagamiGain | None) -> float:
-    """Perfect-knowledge transmit power: min(theta_i / gain, p_full).
-
-    gain is the known PR-ST gain for deterministic channels (pr_st None)
-    and the upper rho_out-quantile of the PR-ST law pr_st under fading.
-    """
-    if pr_st is None:
-        gain = _pr_st_gain(params)
-    else:
-        gain = dists.nakagami_gain_quantile(pr_st, 1.0 - params.rho_out)
-    return _perfect_knowledge_power(params, gain)
-
-
 def throughput_ideal_det(params: ScenarioParams) -> float:
     """Perfect-knowledge upper bound, deterministic channels."""
-    p = _ideal_power(params, None)
+    p = ideal_power(params)
     sinr = params.g_st_sr * p / (params.g_pt_sr * params.p_tx_pt + params.sigma2)
     return math.log2(1.0 + sinr)
-
-
-def _no_pc_window(params: ScenarioParams, residual) -> float:
-    """Forced window length (in samples, continuous) or nan if unattainable.
-
-    residual(log n) must be the outage at p_full minus rho_out, decreasing
-    in n. Returns the n at which it crosses zero; the smallest usable
-    window when even that satisfies the constraint; nan when no window
-    inside the frame does. Each bracket end is evaluated once: find_root
-    reads the memoized values.
-    """
-    residual = functools.lru_cache(maxsize=None)(residual)
-    n_lo = 2.0
-    n_hi = 0.999 * (params.frame_len - params.tau_p) * params.f_s
-    if residual(math.log(n_hi)) > 0.0:
-        return math.nan
-    if residual(math.log(n_lo)) <= 0.0:
-        return n_lo
-    return math.exp(specfun.find_root(residual, math.log(n_lo), math.log(n_hi)))
 
 
 def throughput_no_pc_det(params: ScenarioParams) -> tuple[float, float]:
     """Forced sensing time and throughput without power control.
 
     Transmission happens at p_full, so the outage constraint pins the
-    window length instead of the power. Returns (nan, 0.0) when no window
-    inside the frame meets the constraint at the scenario's gamma.
+    window length (forced_window) instead of the power. Returns (nan, 0.0)
+    when no window inside the frame meets the constraint at the scenario's
+    gamma.
     """
-
-    def residual(log_n: float) -> float:
-        return _outage_det_n(params, math.exp(log_n), params.p_full) - params.rho_out
-
-    n_forced = _no_pc_window(params, residual)
-    if math.isnan(n_forced):
+    tau_f = forced_window(params)
+    if math.isnan(tau_f):
         return math.nan, 0.0
-    tau_f = n_forced / params.f_s
     dist = capacity_law_det(params, tau_f, params.p_full)
     return tau_f, prefactor(params, tau_f) * mean_capacity(dist)
 
@@ -366,7 +318,7 @@ def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float
     gain; the rate averages the true-SINR capacity over the other two
     links. Flat in tau.
     """
-    p = _ideal_power(params, links.pr_st)
+    p = ideal_power(params, links.pr_st)
     x_s, w_s = _gain_nodes(links.st_sr)
     x_i, w_i = _gain_nodes(links.pt_sr)
     rate = np.log1p(x_s[:, None] * p
@@ -377,16 +329,9 @@ def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float
 def throughput_no_pc_fading(params: ScenarioParams,
                             links: FadingLinks) -> tuple[float, float]:
     """Forced sensing time and throughput without power control, fading."""
-    splits = _gain_splits(links.pr_st)
-
-    def residual(log_n: float) -> float:
-        return (_outage_fading_n(params, links.pr_st, splits, math.exp(log_n),
-                                 params.p_full)[0] - params.rho_out)
-
-    n_forced = _no_pc_window(params, residual)
-    if math.isnan(n_forced):
+    tau_f = forced_window(params, links.pr_st)
+    if math.isnan(tau_f):
         return math.nan, 0.0
-    tau_f = n_forced / params.f_s
     return tau_f, (prefactor(params, tau_f)
                    * _mean_capacity_fading(params, links, tau_f, params.p_full))
 
@@ -430,27 +375,14 @@ def default_tau_grid(params: ScenarioParams) -> np.ndarray:
     return np.geomspace(lo, hi, 25)
 
 
-def optimize_tradeoff(params: ScenarioParams, model: Model,
+def optimize_tradeoff(params: ScenarioParams,
                       links: FadingLinks | None = None) -> TradeoffCurve:
-    """Trace the rate-versus-tau curve and locate its optimum.
+    """Trace the estimation rate-versus-tau curve and locate its optimum.
 
-    ESTIMATION scans default_tau_grid (deterministic channels in one array
-    call) and refines the best cell by golden-section search until the
-    bracket is narrower than _TAU_TOL.
-    IDEAL is flat, so the curve just records the constant;
-    NO_POWER_CONTROL has no free tau and collapses to its single forced
-    point.
+    Scans default_tau_grid (deterministic channels, links None, in one
+    array call) and refines the best cell by golden-section search until
+    the bracket is narrower than _TAU_TOL.
     """
-    if model is Model.IDEAL:
-        value = (throughput_ideal_det(params) if links is None
-                 else throughput_ideal_fading(params, links))
-        points = tuple((float(t), value) for t in default_tau_grid(params))
-        return TradeoffCurve(points, math.nan, value, model)
-    if model is Model.NO_POWER_CONTROL:
-        tau_f, r_s = (throughput_no_pc_det(params) if links is None
-                      else throughput_no_pc_fading(params, links))
-        return TradeoffCurve(((tau_f, r_s),), tau_f, r_s, model)
-
     grid = default_tau_grid(params)
     if links is None:
         rate = functools.partial(throughput_det, params)
@@ -468,4 +400,4 @@ def optimize_tradeoff(params: ScenarioParams, model: Model,
     if values[i] > r_opt:
         tau_opt, r_opt = float(grid[i]), float(values[i])
     points = tuple((float(t), float(v)) for t, v in zip(grid, values))
-    return TradeoffCurve(points, float(tau_opt), float(r_opt), model)
+    return TradeoffCurve(points, float(tau_opt), float(r_opt))

@@ -28,7 +28,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 
-from underlaysim.dists import (NakagamiGain, capacity_cdf, capacity_pdf,
+from underlaysim.dists import (capacity_cdf, capacity_pdf,
                                interference_power_law, pilot_gain_law,
                                sample_ncx2)
 from underlaysim.montecarlo import (ks_distance, run_trials_det,
@@ -38,7 +38,7 @@ from underlaysim.power_control import (Regime, controlled_power_det,
                                        db_to_linear, default_fading,
                                        linear_to_db, perf_bound_asymptote,
                                        perf_bound_det, perf_bound_fading)
-from underlaysim.throughput import (Model, capacity_law_det,
+from underlaysim.throughput import (capacity_law_det,
                                     optimize_tradeoff, throughput_fading_at,
                                     throughput_ideal_det,
                                     throughput_no_pc_det,
@@ -156,14 +156,14 @@ def test_capacity_law_against_exact_draws(defaults, record):
 
 def test_tradeoff_shape_and_budget_ordering(defaults, record):
     ideal = throughput_ideal_det(defaults)
-    curve = optimize_tradeoff(defaults, Model.ESTIMATION)
+    curve = optimize_tradeoff(defaults)
     values = np.array([v for _, v in curve.points])
     i = int(np.argmax(values))
     diffs = np.diff(values)
     unimodal = bool(np.all(diffs[:i] > 0.0) and np.all(diffs[i:] < 0.0))
     interior = 0 < i < values.size - 1
     gap = ideal - curve.r_s_opt
-    tight = optimize_tradeoff(replace(defaults, rho_out=0.01), Model.ESTIMATION)
+    tight = optimize_tradeoff(replace(defaults, rho_out=0.01))
     ordering = tight.tau_opt > curve.tau_opt and tight.r_s_opt < curve.r_s_opt
     ok = (unimodal and interior and curve.r_s_opt < ideal
           and 0.0 < gap < 0.15 and ordering)
@@ -174,10 +174,10 @@ def test_tradeoff_shape_and_budget_ordering(defaults, record):
 
 
 def test_fading_bound_ordering_in_m(defaults, record):
-    stars = [perf_bound_fading(defaults, NakagamiGain(m, 1.0), 1e-3)
+    stars = [perf_bound_fading(defaults, m, 1e-3)
              for m in (0.5, 1.0, 2.0, 5.0)]
     increasing = all(a < b for a, b in zip(stars, stars[1:]))
-    near = linear_to_db(perf_bound_fading(defaults, NakagamiGain(1e4, 1.0), 1e-3))
+    near = linear_to_db(perf_bound_fading(defaults, 1e4, 1e-3))
     det = linear_to_db(perf_bound_det(defaults, 1e-3))
     close = abs(near - det) <= 0.1
     ok = increasing and close
@@ -240,7 +240,7 @@ def test_no_power_control_baseline(defaults, record):
     for g_db in (-11.0, -12.0, -14.0):
         params = replace(defaults, gamma=db_to_linear(g_db))
         _, r_base = throughput_no_pc_det(params)
-        curve = optimize_tradeoff(params, Model.ESTIMATION)
+        curve = optimize_tradeoff(params)
         ok = ok and r_base <= curve.r_s_opt + 1e-9
         details.append(f"{g_db:g} dB: {r_base:.4f} <= {curve.r_s_opt:.4f}")
     record(9, "no-control baseline vanishes when unattainable, never wins",

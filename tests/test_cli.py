@@ -27,7 +27,7 @@ from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, linear_to_db,
                                        perf_bound_det, perf_bound_fading)
-from underlaysim.throughput import (Model, capacity_law_det, optimize_tradeoff,
+from underlaysim.throughput import (capacity_law_det, optimize_tradeoff,
                                     throughput_det, throughput_fading,
                                     throughput_ideal_det, throughput_no_pc_det)
 
@@ -223,7 +223,7 @@ def _fig7_params(p, g_db, p_full_db):
 
 def _fig9a_rs_em_m1(p, g_db):
     p2 = replace(p, gamma=db_to_linear(g_db))
-    return optimize_tradeoff(p2, Model.ESTIMATION, links=default_fading(p2, 1.0)).r_s_opt
+    return optimize_tradeoff(p2, default_fading(p2, 1.0)).r_s_opt
 
 
 _PFULL_HEADER = ["gamma_dB"] + [f"rs_{model}_pfull_{p}dBm" for p in ("0", "m10")
@@ -246,8 +246,7 @@ _FIGURE_TABLES = [
                    for tag in ("m0p5", "m1", "m2", "m5", "det")],
      41, ["55 cells have no operating bound (window too short); left nan"],
      "gamma_star_dB_m1", 1.0,
-     lambda p, tau_ms: linear_to_db(perf_bound_fading(
-         p, dists.NakagamiGain(1.0, 1.0), tau_ms * 1e-3))),
+     lambda p, tau_ms: linear_to_db(perf_bound_fading(p, 1.0, tau_ms * 1e-3))),
     ("fig6a", ["tau_ms", "p_cont_dBm", "p_cont_dBm_ideal"], 37, [],
      "p_cont_dBm", 1.0,
      lambda p, tau_ms: linear_to_db(controlled_power_det(p, tau_ms * 1e-3).p_cont)),
@@ -257,8 +256,7 @@ _FIGURE_TABLES = [
     ("fig7a", _PFULL_HEADER, 13,
      ["EM column reports the tau-optimized throughput per gamma"],
      "rs_EM_pfull_0dBm", 0.0,
-     lambda p, g_db: optimize_tradeoff(_fig7_params(p, g_db, 0.0),
-                                       Model.ESTIMATION).r_s_opt),
+     lambda p, g_db: optimize_tradeoff(_fig7_params(p, g_db, 0.0)).r_s_opt),
     ("fig7b", _PFULL_HEADER, 13,
      ["EM column reports the tau-optimized throughput per gamma"],
      "rs_NPC_pfull_m10dBm", -5.0,
@@ -299,6 +297,22 @@ def test_figure_tables(tmp_path, fig_id, header, n_rows, notes, column, key,
     row = next(r for r in rows if float(r[0]) == pytest.approx(key, rel=1e-9))
     want = expected(default_config().params(), float(row[0]))
     assert float(row[header.index(column)]) == pytest.approx(want, rel=1e-9)
+
+
+def test_fig7_baseline_columns_are_the_baseline_rates(tmp_path):
+    # every IM and NPC cell is the perfect-knowledge rate and the
+    # no-power-control rate at its gamma and p_full
+    out = tmp_path / "fig7a.csv"
+    assert main(["figure", "fig7a", "--out", str(out), "--trials", "300"]) == 0
+    _, header, rows = _read_csv(out)
+    params = default_config().params()
+    for p_tag, p_full_db in (("0", 0.0), ("m10", -10.0)):
+        for row in rows:
+            p2 = _fig7_params(params, float(row[0]), p_full_db)
+            ideal = float(row[header.index(f"rs_IM_pfull_{p_tag}dBm")])
+            no_pc = float(row[header.index(f"rs_NPC_pfull_{p_tag}dBm")])
+            assert ideal == pytest.approx(throughput_ideal_det(p2), rel=1e-9)
+            assert no_pc == pytest.approx(throughput_no_pc_det(p2)[1], rel=1e-9, abs=1e-12)
 
 
 def test_unknown_figure_id_is_a_usage_error(tmp_path):

@@ -28,10 +28,11 @@ from underlaysim.power_control import (FadingLinks, PowerControlResult,
                                        controlled_power_det_array,
                                        controlled_power_fading,
                                        db_to_linear, default_fading,
+                                       forced_window, ideal_power,
                                        linear_to_db, outage_det,
                                        outage_fading, perf_bound_asymptote,
                                        perf_bound_det, perf_bound_fading,
-                                       samples_for)
+                                       pr_st_law, samples_for)
 from underlaysim.specfun import ABS_TOL, REL_TOL, BracketError
 from underlaysim.throughput import throughput_no_pc_fading
 
@@ -145,11 +146,6 @@ def test_regime_flips_at_the_bound(defaults):
     below = controlled_power_det(replace(defaults, gamma=star * 0.95), 1e-3)
     assert above.regime is Regime.INTERFERENCE_LIMITED
     assert below.regime is Regime.POWER_LIMITED
-
-
-def test_tau_eff_snaps_to_whole_samples(defaults):
-    assert controlled_power_det(defaults, 1.0004e-3).tau_eff == pytest.approx(1e-3)
-    assert controlled_power_det(defaults, 1.6e-6).tau_eff == pytest.approx(2e-6)
 
 
 def test_power_monotone_in_outage_budget(defaults):
@@ -586,8 +582,8 @@ def test_controlled_power_fading_at_a_tiny_mean_gain(defaults, gamma_db):
     assert res.regime is Regime.INTERFERENCE_LIMITED
     noise_only = controlled_power_det(replace(params, gamma=1e-300), 1e-5).p_cont
     assert res.p_cont == pytest.approx(noise_only, rel=1e-7)
-    # a gain quantile that underflows to 0 starts the search at p_full
-    assert power_control._perfect_knowledge_power(params, 0.0) == params.p_full
+    # a PR-ST gain that underflows to 0 gives the perfect-knowledge power p_full
+    assert ideal_power(replace(params, gamma=5e-324)) == params.p_full
 
 
 @pytest.mark.parametrize("gamma_db", [-2900.0, -2970.0])
@@ -617,7 +613,7 @@ def test_controlled_power_fading_small_budget_matches_oracle_root(defaults):
 
 def test_perf_bound_fading_small_budget_solves_oracle_equation(defaults):
     params = replace(defaults, rho_out=1e-4)
-    star = perf_bound_fading(params, default_fading(params, 1.0).pr_st, 1e-2)
+    star = perf_bound_fading(params, 1.0, 1e-2)
     out = _outage_fading_reference(replace(params, gamma=star), 1.0, 10_000,
                                    params.p_full)
     assert out == pytest.approx(params.rho_out, abs=ABS_TOL)
@@ -629,6 +625,32 @@ def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
     assert math.isfinite(tau_f) and r_npc > 0.0
     out = _outage_fading_reference(params, 1.0, tau_f * params.f_s, params.p_full)
     assert out == pytest.approx(params.rho_out, abs=ABS_TOL)
+
+
+@pytest.mark.parametrize("m", [math.inf, 1.0])
+def test_forced_window_is_two_samples_when_those_meet_the_budget(defaults, m):
+    # at a -80 dBm threshold and a -20 dB receive SNR even two samples keep
+    # the outage at p_full within the budget: the window is their time
+    params = replace(defaults, theta_i=db_to_linear(-80.0), gamma=db_to_linear(-20.0))
+    pr_st = None if math.isinf(m) else pr_st_law(params, m)
+    assert power_control._excess_at_full(params, pr_st, 2.0) <= 0.0
+    assert forced_window(params, pr_st) == 2e-6
+
+
+@pytest.mark.parametrize("m", [math.inf, 1.0])
+def test_forced_window_is_nan_when_no_window_meets_the_budget(defaults, m):
+    # at 0 dB the outage at p_full exceeds the budget for every window
+    pr_st = None if math.isinf(m) else pr_st_law(defaults, m)
+    frame_samples = 0.999 * (defaults.frame_len - defaults.tau_p) * defaults.f_s
+    assert power_control._excess_at_full(defaults, pr_st, frame_samples) > 0.0
+    assert math.isnan(forced_window(defaults, pr_st))
+
+
+def test_forced_window_solves_the_full_power_equation(defaults):
+    params = replace(defaults, gamma=db_to_linear(-12.0))
+    n = forced_window(params) * params.f_s
+    assert 2.0 < n < params.frame_len * params.f_s
+    assert power_control._excess_at_full(params, None, n) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_controlled_power_fading_self_consistency(defaults):
@@ -666,23 +688,20 @@ def test_controlled_power_fading_power_limited(defaults):
 def test_perf_bound_fading_monotone_in_m(defaults):
     stars = []
     for m in [0.5, 1.0, 2.0, 5.0]:
-        pr_st = default_fading(defaults, m).pr_st
-        stars.append(perf_bound_fading(defaults, pr_st, 1e-3))
+        stars.append(perf_bound_fading(defaults, m, 1e-3))
     assert all(s1 < s2 for s1, s2 in zip(stars, stars[1:]))
     # deeper fades push the bound below the deterministic one
     assert stars[-1] < perf_bound_det(defaults, 1e-3)
 
 
 def test_perf_bound_fading_solves_the_outage_equation(defaults):
-    pr_st = default_fading(defaults, 1.0).pr_st
-    star = perf_bound_fading(defaults, pr_st, 1e-3)
+    star = perf_bound_fading(defaults, 1.0, 1e-3)
     law = NakagamiGain(1.0, star * defaults.sigma2 / defaults.p_tx_pr)
     out = outage_fading(replace(defaults, gamma=star), law, 1e-3, defaults.p_full)
     assert out == pytest.approx(defaults.rho_out, abs=1e-6)
 
 
 def test_perf_bound_fading_approaches_det(defaults):
-    pr_st = default_fading(defaults, 1e4).pr_st
-    star_db = linear_to_db(perf_bound_fading(defaults, pr_st, 1e-3))
+    star_db = linear_to_db(perf_bound_fading(defaults, 1e4, 1e-3))
     det_db = linear_to_db(perf_bound_det(defaults, 1e-3))
     assert star_db == pytest.approx(det_db, abs=0.1)

@@ -1,4 +1,5 @@
-"""Throughput layer: mean rates, the three models, tradeoff optimization.
+"""Throughput layer: mean rates, the estimation rate and its two baselines,
+tradeoff optimization.
 
 mean_capacity is checked against scipy.integrate.quad on the same density,
 against quad on Hamdi's integrand over a table of seeded laws and the
@@ -28,7 +29,7 @@ from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, outage_det,
                                        outage_fading, samples_for)
-from underlaysim.throughput import (Model, TradeoffCurve, capacity_law_det,
+from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
                                     default_tau_grid, mean_capacity,
                                     optimize_tradeoff, prefactor,
                                     throughput_det, throughput_det_array,
@@ -36,7 +37,7 @@ from underlaysim.throughput import (Model, TradeoffCurve, capacity_law_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
-from underlaysim import throughput
+from underlaysim import power_control, throughput
 from underlaysim.specfun import ABS_TOL, REL_TOL
 from underlaysim.throughput import (_kept_cells, _mean_capacity_fading,
                                     _mean_capacity_grid, _outer_cells,
@@ -370,7 +371,7 @@ def test_no_pc_det_unattainable_at_high_snr(defaults):
 # ------------------------------------------------------------- optimization
 
 def test_tradeoff_unimodal_with_interior_peak(defaults):
-    curve = optimize_tradeoff(defaults, Model.ESTIMATION)
+    curve = optimize_tradeoff(defaults)
     values = np.array([v for _, v in curve.points])
     i = int(np.argmax(values))
     assert 0 < i < values.size - 1
@@ -380,7 +381,6 @@ def test_tradeoff_unimodal_with_interior_peak(defaults):
     # refinement can only improve on the grid
     assert curve.r_s_opt >= values[i]
     assert curve.points[i - 1][0] <= curve.tau_opt <= curve.points[i + 1][0]
-    assert curve.model is Model.ESTIMATION
 
 
 @pytest.mark.parametrize("overrides", [
@@ -389,37 +389,22 @@ def test_tradeoff_unimodal_with_interior_peak(defaults):
 def test_det_tradeoff_grid_equals_the_scalar_rate_bit_for_bit(defaults, overrides):
     # the grid is one array call; each point must be throughput_det there
     params = replace(defaults, **overrides)
-    curve = optimize_tradeoff(params, Model.ESTIMATION)
+    curve = optimize_tradeoff(params)
     assert [v for _, v in curve.points] == [throughput_det(params, t)
                                             for t, _ in curve.points]
 
 
 def test_tradeoff_tighter_budget_senses_longer(defaults):
-    loose = optimize_tradeoff(defaults, Model.ESTIMATION)
-    tight = optimize_tradeoff(replace(defaults, rho_out=0.01), Model.ESTIMATION)
+    loose = optimize_tradeoff(defaults)
+    tight = optimize_tradeoff(replace(defaults, rho_out=0.01))
     assert tight.tau_opt > loose.tau_opt
     assert tight.r_s_opt < loose.r_s_opt
 
 
 def test_tradeoff_reference_optimum(defaults):
-    curve = optimize_tradeoff(defaults, Model.ESTIMATION)
+    curve = optimize_tradeoff(defaults)
     assert curve.tau_opt == pytest.approx(1.6675e-3, rel=5e-3)
     assert curve.r_s_opt == pytest.approx(2.45537, rel=1e-4)
-
-
-def test_tradeoff_ideal_is_flat(defaults):
-    curve = optimize_tradeoff(defaults, Model.IDEAL)
-    values = {v for _, v in curve.points}
-    assert len(values) == 1
-    assert math.isnan(curve.tau_opt)
-    assert curve.r_s_opt == pytest.approx(throughput_ideal_det(defaults), rel=1e-12)
-
-
-def test_tradeoff_no_pc_single_point(defaults):
-    params = replace(defaults, gamma=db_to_linear(-12.0))
-    curve = optimize_tradeoff(params, Model.NO_POWER_CONTROL)
-    assert len(curve.points) == 1
-    assert curve.points[0] == (curve.tau_opt, curve.r_s_opt)
 
 
 def test_default_tau_grid_bounds(defaults):
@@ -565,14 +550,14 @@ def test_no_pc_fading_evaluates_each_window_once(defaults, monkeypatch):
     # then find_root reads them from the memo
     params = replace(defaults, gamma=db_to_linear(-15.0))
     links = default_fading(params, 1.0)
-    outage = throughput._outage_fading_n
+    outage = power_control._outage_fading_n
     windows = []
 
     def counted(params, gain, splits, n, p):
         windows.append(n)
         return outage(params, gain, splits, n, p)
 
-    monkeypatch.setattr(throughput, "_outage_fading_n", counted)
+    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
     assert throughput_no_pc_fading(params, links) == (0.001145502034076036,
                                                       5.024957076336232)
     assert len(windows) == len(set(windows)) == 12
