@@ -17,7 +17,7 @@ of the package.
 
 Take one snapshot per commit; then `diff -r OLD_DIR NEW_DIR` checks the
 bytes and `python scripts/csv_drift.py OLD_DIR NEW_DIR` reports the largest
-drift of each CSV. A snapshot takes ~5 s on a 2-vCPU host, most of it in
+drift of each CSV. A snapshot takes ~2 s on a 2-vCPU host, most of it in
 the fading tradeoff figures. Exits 1 if any command exited nonzero, after
 running them all.
 """

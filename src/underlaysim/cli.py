@@ -38,6 +38,7 @@ __all__ = [
     "default_config",
     "parse_config",
     "render_config",
+    "apply_set",
     "cmd_figure",
     "cmd_sweep",
     "cmd_validate",

@@ -297,7 +297,7 @@ def perf_bound_det(params: ScenarioParams, tau: float) -> float:
     """
     n = samples_for(tau, params.f_s)
     return specfun.find_root(
-        lambda gamma: _excess_at_full(replace(params, gamma=gamma), None, n),
+        lambda gamma: _excess_at_full(replace(params, gamma=gamma), None, None, n),
         *_BOUND_BRACKET)
 
 
@@ -404,13 +404,13 @@ def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
 
 
 def _excess_at_full(params: ScenarioParams, pr_st: NakagamiGain | None,
-                    n: float) -> float:
+                    splits: np.ndarray | None, n: float) -> float:
     """Outage at p_full over n samples, which need not be whole, minus
     rho_out: deterministic channel for pr_st None, else averaged over the
-    PR-ST law pr_st. Its root in gamma, where it rises, is the regime
-    bound; its root in n, where it falls, is the forced window."""
+    PR-ST law pr_st with splits _gain_splits(pr_st). Its root in gamma, where
+    it rises, is the regime bound; in n, where it falls, the forced window."""
     outage = (_outage_det_n(params, n, params.p_full) if pr_st is None else
-              _outage_fading_n(params, pr_st, _gain_splits(pr_st), n, params.p_full)[0])
+              _outage_fading_n(params, pr_st, splits, n, params.p_full)[0])
     return outage - params.rho_out
 
 
@@ -492,9 +492,12 @@ def perf_bound_fading(params: ScenarioParams, m: float, tau: float) -> float:
     deterministic variant, tau is not frame-bounded here.
     """
     n = samples_for(tau, params.f_s)
-    return specfun.find_root(
-        lambda gamma: _excess_at_full(params, pr_st_law(replace(params, gamma=gamma), m), n),
-        *_BOUND_BRACKET)
+
+    def excess(gamma: float) -> float:
+        pr_st = pr_st_law(replace(params, gamma=gamma), m)
+        return _excess_at_full(params, pr_st, _gain_splits(pr_st), n)
+
+    return specfun.find_root(excess, *_BOUND_BRACKET)
 
 
 def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> float:
@@ -507,10 +510,11 @@ def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> 
     that window meets the constraint, and nan when no window inside the
     frame does. find_root reads the memoized bracket ends.
     """
+    splits = None if pr_st is None else _gain_splits(pr_st)
 
     @functools.lru_cache(maxsize=None)
     def excess(log_n: float) -> float:
-        return _excess_at_full(params, pr_st, math.exp(log_n))
+        return _excess_at_full(params, pr_st, splits, math.exp(log_n))
 
     log_lo = math.log(2.0)
     log_hi = math.log(0.999 * (params.frame_len - params.tau_p) * params.f_s)

@@ -1,10 +1,11 @@
-"""Every exported name resolves, no package module reaches into another's
-private names, and the package imports neither scipy.optimize nor a
-process pool.
+"""Every exported name resolves, every public definition is exported, no
+package module reaches into another's private names, and the package
+imports neither scipy.optimize nor a process pool.
 
 A deletion that leaves its name behind in an __all__ list fails here, not
-at a user's star import. A quantity that two modules need has one public
-owner, so a module never imports a _name from another or reads
+at a user's star import, and so does a public function or class that a
+module defines but leaves out of it. A quantity that two modules need has
+one public owner, so a module never imports a _name from another or reads
 module._name. scipy.optimize costs a cold start about 0.25 s
 and 17 MB; the package finds its roots without it. Monte Carlo runs in
 one process, so multiprocessing and concurrent.futures.process stay
@@ -13,6 +14,7 @@ unloaded too (about 3 ms of imports).
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -37,6 +39,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert module.__all__
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_public_definition_is_exported(name):
+    module = importlib.import_module(name)
+    defined = [attr for attr, obj in vars(module).items()
+               if not attr.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    assert [attr for attr in defined if attr not in module.__all__] == []
 
 
 def _private(name: str) -> bool:

@@ -627,13 +627,18 @@ def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
     assert out == pytest.approx(params.rho_out, abs=ABS_TOL)
 
 
+def _excess_at_full(params, pr_st, n):
+    splits = None if pr_st is None else power_control._gain_splits(pr_st)
+    return power_control._excess_at_full(params, pr_st, splits, n)
+
+
 @pytest.mark.parametrize("m", [math.inf, 1.0])
 def test_forced_window_is_two_samples_when_those_meet_the_budget(defaults, m):
     # at a -80 dBm threshold and a -20 dB receive SNR even two samples keep
     # the outage at p_full within the budget: the window is their time
     params = replace(defaults, theta_i=db_to_linear(-80.0), gamma=db_to_linear(-20.0))
     pr_st = None if math.isinf(m) else pr_st_law(params, m)
-    assert power_control._excess_at_full(params, pr_st, 2.0) <= 0.0
+    assert _excess_at_full(params, pr_st, 2.0) <= 0.0
     assert forced_window(params, pr_st) == 2e-6
 
 
@@ -642,7 +647,7 @@ def test_forced_window_is_nan_when_no_window_meets_the_budget(defaults, m):
     # at 0 dB the outage at p_full exceeds the budget for every window
     pr_st = None if math.isinf(m) else pr_st_law(defaults, m)
     frame_samples = 0.999 * (defaults.frame_len - defaults.tau_p) * defaults.f_s
-    assert power_control._excess_at_full(defaults, pr_st, frame_samples) > 0.0
+    assert _excess_at_full(defaults, pr_st, frame_samples) > 0.0
     assert math.isnan(forced_window(defaults, pr_st))
 
 
@@ -650,7 +655,24 @@ def test_forced_window_solves_the_full_power_equation(defaults):
     params = replace(defaults, gamma=db_to_linear(-12.0))
     n = forced_window(params) * params.f_s
     assert 2.0 < n < params.frame_len * params.f_s
-    assert power_control._excess_at_full(params, None, n) == pytest.approx(0.0, abs=1e-6)
+    assert _excess_at_full(params, None, n) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_forced_window_computes_the_gain_splits_once(defaults, monkeypatch):
+    # the benchmark's no-control point: its 12 outage evaluations share one
+    # law, so one set of quantile splits, and the root keeps every bit
+    params = replace(defaults, gamma=db_to_linear(-15.0))
+    pr_st = pr_st_law(params, 1.0)
+    splits = power_control._gain_splits
+    calls = []
+
+    def counted(law):
+        calls.append(law)
+        return splits(law)
+
+    monkeypatch.setattr(power_control, "_gain_splits", counted)
+    assert forced_window(params, pr_st) == 0.001145502034076036
+    assert calls == [pr_st]
 
 
 def test_controlled_power_fading_self_consistency(defaults):

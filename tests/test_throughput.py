@@ -6,9 +6,11 @@ against quad on Hamdi's integrand over a table of seeded laws and the
 small-lam series, and against a 256-node Gauss-Legendre rule over the
 whole survival function, which shares no code with the library's rule;
 its in-place softplus against the np.logaddexp form it replaced.
-The fading average is checked against a quantile-space midpoint rule over
-both gains, and against the library's own outer grid with every cell kept
-and each cell's mean taken by the 256-node rule.
+The fading average, one integral over the two links' 32-node mixtures, is
+checked against a quantile-space midpoint rule over both gains, and against
+the 32 x 32 grid of the same outer nodes with every cell kept: each cell's
+mean by mean_capacity over a seeded table of scenarios, and by the 256-node
+rule on the figures' fading points.
 """
 
 import math
@@ -39,8 +41,8 @@ from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
                                     throughput_no_pc_fading)
 from underlaysim import power_control, throughput
 from underlaysim.specfun import ABS_TOL, REL_TOL
-from underlaysim.throughput import (_kept_cells, _mean_capacity_fading,
-                                    _mean_capacity_grid, _outer_cells,
+from underlaysim.throughput import (_LAGUERRE_M_CAP, _gain_nodes,
+                                    _mean_capacity_fading, _mean_capacity_grid,
                                     _softplus as _softplus_into)
 
 
@@ -451,11 +453,22 @@ def test_throughput_fading_matches_midpoint_oracle(defaults):
     assert got == pytest.approx(want, rel=5e-3)
 
 
+def _outer_grid(params, links, tau, p):
+    """Weights and capacity laws of the 32 x 32 outer grid with every cell
+    kept, one cell per pair of ST-SR and PT-SR gain nodes."""
+    x_s, w_s = _gain_nodes(links.st_sr)
+    x_i, w_i = _gain_nodes(links.pt_sr)
+    law = throughput._capacity_law(params, samples_for(tau, params.f_s),
+                                   x_s[:, None], x_i[None, :], p)
+    return np.outer(w_s, w_i), law
+
+
 def _fading_mean_256(params, links, tau, p):
-    """The library's outer grid with no cell skipped, each cell's mean
-    capacity by the 256-node survival rule."""
-    weight, a_s, a_i, lam = _outer_cells(params, links, tau, p)
-    return float(np.sum(weight * _survival_mean_256(a_s, a_i, lam)))
+    """The outer grid, each cell's mean capacity by the 256-node survival
+    rule."""
+    weight, law = _outer_grid(params, links, tau, p)
+    return float(np.sum(weight * _survival_mean_256(
+        law.gain_approx.shape, law.interf_approx.shape, law.ratio_scale)))
 
 
 # (m, tau, p): the shortest window the figures use (10 us, a heavy
@@ -473,31 +486,27 @@ def test_fading_mean_capacity_matches_256_node_grid(defaults, m, tau, p):
     assert got == pytest.approx(want, rel=REL_TOL)
 
 
-def test_pruning_keeps_cells_without_a_mean_bound():
-    # cells with a_i <= 1 have no Jensen bound: kept however small their weight
-    weight = np.full((2, 3), 1e-30)
-    a_s = np.full((2, 3), 2.0)
-    a_i = np.array([[0.6, 1.0, 5.0], [0.6, 1.0, 5.0]])
-    lam = np.full((2, 3), 1e-3)
-    keep = _kept_cells(weight, a_s, a_i, lam)
-    assert keep.tolist() == [[True, True, False], [True, True, False]]
-
-
-def test_pruning_keeps_short_window_cells(defaults):
-    # a one-sample window puts the weak interference nodes at a_i <= 1
-    links = default_fading(defaults, 0.5)
-    tau, p = 1e-6, 0.1
-    weight, a_s, a_i, lam = _outer_cells(defaults, links, tau, p)
-    no_bound = a_i <= 1.0
-    assert 0 < no_bound.sum() < no_bound.size
-    keep = _kept_cells(weight, a_s, a_i, lam)
-    assert np.all(keep[no_bound])
-    assert not np.all(keep)
-    # the skipped cells' bounds sum to at most 0.1 abs_tol
-    got = _mean_capacity_fading(defaults, links, tau, p)
-    every_cell = float(np.sum(weight * _mean_capacity_grid(a_s, a_i, lam)))
-    assert math.isfinite(got)
-    assert abs(got - every_cell) <= 0.1 * ABS_TOL
+def test_fading_mean_capacity_oracle_table(defaults):
+    # 200 seeded scenarios: windows of 1 to 3e4 samples, m 0.5-1e3 (both
+    # outer rules), both mean gains 1e-12-1e-5 and p 1e-9-1 mW, against
+    # the outer grid with every cell kept and each cell's mean_capacity
+    rng = np.random.default_rng(20100202)
+    cases = zip(np.rint(_log_uniform(rng, 1.0, 3e4, 200)).tolist(),
+                _log_uniform(rng, 0.5, 1e3, 200).tolist(),
+                _log_uniform(rng, 1e-12, 1e-5, 200).tolist(),
+                _log_uniform(rng, 1e-12, 1e-5, 200).tolist(),
+                _log_uniform(rng, 1e-9, 1.0, 200).tolist())
+    ms = []
+    for n, m, g_st, g_pt, p in cases:
+        params = replace(defaults, g_st_sr=g_st, g_pt_sr=g_pt)
+        links = default_fading(params, m)
+        tau = n / params.f_s
+        weight, law = _outer_grid(params, links, tau, p)
+        want = float(np.sum(weight * mean_capacity(law)))
+        got = _mean_capacity_fading(params, links, tau, p)
+        assert abs(got - want) <= max(1e-12, 1e-10 * want), (n, m, g_st, g_pt, p)
+        ms.append(m)
+    assert min(ms) < _LAGUERRE_M_CAP < max(ms)
 
 
 def test_throughput_fading_reference_value(defaults):
@@ -559,5 +568,5 @@ def test_no_pc_fading_evaluates_each_window_once(defaults, monkeypatch):
 
     monkeypatch.setattr(power_control, "_outage_fading_n", counted)
     assert throughput_no_pc_fading(params, links) == (0.001145502034076036,
-                                                      5.024957076336232)
+                                                      5.024957076346219)
     assert len(windows) == len(set(windows)) == 12
