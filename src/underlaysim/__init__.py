@@ -15,7 +15,7 @@ from .dists import (CapacityDist, GammaApprox, NakagamiGain, NcChiSq,
 from .power_control import (FadingLinks, PowerControlResult, Regime,
                             ScenarioParams, controlled_power_det,
                             controlled_power_fading, default_fading,
-                            perf_bound_det, perf_bound_fading)
+                            perf_bound)
 from .specfun import BracketError, ConvergenceError
 from .throughput import TradeoffCurve, optimize_tradeoff
 
@@ -37,6 +37,5 @@ __all__ = [
     "default_fading",
     "gamma_match",
     "optimize_tradeoff",
-    "perf_bound_det",
-    "perf_bound_fading",
+    "perf_bound",
 ]

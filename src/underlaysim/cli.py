@@ -25,8 +25,8 @@ from .power_control import (Regime, ScenarioParams, controlled_power_det,
                             controlled_power_det_array,
                             controlled_power_fading, db_to_linear,
                             default_fading, ideal_power, linear_to_db,
-                            outage_det, perf_bound_asymptote, perf_bound_det,
-                            perf_bound_fading, pr_st_law, samples_for)
+                            outage, perf_bound, perf_bound_asymptote,
+                            pr_st_law, samples_for)
 from .throughput import (capacity_law_det, mean_capacity, optimize_tradeoff,
                          throughput_det_array, throughput_fading_at,
                          throughput_ideal_det, throughput_ideal_fading,
@@ -321,9 +321,7 @@ def _m_suffix(m: float) -> str:
 def _bound(params: ScenarioParams, m: float, tau: float) -> float:
     """Regime bound in dB, or nan where the window is too short to have one."""
     try:
-        if math.isinf(m):
-            return linear_to_db(perf_bound_det(params, tau))
-        return linear_to_db(perf_bound_fading(params, m, tau))
+        return linear_to_db(perf_bound(params, tau, m))
     except specfun.BracketError:
         return math.nan
 
@@ -656,7 +654,7 @@ def _validate_checks(cfg: ScenarioConfig):
     limit_db = linear_to_db(perf_bound_asymptote(params))
     gamma_star_db = math.nan
     try:
-        gamma_star_db = linear_to_db(perf_bound_det(params, 0.05))
+        gamma_star_db = linear_to_db(perf_bound(params, 0.05))
         ok = (abs(limit_db + 10.0) <= 1e-9
               and abs(gamma_star_db + 10.40) <= 0.1)
     except specfun.BracketError:
@@ -667,7 +665,7 @@ def _validate_checks(cfg: ScenarioConfig):
 
     # 5: the closed-form power rule against simulated outage
     mc = montecarlo.run_trials_det(params, tau_ref, trials, seed, pc.p_cont)
-    resid = abs(outage_det(params, tau_ref, pc.p_cont) - params.rho_out)
+    resid = abs(outage(params, tau_ref, pc.p_cont) - params.rho_out)
     gap = abs(mc.outage_rate - params.rho_out)
     ok = resid <= 1e-9 and gap <= 4.0 * mc.outage_se
     yield ("outage self-consistency (det)", ok,
@@ -681,9 +679,11 @@ def _validate_checks(cfg: ScenarioConfig):
     yield ("mean capacity vs simulation (det)", ok, f"gap {c_gap:.2e}",
            f"<= 4 se ({4.0 * mc.capacity_se:.2e})")
 
-    # 7: capacity density normalizes to one, by a panel rule over
-    # v = ln SINR: the ends are centred at ln(lam a_s / a_i), scaled by the
-    # law's spread and spaced as sinh, so the panels widen into the tails
+    # 7: the capacity CDF (fig4's route) integrates to the mean capacity
+    # (the rates' route): E[C] = int (1 - F(c)) dc, by a panel rule over
+    # v = ln SINR. The ends are centred at ln(lam a_s / a_i), scaled by the
+    # law's spread and spaced as sinh, so the panels widen into the tails;
+    # below the first end F is nil, so that stretch adds its capacity c
     worst = 0.0
     for tau in (1e-4, 1e-3):
         d = capacity_law_det(params, tau, pc.p_cont)
@@ -693,10 +693,11 @@ def _validate_checks(cfg: ScenarioConfig):
         v, w = specfun.panel_rule(ends[:-1], ends[1:], 8)
         # the capacity is log2(1 + e^v), and dC/dv = 1 / ((1 + e^-v) ln 2)
         x = np.logaddexp(0.0, v) / math.log(2.0)
-        total = float(np.sum(dists.capacity_pdf(d, x) * w / (1.0 + np.exp(-v))))
-        total /= math.log(2.0)
-        worst = max(worst, abs(total - 1.0))
-    yield "capacity density normalization", worst <= 1e-6, f"{worst:.2e}", "<= 1e-6"
+        total = float(np.sum((1.0 - dists.capacity_cdf(d, x)) * w / (1.0 + np.exp(-v))))
+        total = (total + math.log1p(math.exp(ends[0]))) / math.log(2.0)
+        mean = mean_capacity(d)
+        worst = max(worst, abs(total - mean) / mean)
+    yield "capacity CDF vs mean capacity", worst <= 1e-6, f"{worst:.2e}", "<= 1e-6"
 
     # 8: capacity law against exact-law sampling
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -753,7 +754,7 @@ def _validate_checks(cfg: ScenarioConfig):
     if math.isnan(tau_f):
         yield ("no-control calibration", False, "no forced window", "exists")
     else:
-        resid = abs(outage_det(p_probe, tau_f, p_probe.p_full) - p_probe.rho_out)
+        resid = abs(outage(p_probe, tau_f, p_probe.p_full) - p_probe.rho_out)
         mc_npc = montecarlo.run_trials_det(p_probe, tau_f, mc_small, seed + 2,
                                            p_probe.p_full)
         gap = abs(mc_npc.outage_rate - p_probe.rho_out)

@@ -14,8 +14,8 @@ Each law carries a two-moment gamma surrogate (gamma_match) that the
 power-control and throughput layers treat as the working approximation; the
 exact laws remain available for sampling so the surrogates can be checked
 against them. The estimated capacity log2(1 + gain * P / interference) then
-has a closed density through the ratio of the two gamma surrogates, which is
-a scaled beta-prime law.
+has a closed CDF through the ratio of the two gamma surrogates, which is a
+scaled beta-prime law.
 
 The laws come in one form: each field of NcChiSq, GammaApprox and
 CapacityDist, and each argument of the law builders, is a number or an
@@ -46,7 +46,6 @@ __all__ = [
     "received_power_law",
     "pilot_gain_law",
     "interference_power_law",
-    "capacity_pdf",
     "capacity_cdf",
     "nakagami_gain_cdf",
     "nakagami_gain_quantile",
@@ -256,10 +255,6 @@ def interference_power_law(gain, tx_power, n_samples, noise_power: float) -> NcC
                        noise_scale=noise_power / n_samples)
 
 
-def _ratio_params(dist: CapacityDist) -> tuple[float, float, float]:
-    return dist.gain_approx.shape, dist.interf_approx.shape, dist.ratio_scale
-
-
 def _log_sinr_from_capacity(t):
     """ln(2^x - 1) given t = x ln 2, elementwise, without overflow.
 
@@ -274,43 +269,18 @@ def _log_sinr_from_capacity(t):
                     t_hi + np.log1p(-np.exp(-t_hi)))
 
 
-def capacity_pdf(dist: CapacityDist, x):
-    """Density of the estimated capacity at x > 0 (scalar or array).
-
-    With Z = SINR estimate = lam * BetaPrime(a_s, a_i), lam = ratio_scale:
-
-        ln f_Z(z) = -ln lam - ln B(a_s, a_i)
-                    + (a_s - 1) ln(z / lam) - (a_s + a_i) ln(1 + z / lam)
-
-    and f_C(x) = f_Z(2^x - 1) * 2^x ln 2. Evaluated fully in log space so
-    the far tails underflow to zero instead of overflowing: with
-    ln u = ln z - ln lam, the ln(1 + u) term becomes logaddexp(0, ln u)
-    and 2^x rides along as +t inside the final exp.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
-        raise ValueError("capacity argument must be finite and positive")
-    a_s, a_i, lam = _ratio_params(dist)
-    t = x_arr * _LN2
-    ln_u = _log_sinr_from_capacity(t) - math.log(lam)
-    log_pdf_z = (-math.log(lam) - special.betaln(a_s, a_i)
-                 + (a_s - 1.0) * ln_u - (a_s + a_i) * np.logaddexp(0.0, ln_u))
-    out = np.exp(log_pdf_z + t) * _LN2
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
 def capacity_cdf(dist: CapacityDist, x):
     """CDF of the estimated capacity; zero for x <= 0.
 
-    The incomplete-beta argument z / (z + lam) is expit(ln u), exact for
-    arbitrarily large z where the direct ratio would overflow.
+    With the SINR estimate Z = lam * BetaPrime(a_s, a_i), lam = ratio_scale,
+    F_C(x) = I(a_s, a_i; z / (z + lam)) at z = 2^x - 1. The incomplete-beta
+    argument is expit(ln u), u = z / lam, exact for arbitrarily large z
+    where the direct ratio would overflow.
     """
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr)):
         raise ValueError("capacity argument must be finite")
-    a_s, a_i, lam = _ratio_params(dist)
+    a_s, a_i, lam = dist.gain_approx.shape, dist.interf_approx.shape, dist.ratio_scale
     t = np.maximum(x_arr, 0.0) * _LN2
     with np.errstate(divide="ignore"):
         ln_u = _log_sinr_from_capacity(t) - math.log(lam)

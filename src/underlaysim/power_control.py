@@ -12,15 +12,17 @@ the threshold theta_i except with probability rho_out. Two regimes fall out:
 
 The boundary between the regimes is the equation outage at p_full =
 rho_out (_excess_at_full). Its root in the PR-to-ST receive SNR gamma is the
-operating bound of perf_bound_det / perf_bound_fading: above it the system
-is interference-limited, below it power-limited. The bound only exists once
-the sensing window holds enough samples for the estimator's upper tail to
-pin down the outage level; for shorter windows the root search reports a
-missing bracket rather than a clamped value. Its root in the window length
-is forced_window, the sensing time of transmission without power control.
+operating bound of perf_bound: above it the system is interference-limited,
+below it power-limited. The bound only exists once the sensing window holds
+enough samples for the estimator's upper tail to pin down the outage level;
+for shorter windows the root search reports a missing bracket rather than a
+clamped value. Its root in the window length is forced_window, the sensing
+time of transmission without power control.
 
-Fading variants average the outage over the Nakagami-m law of the PR-ST
-power gain; gamma then plays the role of the mean receive SNR.
+Under fading the outage is averaged over the Nakagami-m law of the PR-ST
+power gain; gamma then plays the role of the mean receive SNR. outage,
+perf_bound and forced_window take either channel, and the fading power rule
+controlled_power_fading has no closed form.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ __all__ = [
     "default_fading",
     "ideal_power",
     "samples_for",
-    "outage_det",
+    "outage",
     "controlled_power_det_array",
     "controlled_power_det",
-    "perf_bound_det",
+    "perf_bound",
     "perf_bound_asymptote",
-    "outage_fading",
     "controlled_power_fading",
-    "perf_bound_fading",
     "forced_window",
 ]
 
@@ -217,24 +217,6 @@ def _interference_threshold(params: ScenarioParams, p: float) -> float:
     return params.theta_i * params.p_tx_pr / p + params.sigma2
 
 
-def outage_det(params: ScenarioParams, tau: float, p: float) -> float:
-    """Interference-outage probability at transmit power p, known-gamma case.
-
-    Pure estimator physics: any positive window holding at least one
-    sample is accepted, whether or not it fits a transmission frame.
-    """
-    if not (p > 0.0 and math.isfinite(p)):
-        raise ValueError("transmit power must be finite and positive")
-    return _outage_det_n(params, samples_for(tau, params.f_s), p)
-
-
-def _outage_det_n(params: ScenarioParams, n: float, p: float) -> float:
-    """outage_det over n samples, which need not be whole."""
-    approx = dists.gamma_match(dists.received_power_law(params.gamma, n, params.sigma2))
-    return specfun.reg_upper_gamma(approx.shape,
-                                   _interference_threshold(params, p) / approx.scale)
-
-
 def controlled_power_det_array(params: ScenarioParams, tau, gamma,
                                rho_out) -> DetPowerArrays:
     """Deterministic power rule over broadcast arrays of (tau, gamma, rho_out).
@@ -277,40 +259,6 @@ def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResu
     return PowerControlResult(float(pc.p_cont), regime)
 
 
-# receive SNRs (linear) searched for the regime bound, both channels
-_BOUND_BRACKET = (1e-6, 1e3)
-
-
-def perf_bound_det(params: ScenarioParams, tau: float) -> float:
-    """Receive SNR separating the regimes, deterministic channel.
-
-    Solves _excess_at_full(gamma) = 0 over _BOUND_BRACKET. Raises
-    specfun.BracketError when the window is too short for the bound to
-    exist anywhere in the bracket. The window is not tied to a frame:
-    the bound is a property of the estimator alone, so tau may exceed
-    the frame length (useful for tracing the long-window asymptote).
-
-    The bound stays below perf_bound_asymptote, and its shortfall to that
-    limit shrinks like 1/sqrt(tau * f_s). On the reference scenario the
-    shortfall is about 0.28 dB at 100 ms and at most 0.2 dB from about
-    193 ms on.
-    """
-    n = samples_for(tau, params.f_s)
-    return specfun.find_root(
-        lambda gamma: _excess_at_full(replace(params, gamma=gamma), None, None, n),
-        *_BOUND_BRACKET)
-
-
-def perf_bound_asymptote(params: ScenarioParams) -> float:
-    """Long-window limit of the regime bound: theta_i p_tx_pr / (p_full sigma2).
-
-    perf_bound_det approaches it from below, with a shortfall that shrinks
-    like 1/sqrt(tau * f_s): on the reference scenario (limit -10 dB) about
-    0.28 dB at 100 ms and at most 0.2 dB from about 193 ms on.
-    """
-    return params.theta_i * params.p_tx_pr / (params.p_full * params.sigma2)
-
-
 # Fading outage: E[Q(a(x), thr / b(x))] over the PR-ST gain x ~ Gamma(m,
 # mean / m). The estimate's conditional outage is a smoothed step in x at
 # x* = (thr - sigma2) / p_tx_pr, where the estimate's mean meets thr, of
@@ -339,11 +287,14 @@ _STEP_OFFSETS = np.concatenate([-_STEP_HALF[::-1], [0.0], _STEP_HALF])
 _OUTAGE_ORDER = 8
 
 
-def _gain_splits(pr_st: NakagamiGain) -> np.ndarray:
+def _gain_splits(pr_st: NakagamiGain | None) -> np.ndarray | None:
     """The _GAIN_LEVELS quantiles of the gain law, computed once per law and
-    passed to every outage evaluation on it. A split that underflows (the
-    1e-12 quantile at m = 0.5 and a mean gain near 1e-300) is raised to the
-    smallest normal float, whose logarithm the panels can take."""
+    passed to every outage evaluation on it; None for the deterministic
+    channel (pr_st None). A split that underflows (the 1e-12 quantile at
+    m = 0.5 and a mean gain near 1e-300) is raised to the smallest normal
+    float, whose logarithm the panels can take."""
+    if pr_st is None:
+        return None
     return np.maximum(dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS), _SMALLEST_SPLIT)
 
 
@@ -389,29 +340,73 @@ def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.nda
     return outage, float(np.sum(mass * step_density)) * (thr - params.sigma2)
 
 
-def outage_fading(params: ScenarioParams, pr_st: NakagamiGain, tau: float,
-                  p: float) -> float:
-    """Interference-outage probability averaged over the PR-ST fading law.
+def outage(params: ScenarioParams, tau: float, p: float,
+           pr_st: NakagamiGain | None = None) -> float:
+    """Interference-outage probability at transmit power p: deterministic
+    channel for pr_st None, else averaged over the PR-ST fading law pr_st
+    by a fixed Gauss-Legendre rule (see _outage_fading_n).
 
-    A fixed Gauss-Legendre rule on panels split at the gain law's quantiles
-    and around the estimator's step (see _outage_fading_n). Like the
-    known-gamma variant this accepts any window of at least one sample.
+    Pure estimator physics: any positive window holding at least one
+    sample is accepted, whether or not it fits a transmission frame.
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
-    n = samples_for(tau, params.f_s)
-    return _outage_fading_n(params, pr_st, _gain_splits(pr_st), float(n), p)[0]
+    return _outage_n(params, pr_st, _gain_splits(pr_st), samples_for(tau, params.f_s), p)
+
+
+def _outage_n(params: ScenarioParams, pr_st: NakagamiGain | None,
+              splits: np.ndarray | None, n: float, p: float) -> float:
+    """outage over n samples, which need not be whole; splits are
+    _gain_splits(pr_st)."""
+    if pr_st is not None:
+        return _outage_fading_n(params, pr_st, splits, n, p)[0]
+    approx = dists.gamma_match(dists.received_power_law(params.gamma, n, params.sigma2))
+    return specfun.reg_upper_gamma(approx.shape,
+                                   _interference_threshold(params, p) / approx.scale)
 
 
 def _excess_at_full(params: ScenarioParams, pr_st: NakagamiGain | None,
                     splits: np.ndarray | None, n: float) -> float:
     """Outage at p_full over n samples, which need not be whole, minus
-    rho_out: deterministic channel for pr_st None, else averaged over the
-    PR-ST law pr_st with splits _gain_splits(pr_st). Its root in gamma, where
-    it rises, is the regime bound; in n, where it falls, the forced window."""
-    outage = (_outage_det_n(params, n, params.p_full) if pr_st is None else
-              _outage_fading_n(params, pr_st, splits, n, params.p_full)[0])
-    return outage - params.rho_out
+    rho_out (_outage_n). Its root in gamma, where it rises, is the regime
+    bound; in n, where it falls, the forced window."""
+    return _outage_n(params, pr_st, splits, n, params.p_full) - params.rho_out
+
+
+# receive SNRs (linear) searched for the regime bound, both channels
+_BOUND_BRACKET = (1e-6, 1e3)
+
+
+def perf_bound(params: ScenarioParams, tau: float, m: float = math.inf) -> float:
+    """Receive SNR separating the regimes: deterministic channel for m inf,
+    else the mean receive SNR under Nakagami-m PR-ST fading (pr_st_law).
+
+    Solves _excess_at_full(gamma) = 0 over _BOUND_BRACKET. Raises
+    specfun.BracketError when the window is too short for the bound to
+    exist anywhere in the bracket. The window is not tied to a frame:
+    the bound is a property of the estimator alone, so tau may exceed
+    the frame length (useful for tracing the long-window asymptote,
+    perf_bound_asymptote, which the deterministic bound approaches).
+    """
+    n = samples_for(tau, params.f_s)
+
+    def excess(gamma: float) -> float:
+        scenario = replace(params, gamma=gamma)
+        pr_st = None if math.isinf(m) else pr_st_law(scenario, m)
+        return _excess_at_full(scenario, pr_st, _gain_splits(pr_st), n)
+
+    return specfun.find_root(excess, *_BOUND_BRACKET)
+
+
+def perf_bound_asymptote(params: ScenarioParams) -> float:
+    """Long-window limit of the regime bound: theta_i p_tx_pr / (p_full sigma2).
+
+    The deterministic perf_bound approaches it from below, with a
+    shortfall that shrinks like 1/sqrt(tau * f_s): on the reference
+    scenario (limit -10 dB) about 0.28 dB at 100 ms and at most 0.2 dB
+    from about 193 ms on.
+    """
+    return params.theta_i * params.p_tx_pr / (params.p_full * params.sigma2)
 
 
 # a step down from the lowest power known to exceed the budget, while no
@@ -484,22 +479,6 @@ def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
     return PowerControlResult(math.exp(log_p), Regime.INTERFERENCE_LIMITED)
 
 
-def perf_bound_fading(params: ScenarioParams, m: float, tau: float) -> float:
-    """Mean receive SNR separating the regimes under Nakagami-m PR-ST fading.
-
-    Solves _excess_at_full = 0 on pr_st_law at the searched SNR. Raises
-    specfun.BracketError when no bound exists in _BOUND_BRACKET. As in the
-    deterministic variant, tau is not frame-bounded here.
-    """
-    n = samples_for(tau, params.f_s)
-
-    def excess(gamma: float) -> float:
-        pr_st = pr_st_law(replace(params, gamma=gamma), m)
-        return _excess_at_full(params, pr_st, _gain_splits(pr_st), n)
-
-    return specfun.find_root(excess, *_BOUND_BRACKET)
-
-
 def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> float:
     """Sensing time without power control: the window at which the outage
     at p_full meets rho_out, deterministic for pr_st None, else under the
@@ -510,7 +489,7 @@ def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> 
     that window meets the constraint, and nan when no window inside the
     frame does. find_root reads the memoized bracket ends.
     """
-    splits = None if pr_st is None else _gain_splits(pr_st)
+    splits = _gain_splits(pr_st)
 
     @functools.lru_cache(maxsize=None)
     def excess(log_n: float) -> float:

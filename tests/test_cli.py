@@ -6,6 +6,7 @@ fading curve per gamma and m too, is left to the figure script.
 """
 
 import importlib.util
+import itertools
 import json
 import math
 import warnings
@@ -26,7 +27,7 @@ from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, linear_to_db,
-                                       perf_bound_det, perf_bound_fading)
+                                       perf_bound)
 from underlaysim.throughput import (capacity_law_det, optimize_tradeoff,
                                     throughput_det, throughput_fading,
                                     throughput_ideal_det, throughput_no_pc_det)
@@ -235,7 +236,7 @@ _FIGURE_TABLES = [
     ("fig3", ["tau_ms", "gamma_star_dB"], 49,
      ["8 short-window rows have no operating bound; cells left nan"],
      "gamma_star_dB", 300.0,
-     lambda p, tau_ms: linear_to_db(perf_bound_det(p, tau_ms * 1e-3))),
+     lambda p, tau_ms: linear_to_db(perf_bound(p, tau_ms * 1e-3))),
     ("fig4b",
      ["c_bits"] + [f"{kind}_tau_{t}ms" for kind in ("cdf", "sim")
                    for t in ("0p1", "1", "10")],
@@ -246,7 +247,7 @@ _FIGURE_TABLES = [
                    for tag in ("m0p5", "m1", "m2", "m5", "det")],
      41, ["55 cells have no operating bound (window too short); left nan"],
      "gamma_star_dB_m1", 1.0,
-     lambda p, tau_ms: linear_to_db(perf_bound_fading(p, 1.0, tau_ms * 1e-3))),
+     lambda p, tau_ms: linear_to_db(perf_bound(p, tau_ms * 1e-3, 1.0))),
     ("fig6a", ["tau_ms", "p_cont_dBm", "p_cont_dBm_ideal"], 37, [],
      "p_cont_dBm", 1.0,
      lambda p, tau_ms: linear_to_db(controlled_power_det(p, tau_ms * 1e-3).p_cont)),
@@ -646,6 +647,18 @@ def test_validate_catches_tampering(capsys):
                   if l.startswith("check") and "  FAIL  " in l]
     assert any("anchor" in l for l in fail_lines)
     assert "validate: FAIL" in out
+
+
+def test_validate_check_7_fails_on_a_mean_capacity_off_by_1e_5(monkeypatch):
+    # check 7 holds the capacity CDF to the rates' mean capacity within 1e-6
+    # relative; a mean 1e-5 too large must read FAIL
+    true_mean = cli.mean_capacity
+    monkeypatch.setattr(cli, "mean_capacity", lambda d: (1.0 + 1e-5) * true_mean(d))
+    cfg = default_config()
+    apply_set(cfg, "mc.trials=2000")
+    name, ok, measured, _ = next(itertools.islice(cli._validate_checks(cfg), 6, None))
+    assert name == "capacity CDF vs mean capacity" and not ok
+    assert float(measured) == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_validate_reads_config_file(tmp_path, capsys):

@@ -8,14 +8,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, GammaApprox, NakagamiGain,
-                               NcChiSq, capacity_cdf, capacity_pdf,
-                               gamma_match, interference_power_law,
+                               NcChiSq, capacity_cdf, gamma_match, interference_power_law,
                                nakagami_gain_cdf, nakagami_gain_quantile,
                                pilot_gain_law, received_power_law,
                                sample_nakagami, sample_ncx2)
@@ -305,49 +303,19 @@ def test_capacity_cdf_matches_betaprime():
         assert capacity_cdf(law, x) == pytest.approx(ref.cdf(z / lam), rel=1e-9)
 
 
-def test_capacity_pdf_matches_betaprime_transform():
-    law = _capacity_case()
-    a_s, a_i = law.gain_approx.shape, law.interf_approx.shape
-    lam = law.ratio_scale
-    ref = scipy.stats.betaprime(a_s, a_i)
-    for x in [0.2, 1.0, 3.0, 6.0]:
-        z = 2.0 ** x - 1.0
-        want = ref.pdf(z / lam) / lam * (2.0 ** x) * math.log(2.0)
-        assert capacity_pdf(law, x) == pytest.approx(want, rel=1e-9)
-
-
-@pytest.mark.parametrize("p", [0.01, 0.3, 1.0])
-@pytest.mark.parametrize("g_i", [1e-11, 1e-10, 1e-9])
-def test_capacity_pdf_normalizes(p, g_i):
-    law = _capacity_case(g_i=g_i, p=p)
-    # density can be sharply peaked; point quad at the typical rate so it
-    # cannot glide over the mass (beyond 64 bits the density underflows)
-    typical = math.log2(1.0 + law.gain_approx.mean * law.tx_power
-                        / law.interf_approx.mean)
-    total = scipy.integrate.quad(lambda x: capacity_pdf(law, x),
-                                 1e-12, 64.0, limit=400,
-                                 points=[0.5 * typical, typical, 2.0 * typical])[0]
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
 def test_capacity_tails_and_domain():
     law = _capacity_case()
-    assert capacity_pdf(law, 1e5) == 0.0
     assert capacity_cdf(law, 1e6) == 1.0
     assert capacity_cdf(law, -3.0) == 0.0
-    with pytest.raises(ValueError):
-        capacity_pdf(law, 0.0)
-    with pytest.raises(ValueError):
-        capacity_pdf(law, -1.0)
 
 
 def test_capacity_vectorized_matches_scalar():
     law = _capacity_case()
     xs = np.array([0.3, 1.2, 2.7])
-    vec = capacity_pdf(law, xs)
+    vec = capacity_cdf(law, xs)
     assert vec.shape == xs.shape
     for i, x in enumerate(xs):
-        assert vec[i] == pytest.approx(capacity_pdf(law, float(x)), rel=1e-13)
+        assert vec[i] == pytest.approx(capacity_cdf(law, float(x)), rel=1e-13)
 
 
 # ------------------------------------------------------------ fading gains

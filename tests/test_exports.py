@@ -100,8 +100,8 @@ def test_root_searches_do_not_import_scipy_optimize():
         params = pc.ScenarioParams()
         pr_st = pc.default_fading(params, 1.0).pr_st
         pc.controlled_power_fading(params, pr_st, 1e-3)
-        pc.perf_bound_det(params, 1e-3)
-        pc.perf_bound_fading(params, 1.0, 1e-3)
+        pc.perf_bound(params, 1e-3)
+        pc.perf_bound(params, 1e-3, 1.0)
         montecarlo.run_trials_det(params, 1e-3, 100, 1, 0.025)
         print(sorted(m for m in sys.modules
                      if m.startswith(("scipy.optimize", "multiprocessing",
