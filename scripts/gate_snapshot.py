@@ -10,7 +10,10 @@ OUT_DIR receives, flat:
 - power_table.csv and rate_table.csv: the two benchmark sweep tables, from
   the specs in perfbench/workloads.py, unshuffled (seed None);
 - fading_sweep.csv: a small sweep with rates over m = 0.5, 1 and inf, the
-  finite-m rows' path.
+  finite-m rows' path;
+- long_rho_sweep.csv: an m = inf sweep with rates whose rho_out axis is
+  longer than cli._SWEEP_BLOCK, so each (tau, gamma) line is a block of
+  its own that is larger than the nominal block size.
 
 The commands run on the checkout's own src/, ahead of any installed copy
 of the package.
@@ -38,6 +41,9 @@ FIGURE_TRIALS = "2000"
 # 24 grid points, power- and interference-limited, each at m = 0.5, 1, inf
 FADING_SWEEP = {"tau_ms": "logspace 0.1 10 4", "gamma_db": "-20, -5, 10",
                 "rho_out": "0.05, 0.1", "m": "0.5, 1, inf", "include_rs": "true"}
+# 4 (tau, gamma) lines of 5 000 budgets each, both regimes
+LONG_RHO_SWEEP = {"tau_ms": "1, 3", "gamma_db": "-15, 0",
+                  "rho_out": "linspace 0.001 0.5 5000", "m": "inf", "include_rs": "true"}
 
 
 def _sweep_tables():
@@ -59,9 +65,9 @@ def _runs(out_dir: Path):
                        "--trials", FIGURE_TRIALS], None
     for name, spec in _sweep_tables().items():
         yield name, spec.argv(str(REPO), str(out_dir / f"{name}.csv"), None), None
-    yield "fading_sweep", ["sweep", "--out", str(out_dir / "fading_sweep.csv"),
-                           *(f"--set=sweep.{key}={value}"
-                             for key, value in FADING_SWEEP.items())], None
+    for name, sweep in (("fading_sweep", FADING_SWEEP), ("long_rho_sweep", LONG_RHO_SWEEP)):
+        yield name, ["sweep", "--out", str(out_dir / f"{name}.csv"),
+                     *(f"--set=sweep.{key}={value}" for key, value in sweep.items())], None
 
 
 def main(argv=None) -> int:

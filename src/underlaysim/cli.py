@@ -84,10 +84,11 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 _SWEEP_ROW_CAP = 1_000_000
-# grid points per array call of the m = inf sweep columns: one power-rule
-# call, one domain check and one % format call per block. The mean-capacity
-# kernel bounds its own temporaries, so the block bounds only the per-point
-# arrays held at once (32 kB each)
+# grid points per array call of the m = inf sweep columns, rounded down to
+# whole (tau, gamma) lines and at least one line: one power-rule call, one
+# domain check and one % format call per block. The mean-capacity kernel
+# allocates its work arrays once per call, so the block bounds only the
+# per-point arrays held at once (~32 kB each)
 _SWEEP_BLOCK = 4096
 
 
@@ -302,13 +303,17 @@ def _csv_cells(cells) -> str:
     return ",".join(_fmt(cell) for cell in cells)
 
 
-def _write_csv(out_path: str, meta: list[str], header: list[str], rows) -> None:
+# data lines joined into one string per write: one write per line costs
+# about twice as much
+_CSV_RUN = 512
+
+
+def _write_csv(out_path: str, meta: list[str], header: list[str], rows: list[str]) -> None:
     """Write the CSV; rows holds one finished text line per data row."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(rows)
+        fh.write("".join(line + "\n" for line in meta) + ",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_RUN):
+            fh.write("".join(rows[start:start + _CSV_RUN]))
 
 
 def _m_suffix(m: float) -> str:
@@ -535,17 +540,18 @@ _REGIME_CELLS = np.array([Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITE
 
 def _det_sweep_cells(params: ScenarioParams, keys, tau, gamma, rho_out,
                      include_rs: bool) -> list[str]:
-    """The text of the m = inf rows at arrays of grid points; keys holds the
-    rows' tau, gamma and rho_out cells, one array each."""
+    """The text of the m = inf rows at arrays of grid points, in the C order
+    of their broadcast; keys holds the rows' tau, gamma and rho_out cells,
+    one flat array each."""
     pc = controlled_power_det_array(params, tau, gamma, rho_out)
-    rs = [throughput_det_array(params, tau, pc).tolist()] if include_rs else []
+    rs = [throughput_det_array(params, tau, pc).ravel().tolist()] if include_rs else []
     if not (pc.p_cont > 0.0).all():
         raise ValueError("only positive values have a dB representation")
     # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
-    p_db = [10.0 * v for v in map(math.log10, pc.p_cont.tolist())]
+    p_db = [10.0 * v for v in map(math.log10, pc.p_cont.ravel().tolist())]
     # tau, gamma, rho_out, m (inf), p_cont_dBm, regime (, rs)
     row_format = "%s,%s,%s,inf,%.10g,%s" + ",%.10g" * include_rs + "\n"
-    regimes = _REGIME_CELLS[pc.power_limited.astype(np.intp)]
+    regimes = _REGIME_CELLS[pc.power_limited.ravel().astype(np.intp)]
     return _format_rows(row_format, [*keys, p_db, regimes, *rs])
 
 
@@ -565,10 +571,11 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     """Tabulate the power rule over the (tau, gamma, rho_out, m) grid.
 
     Rows run over tau, then gamma, rho_out and m. The m = inf columns are
-    evaluated in array calls over blocks of _SWEEP_BLOCK (tau, gamma,
-    rho_out) points and formatted as text by one call per block; finite-m
-    rows call the fading routines row by row. Every row is held until the
-    grid is done, so a sweep that fails writes no CSV.
+    evaluated in array calls over blocks of whole (tau, gamma) lines, about
+    _SWEEP_BLOCK points and at least one line each, and formatted as text
+    by one call per block; finite-m rows call the fading routines row by
+    row. Every row is held until the grid is done, so a sweep that fails
+    writes no CSV.
     """
     params = cfg.params()
     taus_ms = cfg.sweep_axis("tau_ms")
@@ -592,13 +599,19 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     axes = (np.array(taus_ms) * 1e-3, np.array(gammas), np.array(rhos))
     shape = tuple(a.size for a in axes)
     n_points = math.prod(shape)
+    n_rho = len(rhos)
+    # a block holds whole (tau, gamma) lines: the power rule takes one tau
+    # and gamma per line and the rho_out axis as its trailing axis
+    block_size = max(1, _SWEEP_BLOCK // n_rho) * n_rho
     rows = []
-    for start in range(0, n_points, _SWEEP_BLOCK):
-        block = np.unravel_index(np.arange(start, min(start + _SWEEP_BLOCK, n_points)),
+    for start in range(0, n_points, block_size):
+        block = np.unravel_index(np.arange(start, min(start + block_size, n_points)),
                                  shape)
         keys = [cells[ix] for cells, ix in zip(key_cells, block)]
-        det = (_det_sweep_cells(params, keys, *(axis[ix] for axis, ix in zip(axes, block)),
-                                include_rs) if any_det else None)
+        det = None
+        if any_det:
+            tau, gamma = (axis[ix[::n_rho], None] for axis, ix in zip(axes, block[:2]))
+            det = _det_sweep_cells(params, keys, tau, gamma, axes[2], include_rs)
         columns = []
         for m, m_cell in zip(ms, m_cells):
             columns.append(det if math.isinf(m) else [
@@ -608,7 +621,8 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
                 for tau_cell, gamma_cell, rho_cell, it, ig, ir in zip(
                     *keys, *(ix.tolist() for ix in block))])
         # within a grid point the rows run over m
-        rows.extend(itertools.chain.from_iterable(zip(*columns)))
+        rows.extend(columns[0] if len(columns) == 1
+                    else itertools.chain.from_iterable(zip(*columns)))
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])
     _write_csv(out_path, meta, header, rows)
 

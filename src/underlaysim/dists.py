@@ -283,11 +283,9 @@ def capacity_cdf(dist: CapacityDist, x):
     a_s, a_i, lam = dist.gain_approx.shape, dist.interf_approx.shape, dist.ratio_scale
     t = np.maximum(x_arr, 0.0) * _LN2
     with np.errstate(divide="ignore"):
-        ln_u = _log_sinr_from_capacity(t) - math.log(lam)
+        ln_u = _log_sinr_from_capacity(t) - np.log(lam)
     out = special.betainc(a_s, a_i, special.expit(ln_u))
-    if np.isscalar(x):
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def nakagami_gain_cdf(gain: NakagamiGain, x):

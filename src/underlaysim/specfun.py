@@ -109,16 +109,24 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def panel_rule(lo, hi, order: int):
+def panel_rule(lo, hi, order: int, out=None):
     """Gauss-Legendre nodes and weights on each panel [lo, hi].
 
     lo and hi are equal-shaped arrays of panel ends; the result carries one
     more trailing axis of length order. The rule integrates polynomials of
-    degree up to 2 * order - 1 exactly on every panel.
+    degree up to 2 * order - 1 exactly on every panel. out, if given, is a
+    pair of arrays of the result's shape that receive the nodes and the
+    weights, bit for bit as returned without it, and are returned.
     """
     nodes, weights = _legendre(order)
     half = (0.5 * (hi - lo))[..., None]
-    return lo[..., None] + half * (nodes + 1.0), half * weights
+    if out is None:
+        return lo[..., None] + half * (nodes + 1.0), half * weights
+    x, w = out
+    np.multiply(half, nodes + 1.0, out=x)
+    x += lo[..., None]
+    np.multiply(half, weights, out=w)
+    return x, w
 
 
 def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:

@@ -125,9 +125,13 @@ def mean_capacity(dist: CapacityDist):
 _KNEE_OFFSETS = np.array([-36.0, -24.0, -16.0, -10.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0])
 _TAIL_OFFSETS = np.array([1.0, 2.5, 5.0, 10.0, 20.0, 40.0])
 _PANEL_ORDER = 8
-# laws per pass of the kernel, so that its (laws, 248) temporaries stay
-# near 0.5 MB however many laws a call brings
-_LAW_CHUNK = 256
+# panels per law: the cuts are both knees' _KNEE_OFFSETS, the upper tail's
+# and the middle's _TAIL_OFFSETS
+_PANELS = 2 * _KNEE_OFFSETS.size + 2 * _TAIL_OFFSETS.size - 1
+# laws per pass of the kernel. A call allocates its node, weight and
+# integrand arrays once, (laws, 248) each and ~0.25 MB at most, and every
+# pass writes into them, so a call holds no per-pass temporaries of that size
+_LAW_CHUNK = 128
 
 
 def _mean_capacity_grid(a_s, a_i, lam):
@@ -138,14 +142,18 @@ def _mean_capacity_grid(a_s, a_i, lam):
     out = np.empty(a_s.shape)
     flat = out.reshape(-1)
     a_s, a_i, lam = (v.reshape(-1) for v in (a_s, a_i, lam))
+    work = np.empty((3, min(flat.size, _LAW_CHUNK), _PANELS * _PANEL_ORDER))
     for start in range(0, flat.size, _LAW_CHUNK):
         part = slice(start, start + _LAW_CHUNK)
-        flat[part] = _mean_capacity_pass(a_s[part], a_i[part], lam[part])
+        flat[part] = _mean_capacity_pass(a_s[part], a_i[part], lam[part], work)
     return out
 
 
-def _mean_capacity_pass(a_s, a_i, lam):
-    """Mean estimated capacity for equal-shaped 1-d arrays of law parameters."""
+def _mean_capacity_pass(a_s, a_i, lam, work):
+    """Mean estimated capacity for equal-shaped 1-d arrays of law parameters.
+    work is (3, at least as many laws, _PANELS * _PANEL_ORDER): the node,
+    weight and integrand arrays, which the pass overwrites."""
+    u, w, f = work[:, :a_s.size]
     a_s, a_i, ln_lam = (v[:, None] for v in (a_s, a_i, np.log(lam)))
     knee_s, knee_i = -np.log(a_s) - ln_lam, -np.log(a_i)
     lo, hi = np.minimum(knee_s, knee_i), np.maximum(knee_s, knee_i)
@@ -155,11 +163,11 @@ def _mean_capacity_pass(a_s, a_i, lam):
                                    hi + _TAIL_OFFSETS / np.minimum(a_i, 1.0),
                                    np.clip(middle, lo, hi)], axis=-1), axis=-1)
     # one flat node axis per law, so each law's parameters broadcast along it
-    u, w = (v.reshape(v.shape[:-2] + (-1,)) for v in
-            specfun.panel_rule(cuts[..., :-1], cuts[..., 1:], _PANEL_ORDER))
-    # the integrand is built in place in one scratch array, so a pass holds
-    # few (laws, 248) temporaries
-    f = _softplus(u, np.empty_like(u))
+    panels = (a_s.size, _PANELS, _PANEL_ORDER)
+    specfun.panel_rule(cuts[:, :-1], cuts[:, 1:], _PANEL_ORDER,
+                       out=(u.reshape(panels), w.reshape(panels)))
+    # the integrand is built in place in f
+    f = _softplus(u, f)
     f *= -a_i
     w *= np.exp(f, out=f)  # (1 + z)^-a_i
     u += ln_lam

@@ -487,50 +487,84 @@ def test_convergence_error_in_a_figure_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch):
-    # the whole file, byte for byte: meta lines, header, row order and line
-    # ends, over both regimes and both m dispatches. Blocks of 5 split the
-    # 18 grid points unevenly; 0.0015 ms is a half-sample window; at -30 dB
-    # both budgets are power-limited from 1 ms on, so those m = inf rows
-    # share one capacity law
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
-    sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
-             "rho_out": "0.3, 0.5", "m": "inf, 1", "include_rs": "true"}
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--out", str(out)]
-                + [f"--set=sweep.{key}={value}" for key, value in sweep.items()]) == 0
-
-    def cell(value) -> str:
-        return value if isinstance(value, str) else format(value, ".10g")
-
+def _scalar_api_sweep(sweep: dict[str, str]) -> tuple[bytes, list]:
+    """The bytes of the sweep CSV built row by row from the scalar API, and
+    (m, regime, tau) of each row; sweep sets explicit tau, gamma, rho_out
+    and m lists and include_rs true."""
     lines = [f"# underlaysim {__version__}", "# command: sweep"]
     for section, keys in cli._DEFAULTS.items():
         for key, value in keys.items():
             value = sweep.get(key, value) if section == "sweep" else value
             lines.append(f"# config {section}.{key} = {value}")
-    lines += ["# note: 36 rows", "tau_ms,gamma_dB,rho_out,m,p_cont_dBm,regime,rs"]
+    axes = [sweep[key].split(", ") for key in ("tau_ms", "gamma_db", "rho_out", "m")]
+    lines += [f"# note: {math.prod(map(len, axes))} rows",
+              "tau_ms,gamma_dB,rho_out,m,p_cont_dBm,regime,rs"]
     params = ScenarioParams()
-    power_limited_det, regimes = [], set()
-    for tau_ms in sweep["tau_ms"].split(", "):
+    rows = []
+    for tau_ms, g_db, rho, m in itertools.product(*axes):
         tau = float(tau_ms) * 1e-3
-        for g_db in sweep["gamma_db"].split(", "):
-            for rho in sweep["rho_out"].split(", "):
-                p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
-                det = controlled_power_det(p2, tau)
-                links = default_fading(p2, 1.0)
-                fading = controlled_power_fading(p2, links.pr_st, tau)
-                rows = [("inf", det, throughput_det(p2, tau)),
-                        ("1", fading, throughput_fading(p2, links, tau))]
-                for m, pc, rs in rows:
-                    regimes.add((m, pc.regime))
-                    key = [float(tau_ms), float(g_db), float(rho), m]
-                    lines.append(",".join(cell(v) for v in key + [
-                        linear_to_db(pc.p_cont), pc.regime.value, rs]))
-                if det.regime is Regime.POWER_LIMITED:
-                    power_limited_det.append(tau)
-    assert len(regimes) == 4
+        p2 = replace(params, gamma=db_to_linear(float(g_db)), rho_out=float(rho))
+        if m == "inf":
+            pc, rs = controlled_power_det(p2, tau), throughput_det(p2, tau)
+        else:
+            links = default_fading(p2, float(m))
+            pc = controlled_power_fading(p2, links.pr_st, tau)
+            rs = throughput_fading(p2, links, tau)
+        rows.append((m, pc.regime, tau))
+        cells = [float(tau_ms), float(g_db), float(rho), m,
+                 linear_to_db(pc.p_cont), pc.regime.value, rs]
+        lines.append(",".join(c if isinstance(c, str) else format(c, ".10g")
+                              for c in cells))
+    return ("\n".join(lines) + "\n").encode(), rows
+
+
+def _run_sweep(tmp_path, sweep: dict[str, str]) -> bytes:
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]
+                + [f"--set=sweep.{key}={value}" for key, value in sweep.items()]) == 0
+    return out.read_bytes()
+
+
+def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch):
+    # the whole file, byte for byte: meta lines, header, row order and line
+    # ends, over both regimes and both m dispatches. Blocks of 5 points
+    # hold two (tau, gamma) lines of 2 budgets, which split the 9 lines
+    # unevenly; 0.0015 ms is a half-sample window; at -30 dB both budgets
+    # are power-limited from 1 ms on, so those m = inf rows share one
+    # capacity law
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
+    sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
+             "rho_out": "0.3, 0.5", "m": "inf, 1", "include_rs": "true"}
+    want, rows = _scalar_api_sweep(sweep)
+    assert len({(m, regime) for m, regime, _ in rows}) == 4
+    power_limited_det = [tau for m, regime, tau in rows
+                         if m == "inf" and regime is Regime.POWER_LIMITED]
     assert len(power_limited_det) > len(set(power_limited_det))
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert _run_sweep(tmp_path, sweep) == want
+
+
+@pytest.mark.parametrize("block, rows_per_block", [(1, [2] * 9), (5, [4, 4, 4, 4, 2])])
+def test_det_only_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch,
+                                                                   block, rows_per_block):
+    # the m = inf path without the per-m interleave, byte for byte. Blocks
+    # hold whole (tau, gamma) lines of 2 budgets: one line each at a block
+    # of 1 point, and two at 5, which split the 9 lines unevenly
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+    evaluate = cli._det_sweep_cells
+    done = []
+
+    def counted(*args):
+        tails = evaluate(*args)
+        done.append(len(tails))
+        return tails
+
+    monkeypatch.setattr(cli, "_det_sweep_cells", counted)
+    sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
+             "rho_out": "0.05, 0.5", "m": "inf", "include_rs": "true"}
+    want, rows = _scalar_api_sweep(sweep)
+    assert {regime for _, regime, _ in rows} == set(Regime)
+    assert _run_sweep(tmp_path, sweep) == want
+    assert done == rows_per_block
 
 
 _ODD_FLOATS = st.one_of(
@@ -575,23 +609,24 @@ def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
 
 
 def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
-    # 100 ms leaves no room for the pilot. It is the sixth of six grid
-    # points, alone in the second block of 5, so the first block has been
-    # evaluated and formatted when the sweep fails
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
+    # 100 ms leaves no room for the pilot. Its (tau, gamma) line is the
+    # sixth of six, alone in the second block of 5 lines of 2 budgets (10
+    # points), so the first block has been evaluated and formatted when the
+    # sweep fails
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 10)
     done = []
     evaluate = cli._det_sweep_cells
 
-    def counted(*args):
-        tails = evaluate(*args)
-        done.append(len(tails))
+    def counted(params, keys, tau, gamma, rho_out, include_rs):
+        tails = evaluate(params, keys, tau, gamma, rho_out, include_rs)
+        done.append((tau.shape, len(tails)))
         return tails
 
     monkeypatch.setattr(cli, "_det_sweep_cells", counted)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--out", str(out),
+    assert main(["sweep", "--out", str(out), "--set", "sweep.rho_out=0.1, 0.2",
                  "--set", "sweep.tau_ms=1, 2, 3, 4, 5, 100"]) == 3
-    assert done == [5]
+    assert done == [((5, 1), 10)]
     assert not out.exists()
 
 
@@ -876,9 +911,13 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     sweeps = [a for a in calls if a[0] == "sweep"]
     assert [a[a.index("--out") + 1] for a in sweeps] == [
         str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv"),
-        str(tmp_path / "fading_sweep.csv")]
+        str(tmp_path / "fading_sweep.csv"), str(tmp_path / "long_rho_sweep.csv")]
     assert {"--set=sweep.m=0.5, 1, inf", "--set=sweep.include_rs=true"} <= set(sweeps[2])
-    assert len(calls) == len(FIGURE_IDS) + 5
+    # one (tau, gamma) line longer than a sweep block
+    assert {"--set=sweep.m=inf", "--set=sweep.include_rs=true",
+            "--set=sweep.rho_out=linspace 0.001 0.5 5000"} <= set(sweeps[3])
+    assert 5000 > cli._SWEEP_BLOCK
+    assert len(calls) == len(FIGURE_IDS) + 6
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "validate.txt", "validate_seed7_trials20000.txt"]
 

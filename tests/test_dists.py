@@ -318,6 +318,18 @@ def test_capacity_vectorized_matches_scalar():
         assert vec[i] == pytest.approx(capacity_cdf(law, float(x)), rel=1e-13)
 
 
+def test_capacity_cdf_of_an_array_law_equals_the_scalar_laws():
+    # a law whose fields are arrays, at one capacity and at a column of
+    # capacities against the two laws
+    g_i = [1e-10, 1e-9]
+    law = _capacity_case(g_i=np.array(g_i))
+    xs = np.array([0.3, 1.2, 2.7])
+    for k, g in enumerate(g_i):
+        one = _capacity_case(g_i=g)
+        assert capacity_cdf(law, 1.2)[k] == capacity_cdf(one, 1.2)
+        assert np.array_equal(capacity_cdf(law, xs[:, None])[:, k], capacity_cdf(one, xs))
+
+
 # ------------------------------------------------------------ fading gains
 
 @given(m=st.floats(0.5, 50.0), mean=st.floats(1e-12, 1e3),

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from underlaysim import power_control, specfun
 from underlaysim.dists import NakagamiGain
-from underlaysim.power_control import (FadingLinks, PowerControlResult,
-                                       Regime, ScenarioParams,
+from underlaysim.power_control import (DetPowerArrays, FadingLinks,
+                                       PowerControlResult, Regime, ScenarioParams,
                                        controlled_power_det,
                                        controlled_power_det_array,
                                        controlled_power_fading,
@@ -218,6 +218,31 @@ def test_array_rule_equals_the_scalar_rule_bit_for_bit(defaults, points):
         want_p, want_regime = _power_rule_reference(params, t)
         assert one.p_cont == pytest.approx(want_p, rel=1e-10)
         assert one.regime.value == want_regime
+
+
+def test_array_rule_runs_the_regime_test_at_the_rank_of_tau_and_gamma(defaults,
+                                                                    monkeypatch):
+    # (k, 1) tau and gamma against (1, n_rho) budgets: both regimes, a
+    # half-sample window, and the same bits as the flattened grid
+    tau = np.array([0.0015e-3, 1e-3, 3e-3, 30e-3, 1e-3])[:, None]
+    gamma = db_to_linear(np.array([0.0, -30.0, -12.0, -12.0, 10.0]))[:, None]
+    rho = np.array([0.01, 0.05, 0.1, 0.3, 0.5, 0.9])[None, :]
+    flat = [np.broadcast_to(v, (5, 6)).ravel() for v in (tau, gamma, rho)]
+    want = controlled_power_det_array(defaults, *flat)
+    q = specfun.reg_upper_gamma
+    sizes = []
+
+    def counted(a, x):
+        sizes.append(np.broadcast(a, x).size)
+        return q(a, x)
+
+    monkeypatch.setattr(specfun, "reg_upper_gamma", counted)
+    got = controlled_power_det_array(defaults, tau, gamma, rho)
+    assert sizes == [5]
+    assert 0 < want.power_limited.sum() < want.power_limited.size
+    for field in DetPowerArrays._fields:
+        assert getattr(got, field).shape == (5, 6)
+        assert np.array_equal(getattr(got, field).ravel(), getattr(want, field))
 
 
 @given(tau_us=_TAU_US, gamma_db=_GAMMA_DB,
