@@ -85,10 +85,12 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 
 _SWEEP_ROW_CAP = 1_000_000
 # grid points per array call of the m = inf sweep columns, rounded down to
-# whole (tau, gamma) lines and at least one line: one power-rule call, one
-# domain check and one % format call per block. The mean-capacity kernel
-# allocates its work arrays once per call, so the block bounds only the
-# per-point arrays held at once (~32 kB each)
+# whole (tau, gamma) lines: one power-rule call, one domain check and one %
+# format call per block. A block is at least one whole line, so a rho_out
+# axis longer than this makes one line a block of its own, up to the row
+# cap. The mean-capacity kernel allocates its work arrays once per call, so
+# the block sets only the size of the per-point arrays and texts held at
+# once (~32 kB per array at 4096 points)
 _SWEEP_BLOCK = 4096
 
 
@@ -621,8 +623,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
                 for tau_cell, gamma_cell, rho_cell, it, ig, ir in zip(
                     *keys, *(ix.tolist() for ix in block))])
         # within a grid point the rows run over m
-        rows.extend(columns[0] if len(columns) == 1
-                    else itertools.chain.from_iterable(zip(*columns)))
+        rows.extend(itertools.chain.from_iterable(zip(*columns)))
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])
     _write_csv(out_path, meta, header, rows)
 

@@ -150,7 +150,9 @@ class PowerControlResult:
 class DetPowerArrays(NamedTuple):
     """Elementwise outcome of the deterministic power rule.
 
-    n holds the whole sample counts (as floats) of the sensing windows.
+    n holds the whole sample counts (as floats) of the sensing windows. It
+    has the shape of tau, which it alone reads, and broadcasts against the
+    other two fields.
     """
 
     p_cont: np.ndarray
@@ -230,8 +232,8 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
     The estimator law and the regime test at p_full read only (tau,
     gamma), so they run at the rank of broadcast(tau, gamma); rho_out may
     carry its own axes, (1, k) against (j, 1) tau, say, and joins at the
-    comparison and at the inverse. Each result has the shape of all three
-    broadcast together.
+    comparison and at the inverse. p_cont and power_limited have the shape
+    of all three broadcast together, n the shape of tau.
     """
     tau, gamma, rho_out = (np.asarray(v, dtype=float) for v in (tau, gamma, rho_out))
     if not (np.isfinite(gamma) & (gamma > 0.0)).all():
@@ -246,12 +248,12 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
     approx = dists.gamma_match(dists.received_power_law(gamma, n, params.sigma2))
     thr_full = _interference_threshold(params, params.p_full)
     power_limited = specfun.reg_upper_gamma(approx.shape, thr_full / approx.scale) <= rho_out
-    a, scale, rho_out, n = np.broadcast_arrays(approx.shape, approx.scale, rho_out, n)
+    a, scale, rho_out = np.broadcast_arrays(approx.shape, approx.scale, rho_out)
     # the constraint binds below the ceiling elsewhere; the denominator is
     # positive there exactly because the outage at p_full exceeds rho_out
     binds = ~power_limited
     x = specfun.inv_reg_upper_gamma(rho_out[binds], a[binds])
-    p_cont = np.full(n.shape, params.p_full)
+    p_cont = np.full(a.shape, params.p_full)
     p_cont[binds] = params.theta_i * params.p_tx_pr / (scale[binds] * x - params.sigma2)
     return DetPowerArrays(p_cont, power_limited, n)
 

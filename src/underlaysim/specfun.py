@@ -116,12 +116,13 @@ def panel_rule(lo, hi, order: int, out=None):
     more trailing axis of length order. The rule integrates polynomials of
     degree up to 2 * order - 1 exactly on every panel. out, if given, is a
     pair of arrays of the result's shape that receive the nodes and the
-    weights, bit for bit as returned without it, and are returned.
+    weights and are returned; without it, a fresh pair is filled.
     """
     nodes, weights = _legendre(order)
     half = (0.5 * (hi - lo))[..., None]
     if out is None:
-        return lo[..., None] + half * (nodes + 1.0), half * weights
+        shape = half.shape[:-1] + (order,)
+        out = np.empty(shape), np.empty(shape)
     x, w = out
     np.multiply(half, nodes + 1.0, out=x)
     x += lo[..., None]

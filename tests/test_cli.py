@@ -546,7 +546,7 @@ def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch)
 @pytest.mark.parametrize("block, rows_per_block", [(1, [2] * 9), (5, [4, 4, 4, 4, 2])])
 def test_det_only_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch,
                                                                    block, rows_per_block):
-    # the m = inf path without the per-m interleave, byte for byte. Blocks
+    # a sweep whose only m is inf, byte for byte. Blocks
     # hold whole (tau, gamma) lines of 2 budgets: one line each at a block
     # of 1 point, and two at 5, which split the 9 lines unevenly
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)

@@ -240,9 +240,11 @@ def test_array_rule_runs_the_regime_test_at_the_rank_of_tau_and_gamma(defaults,
     got = controlled_power_det_array(defaults, tau, gamma, rho)
     assert sizes == [5]
     assert 0 < want.power_limited.sum() < want.power_limited.size
+    # n reads tau alone and keeps its shape; the other fields are full
+    assert got.n.shape == (5, 1)
     for field in DetPowerArrays._fields:
-        assert getattr(got, field).shape == (5, 6)
-        assert np.array_equal(getattr(got, field).ravel(), getattr(want, field))
+        full = np.broadcast_to(getattr(got, field), (5, 6))
+        assert np.array_equal(full.ravel(), getattr(want, field))
 
 
 @given(tau_us=_TAU_US, gamma_db=_GAMMA_DB,
