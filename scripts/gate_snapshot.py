@@ -13,7 +13,10 @@ OUT_DIR receives, flat:
   finite-m rows' path;
 - long_rho_sweep.csv: an m = inf sweep with rates whose rho_out axis is
   longer than cli._SWEEP_BLOCK, so each (tau, gamma) line is a block of
-  its own that is larger than the nominal block size.
+  its own that is larger than the nominal block size;
+- mixed_m_sweep.csv: a sweep with rates whose m axis is unordered
+  (1, inf, 0.5), over 2 tau x 2 gamma x 2 rho_out points in both regimes,
+  so each grid point's rows interleave finite-m and m = inf rows.
 
 The commands run on the checkout's own src/, ahead of any installed copy
 of the package.
@@ -44,6 +47,9 @@ FADING_SWEEP = {"tau_ms": "logspace 0.1 10 4", "gamma_db": "-20, -5, 10",
 # 4 (tau, gamma) lines of 5 000 budgets each, both regimes
 LONG_RHO_SWEEP = {"tau_ms": "1, 3", "gamma_db": "-15, 0",
                   "rho_out": "linspace 0.001 0.5 5000", "m": "inf", "include_rs": "true"}
+# 8 grid points, power- and interference-limited, each at m = 1, inf, 0.5
+MIXED_M_SWEEP = {"tau_ms": "0.5, 5", "gamma_db": "-20, 10", "rho_out": "0.05, 0.3",
+                 "m": "1, inf, 0.5", "include_rs": "true"}
 
 
 def _sweep_tables():
@@ -65,7 +71,8 @@ def _runs(out_dir: Path):
                        "--trials", FIGURE_TRIALS], None
     for name, spec in _sweep_tables().items():
         yield name, spec.argv(str(REPO), str(out_dir / f"{name}.csv"), None), None
-    for name, sweep in (("fading_sweep", FADING_SWEEP), ("long_rho_sweep", LONG_RHO_SWEEP)):
+    for name, sweep in (("fading_sweep", FADING_SWEEP), ("long_rho_sweep", LONG_RHO_SWEEP),
+                        ("mixed_m_sweep", MIXED_M_SWEEP)):
         yield name, ["sweep", "--out", str(out_dir / f"{name}.csv"),
                      *(f"--set=sweep.{key}={value}" for key, value in sweep.items())], None
 

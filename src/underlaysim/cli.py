@@ -10,6 +10,7 @@ bytes on every run.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import functools
 import io
@@ -84,23 +85,26 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 _SWEEP_ROW_CAP = 1_000_000
-# grid points per array call of the m = inf sweep columns, rounded down to
-# whole (tau, gamma) lines: one power-rule call, one domain check and one %
-# format call per block. A block is at least one whole line, so a rho_out
-# axis longer than this makes one line a block of its own, up to the row
-# cap. The mean-capacity kernel allocates its work arrays once per call, so
-# the block sets only the size of the per-point arrays and texts held at
-# once (~32 kB per array at 4096 points)
+# grid points per sweep block, rounded down to whole (tau, gamma) lines and
+# at least one: per m, one _power_cells call, one domain check and one %
+# format call per block. A rho_out axis longer than this makes each line a
+# block of its own, up to the row cap; the block sets the size of the
+# per-point arrays and texts held at once (~32 kB per array at 4096 points)
 _SWEEP_BLOCK = 4096
 
 
-def _check_m(where: str, value: float, allow_inf: bool = False) -> float:
-    """A Nakagami m is finite and at least 0.5; where allow_inf, inf (the
-    deterministic channel) is taken too."""
-    if not (value >= 0.5 and (math.isfinite(value) or allow_inf)):
+def _check_m(where: str, ms: list[float], allow_inf: bool = False) -> list[float]:
+    """Every Nakagami m is finite and at least 0.5; where allow_inf, inf (the
+    deterministic channel) is taken too. No two m may print alike under %g:
+    that text names an m's figure columns and fills its sweep rows' m cells."""
+    if not all(m >= 0.5 and (math.isfinite(m) or allow_inf) for m in ms):
         raise ConfigError(f"{where}: every m must be finite and at least 0.5"
                           + (", or inf" if allow_inf else ""))
-    return value
+    cell, count = collections.Counter(format(m, "g") for m in ms).most_common(1)[0]
+    if count > 1:
+        raise ConfigError(f"{where}: {count} values print as {cell} under %g; "
+                          "every m must print apart")
+    return ms
 
 
 def _has_linear_value(value_db: float) -> bool:
@@ -168,7 +172,7 @@ class ScenarioConfig:
         return out
 
     def m_values(self) -> list[float]:
-        return [_check_m("fading.m", m) for m in self._floats("fading", "m")]
+        return _check_m("fading.m", self._floats("fading", "m"))
 
     def trials(self) -> int:
         n = self._int("mc", "trials")
@@ -203,10 +207,10 @@ class ScenarioConfig:
                 out = list(np.linspace(lo, hi, n))
         else:
             out = self._floats("sweep", key)
+        if key == "m":
+            return _check_m("sweep.m", out, allow_inf=True)
         for value in out:
-            if key == "m":
-                _check_m("sweep.m", value, allow_inf=True)
-            elif not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"sweep.{key}: not a finite number: {value!r}")
             elif key == "gamma_db" and not _has_linear_value(value):
                 raise ConfigError(f"sweep.gamma_db: {value:g} dB is beyond the float range")
@@ -301,10 +305,6 @@ def _meta_lines(cfg: ScenarioConfig, command: str, notes: list[str]) -> list[str
     return lines
 
 
-def _csv_cells(cells) -> str:
-    return ",".join(_fmt(cell) for cell in cells)
-
-
 # data lines joined into one string per write: one write per line costs
 # about twice as much
 _CSV_RUN = 512
@@ -397,23 +397,39 @@ _FIG5_M = (0.5, 1.0, 2.0, 5.0)
 _FIG68_TAUS = np.geomspace(1e-5, 1e-2, 37)
 
 
+def _power_cells(params: ScenarioParams, m: float, tau, gamma, rho_out, with_rate: bool):
+    """The controlled powers, their power-limited flags and, with with_rate,
+    the rates at those powers (else None), as flat arrays in the C order of
+    broadcast(tau, gamma, rho_out). m = inf is the deterministic channel, one
+    array call each; a finite m solves the fading rule point by point."""
+    if math.isinf(m):
+        pc = controlled_power_det_array(params, tau, gamma, rho_out)
+        rates = throughput_det_array(params, tau, pc).ravel() if with_rate else None
+        return pc.p_cont.ravel(), pc.power_limited.ravel(), rates
+    solved = []
+    points = (a.ravel().tolist() for a in np.broadcast_arrays(tau, gamma, rho_out))
+    for tau_1, gamma_1, rho_1 in zip(*points):
+        p2 = replace(params, gamma=gamma_1, rho_out=rho_1)
+        # the power reads only the PR-ST law, which needs no PT-SR gain
+        solved.append((p2, tau_1, controlled_power_fading(p2, pr_st_law(p2, m), tau_1)))
+    rates = np.array([throughput_fading_at(p2, default_fading(p2, m), tau_1, pc)
+                      for p2, tau_1, pc in solved]) if with_rate else None
+    return (np.array([pc.p_cont for *_, pc in solved]),
+            np.array([pc.regime is Regime.POWER_LIMITED for *_, pc in solved]), rates)
+
+
 def _power_table(cfg: ScenarioConfig, ms):
     """Controlled and perfect-knowledge power over tau, two columns per m.
     Both read only the PR-ST law, so they need no PT-SR gain."""
     params = cfg.params()
     table = {"tau_ms": _FIG68_TAUS * 1e3}
     for m in ms:
-        if math.isinf(m):
-            pr_st = None
-            powers = controlled_power_det_array(params, _FIG68_TAUS, params.gamma,
-                                                params.rho_out).p_cont.tolist()
-        else:
-            pr_st = pr_st_law(params, m)
-            powers = [controlled_power_fading(params, pr_st, tau).p_cont
-                      for tau in _FIG68_TAUS.tolist()]
+        powers = _power_cells(params, m, _FIG68_TAUS, params.gamma, params.rho_out,
+                              False)[0]
+        pr_st = None if math.isinf(m) else pr_st_law(params, m)
         ideal = linear_to_db(ideal_power(params, pr_st))
         # dB per value: numpy's log10 can differ from math.log10 in the last bit
-        table[f"p_cont_dBm{_m_suffix(m)}"] = list(map(linear_to_db, powers))
+        table[f"p_cont_dBm{_m_suffix(m)}"] = list(map(linear_to_db, powers.tolist()))
         table[f"p_cont_dBm_ideal{_m_suffix(m)}"] = [ideal] * _FIG68_TAUS.size
     return table, []
 
@@ -426,19 +442,13 @@ def _rate_table(cfg: ScenarioConfig, ms):
     taus = _FIG68_TAUS.tolist()
     table = {"tau_ms": _FIG68_TAUS * 1e3}
     for k, m in enumerate(ms):
+        powers, _, rates = (a.tolist() for a in _power_cells(
+            params, m, _FIG68_TAUS, params.gamma, params.rho_out, True))
         if math.isinf(m):
-            pc = controlled_power_det_array(params, _FIG68_TAUS, params.gamma,
-                                            params.rho_out)
-            rates = throughput_det_array(params, _FIG68_TAUS, pc).tolist()
-            powers = pc.p_cont.tolist()
             ideal = throughput_ideal_det(params)
             simulate = functools.partial(montecarlo.run_trials_det, params)
         else:
             links = default_fading(params, m)
-            solved = [controlled_power_fading(params, links.pr_st, tau) for tau in taus]
-            rates = [throughput_fading_at(params, links, tau, pc)
-                     for tau, pc in zip(taus, solved)]
-            powers = [pc.p_cont for pc in solved]
             ideal = throughput_ideal_fading(params, links)
             simulate = functools.partial(montecarlo.run_trials_fading, params, links)
         table[f"rs_EM{_m_suffix(m)}"] = rates
@@ -523,9 +533,8 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
         raise ConfigError(f"unknown figure id {fig_id!r}; "
                           f"choose from {', '.join(FIGURE_IDS)}")
     table, notes = _FIGURES[fig_id](cfg)
-    meta = _meta_lines(cfg, f"figure {fig_id}", notes)
-    _write_csv(out_path, meta, list(table),
-               [_csv_cells(row) + "\n" for row in zip(*table.values(), strict=True)])
+    rows = [",".join(map(_fmt, row)) + "\n" for row in zip(*table.values(), strict=True)]
+    _write_csv(out_path, _meta_lines(cfg, f"figure {fig_id}", notes), list(table), rows)
 
 
 def _format_rows(row_format: str, columns) -> list[str]:
@@ -540,44 +549,33 @@ _REGIME_CELLS = np.array([Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITE
                          dtype=object)
 
 
-def _det_sweep_cells(params: ScenarioParams, keys, tau, gamma, rho_out,
-                     include_rs: bool) -> list[str]:
-    """The text of the m = inf rows at arrays of grid points, in the C order
-    of their broadcast; keys holds the rows' tau, gamma and rho_out cells,
-    one flat array each."""
-    pc = controlled_power_det_array(params, tau, gamma, rho_out)
-    rs = [throughput_det_array(params, tau, pc).ravel().tolist()] if include_rs else []
-    if not (pc.p_cont > 0.0).all():
+def _sweep_rows(params: ScenarioParams, m: float, keys, tau, gamma, rho_out,
+                include_rs: bool) -> list[str]:
+    """The text of the rows at one m over arrays of grid points, in the C
+    order of their broadcast; keys holds the rows' tau, gamma and rho_out
+    cells, one flat array each."""
+    p_cont, power_limited, rs = _power_cells(params, m, tau, gamma, rho_out, include_rs)
+    if not (p_cont > 0.0).all():
         raise ValueError("only positive values have a dB representation")
     # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
-    p_db = [10.0 * v for v in map(math.log10, pc.p_cont.ravel().tolist())]
-    # tau, gamma, rho_out, m (inf), p_cont_dBm, regime (, rs)
-    row_format = "%s,%s,%s,inf,%.10g,%s" + ",%.10g" * include_rs + "\n"
-    regimes = _REGIME_CELLS[pc.power_limited.ravel().astype(np.intp)]
-    return _format_rows(row_format, [*keys, p_db, regimes, *rs])
-
-
-def _fading_sweep_tail(params: ScenarioParams, m: float, tau: float, gamma: float,
-                       rho_out: float, include_rs: bool) -> str:
-    """The text tail of one finite-m row; the rate reuses the row's power."""
-    p2 = replace(params, gamma=gamma, rho_out=rho_out)
-    # the power reads only the PR-ST law, which needs no PT-SR gain
-    pc = controlled_power_fading(p2, pr_st_law(p2, m), tau)
-    cells = [linear_to_db(pc.p_cont), pc.regime.value]
+    p_db = [10.0 * v for v in map(math.log10, p_cont.tolist())]
+    # tau, gamma, rho_out, m, p_cont_dBm, regime (, rs)
+    row_format = f"%s,%s,%s,{format(m, 'g')},%.10g,%s" + ",%.10g" * include_rs + "\n"
+    columns = [*keys, p_db, _REGIME_CELLS[power_limited.astype(np.intp)]]
     if include_rs:
-        cells.append(throughput_fading_at(p2, default_fading(p2, m), tau, pc))
-    return _csv_cells(cells)
+        columns.append(rs.tolist())
+    return _format_rows(row_format, columns)
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
     """Tabulate the power rule over the (tau, gamma, rho_out, m) grid.
 
-    Rows run over tau, then gamma, rho_out and m. The m = inf columns are
-    evaluated in array calls over blocks of whole (tau, gamma) lines, about
-    _SWEEP_BLOCK points and at least one line each, and formatted as text
-    by one call per block; finite-m rows call the fading routines row by
-    row. Every row is held until the grid is done, so a sweep that fails
-    writes no CSV.
+    Rows run over tau, then gamma, rho_out and m, evaluated over blocks of
+    whole (tau, gamma) lines, about _SWEEP_BLOCK points and at least one
+    line each. Per block and per m, _power_cells picks the channel's route
+    and one _format_rows call writes the rows' text, for every m alike.
+    Every row is held until the grid is done, so a sweep that fails writes
+    no CSV.
     """
     params = cfg.params()
     taus_ms = cfg.sweep_axis("tau_ms")
@@ -589,16 +587,12 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
         raise ConfigError(
             f"sweep grid has {total} rows, above the cap of {_SWEEP_ROW_CAP}")
     include_rs = cfg.include_rs()
-    header = ["tau_ms", "gamma_dB", "rho_out", "m", "p_cont_dBm", "regime"]
-    if include_rs:
-        header.append("rs")
-    gammas = [db_to_linear(g_db) for g_db in gammas_db]
+    header = "tau_ms gamma_dB rho_out m p_cont_dBm regime rs".split()[:6 + include_rs]
     # key cells are formatted once per axis value and taken by the rows
     key_cells = [np.array([_fmt(v) for v in values], dtype=object)
                  for values in (taus_ms, gammas_db, rhos)]
-    m_cells = [format(m, "g") for m in ms]
-    any_det = any(math.isinf(m) for m in ms)
-    axes = (np.array(taus_ms) * 1e-3, np.array(gammas), np.array(rhos))
+    axes = (np.array(taus_ms) * 1e-3, np.array([db_to_linear(g) for g in gammas_db]),
+            np.array(rhos))
     shape = tuple(a.size for a in axes)
     n_points = math.prod(shape)
     n_rho = len(rhos)
@@ -610,18 +604,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
         block = np.unravel_index(np.arange(start, min(start + block_size, n_points)),
                                  shape)
         keys = [cells[ix] for cells, ix in zip(key_cells, block)]
-        det = None
-        if any_det:
-            tau, gamma = (axis[ix[::n_rho], None] for axis, ix in zip(axes, block[:2]))
-            det = _det_sweep_cells(params, keys, tau, gamma, axes[2], include_rs)
-        columns = []
-        for m, m_cell in zip(ms, m_cells):
-            columns.append(det if math.isinf(m) else [
-                f"{tau_cell},{gamma_cell},{rho_cell},{m_cell},"
-                + _fading_sweep_tail(params, m, taus_ms[it] * 1e-3, gammas[ig], rhos[ir],
-                                     include_rs) + "\n"
-                for tau_cell, gamma_cell, rho_cell, it, ig, ir in zip(
-                    *keys, *(ix.tolist() for ix in block))])
+        tau, gamma = (axis[ix[::n_rho], None] for axis, ix in zip(axes, block[:2]))
+        columns = [_sweep_rows(params, m, keys, tau, gamma, axes[2], include_rs)
+                   for m in ms]
         # within a grid point the rows run over m
         rows.extend(itertools.chain.from_iterable(zip(*columns)))
     meta = _meta_lines(cfg, "sweep", [f"{total} rows"])

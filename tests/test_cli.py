@@ -525,46 +525,46 @@ def _run_sweep(tmp_path, sweep: dict[str, str]) -> bytes:
     return out.read_bytes()
 
 
-def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch):
-    # the whole file, byte for byte: meta lines, header, row order and line
-    # ends, over both regimes and both m dispatches. Blocks of 5 points
-    # hold two (tau, gamma) lines of 2 budgets, which split the 9 lines
-    # unevenly; 0.0015 ms is a half-sample window; at -30 dB both budgets
-    # are power-limited from 1 ms on, so those m = inf rows share one
-    # capacity law
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 5)
-    sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
-             "rho_out": "0.3, 0.5", "m": "inf, 1", "include_rs": "true"}
-    want, rows = _scalar_api_sweep(sweep)
-    assert len({(m, regime) for m, regime, _ in rows}) == 4
-    power_limited_det = [tau for m, regime, tau in rows
-                         if m == "inf" and regime is Regime.POWER_LIMITED]
-    assert len(power_limited_det) > len(set(power_limited_det))
-    assert _run_sweep(tmp_path, sweep) == want
-
-
-@pytest.mark.parametrize("block, rows_per_block", [(1, [2] * 9), (5, [4, 4, 4, 4, 2])])
-def test_det_only_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch,
-                                                                   block, rows_per_block):
-    # a sweep whose only m is inf, byte for byte. Blocks
-    # hold whole (tau, gamma) lines of 2 budgets: one line each at a block
-    # of 1 point, and two at 5, which split the 9 lines unevenly
-    monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
-    evaluate = cli._det_sweep_cells
+def _counted_sweep_rows(monkeypatch) -> list:
+    """(m, tau shape, row count) of every _sweep_rows call of the sweep."""
+    evaluate = cli._sweep_rows
     done = []
 
-    def counted(*args):
-        tails = evaluate(*args)
-        done.append(len(tails))
-        return tails
+    def counted(params, m, keys, tau, gamma, rho_out, include_rs):
+        rows = evaluate(params, m, keys, tau, gamma, rho_out, include_rs)
+        done.append((m, tau.shape, len(rows)))
+        return rows
 
-    monkeypatch.setattr(cli, "_det_sweep_cells", counted)
+    monkeypatch.setattr(cli, "_sweep_rows", counted)
+    return done
+
+
+@pytest.mark.parametrize("block, lines_per_block", [(1, [1] * 9), (5, [2, 2, 2, 2, 1])],
+                         ids=["block1", "block5"])
+@pytest.mark.parametrize("ms", ["inf, 1", "inf", "1"])
+def test_sweep_csv_equals_a_csv_built_from_the_scalar_api(tmp_path, monkeypatch, ms, block,
+                                                          lines_per_block):
+    # the whole file, byte for byte: meta lines, header, row order and line
+    # ends, over both regimes at every m. Blocks hold whole (tau, gamma)
+    # lines of 2 budgets: one line each at a block of 1 point, and two at 5,
+    # which split the 9 lines unevenly; each block makes one _sweep_rows
+    # call per m, in the m order. 0.0015 ms is a half-sample window; at
+    # -30 dB both budgets are power-limited from 1 ms on, so those m = inf
+    # rows share one capacity law
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+    done = _counted_sweep_rows(monkeypatch)
     sweep = {"tau_ms": "0.0015, 1, 30", "gamma_db": "-30, 0, 10",
-             "rho_out": "0.05, 0.5", "m": "inf", "include_rs": "true"}
+             "rho_out": "0.05, 0.5", "m": ms, "include_rs": "true"}
     want, rows = _scalar_api_sweep(sweep)
-    assert {regime for _, regime, _ in rows} == set(Regime)
+    m_cells = ms.split(", ")
+    assert {(m, regime) for m, regime, _ in rows} == set(itertools.product(m_cells, Regime))
+    if "inf" in m_cells:
+        power_limited_det = [tau for m, regime, tau in rows
+                             if m == "inf" and regime is Regime.POWER_LIMITED]
+        assert len(power_limited_det) > len(set(power_limited_det))
     assert _run_sweep(tmp_path, sweep) == want
-    assert done == rows_per_block
+    assert done == [(float(m), (lines, 1), 2 * lines)
+                    for lines in lines_per_block for m in m_cells]
 
 
 _ODD_FLOATS = st.one_of(
@@ -586,26 +586,38 @@ def test_sweep_rows_format_like_fmt(cells):
         f"{cli._fmt(p)},{regime}\n" for p, regime in zip(p_db, regimes)]
     assert cli._format_rows("%.10g,%s,%.10g\n", [p_db, regime_cells, rs]) == [
         f"{cli._fmt(p)},{regime},{cli._fmt(r)}\n" for p, regime, r in zip(p_db, regimes, rs)]
-    assert cli._format_rows("%s,inf,%.10g,%s,%.10g\n",
-                            [key_cells, p_db, regime_cells, rs]) == [
-        ",".join(cli._fmt(c) for c in (k, "inf", p, regime, r)) + "\n"
-        for k, p, regime, r in zip(keys, p_db, regimes, rs)]
+    for m_cell in ("inf", "0.5", "1e+03"):
+        assert cli._format_rows(f"%s,{m_cell},%.10g,%s,%.10g\n",
+                                [key_cells, p_db, regime_cells, rs]) == [
+            ",".join(cli._fmt(c) for c in (k, m_cell, p, regime, r)) + "\n"
+            for k, p, regime, r in zip(keys, p_db, regimes, rs)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
-    # the block's one array check raises linear_to_db's own error
-    rule = cli.controlled_power_det_array
+    # the one array check of a block's powers, at m = inf and at a finite m,
+    # raises linear_to_db's own error
+    det_rule, fading_rule = cli.controlled_power_det_array, cli.controlled_power_fading
+    solved = []
 
-    def with_bad(*args):
-        pc = rule(*args)
+    def det_with_bad(*args):
+        pc = det_rule(*args)
         return pc._replace(p_cont=np.where([False, True], bad, pc.p_cont))
 
-    monkeypatch.setattr(cli, "controlled_power_det_array", with_bad)
-    with pytest.raises(ValueError, match="^only positive values have a dB representation$"):
-        cli._det_sweep_cells(ScenarioParams(), [np.array(["1", "2"], dtype=object)] * 3,
-                             np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
-                             np.array([0.1, 0.1]), False)
+    def fading_with_bad(*args):
+        pc = fading_rule(*args)
+        solved.append(pc)
+        return replace(pc, p_cont=bad) if len(solved) == 2 else pc
+
+    monkeypatch.setattr(cli, "controlled_power_det_array", det_with_bad)
+    monkeypatch.setattr(cli, "controlled_power_fading", fading_with_bad)
+    for m in (math.inf, 1.0):
+        with pytest.raises(ValueError,
+                           match="^only positive values have a dB representation$"):
+            cli._sweep_rows(ScenarioParams(), m, [np.array(["1", "2"], dtype=object)] * 3,
+                            np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
+                            np.array([0.1, 0.1]), False)
+    assert len(solved) == 2
 
 
 def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
@@ -614,19 +626,11 @@ def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
     # points), so the first block has been evaluated and formatted when the
     # sweep fails
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 10)
-    done = []
-    evaluate = cli._det_sweep_cells
-
-    def counted(params, keys, tau, gamma, rho_out, include_rs):
-        tails = evaluate(params, keys, tau, gamma, rho_out, include_rs)
-        done.append((tau.shape, len(tails)))
-        return tails
-
-    monkeypatch.setattr(cli, "_det_sweep_cells", counted)
+    done = _counted_sweep_rows(monkeypatch)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out), "--set", "sweep.rho_out=0.1, 0.2",
                  "--set", "sweep.tau_ms=1, 2, 3, 4, 5, 100"]) == 3
-    assert done == [((5, 1), 10)]
+    assert done == [(math.inf, (5, 1), 10)]
     assert not out.exists()
 
 
@@ -741,6 +745,24 @@ def test_config_domain_errors_exit_2(tmp_path, capsys, setting, message):
     rc = main(["sweep", "--out", str(tmp_path / "x.csv"), "--set", setting])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "fig8a", "--set", "fading.m=1, 1.0"], "fading.m: 2 values print as 1"),
+    (["figure", "fig8a", "--set", "fading.m=2, 1, 1.0000001"],
+     "fading.m: 2 values print as 1"),
+    (["sweep", "--set", "sweep.m=0.5, inf, 0.5000001"], "sweep.m: 2 values print as 0.5"),
+    (["sweep", "--set", "sweep.m=inf, inf"], "sweep.m: 2 values print as inf"),
+    (["sweep", "--set", "sweep.m=linspace 1 1.000001 3"], "sweep.m: 3 values print as 1"),
+])
+def test_m_values_that_print_alike_are_config_errors(tmp_path, capsys, argv, message):
+    # such values would share one figure column name (fig8a would write 3
+    # columns instead of 5) or give sweep rows whose m cells are alike
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {message} under %g; every m must print apart\n")
+    assert not out.exists()
 
 
 def _script(name: str):
@@ -911,13 +933,16 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     sweeps = [a for a in calls if a[0] == "sweep"]
     assert [a[a.index("--out") + 1] for a in sweeps] == [
         str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv"),
-        str(tmp_path / "fading_sweep.csv"), str(tmp_path / "long_rho_sweep.csv")]
+        str(tmp_path / "fading_sweep.csv"), str(tmp_path / "long_rho_sweep.csv"),
+        str(tmp_path / "mixed_m_sweep.csv")]
     assert {"--set=sweep.m=0.5, 1, inf", "--set=sweep.include_rs=true"} <= set(sweeps[2])
     # one (tau, gamma) line longer than a sweep block
     assert {"--set=sweep.m=inf", "--set=sweep.include_rs=true",
             "--set=sweep.rho_out=linspace 0.001 0.5 5000"} <= set(sweeps[3])
     assert 5000 > cli._SWEEP_BLOCK
-    assert len(calls) == len(FIGURE_IDS) + 6
+    # an unordered m axis, so each grid point interleaves finite-m and inf rows
+    assert {"--set=sweep.m=1, inf, 0.5", "--set=sweep.include_rs=true"} <= set(sweeps[4])
+    assert len(calls) == len(FIGURE_IDS) + 7
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "validate.txt", "validate_seed7_trials20000.txt"]
 
