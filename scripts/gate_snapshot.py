@@ -16,15 +16,20 @@ OUT_DIR receives, flat:
   its own that is larger than the nominal block size;
 - mixed_m_sweep.csv: a sweep with rates whose m axis is unordered
   (1, inf, 0.5), over 2 tau x 2 gamma x 2 rho_out points in both regimes,
-  so each grid point's rows interleave finite-m and m = inf rows.
+  so each grid point's rows interleave finite-m and m = inf rows;
+- wide_fading_sweep.csv: a fading sweep with rates over m = 0.5, 5 and 200,
+  9 tau x 4 gamma x 4 rho_out points from 10 us to 50 ms, -20 to 10 dB and
+  budgets of 1e-4 to 0.5: 432 rows, 345 interference-limited, each block
+  one fading power-rule call per m.
 
 The commands run on the checkout's own src/, ahead of any installed copy
 of the package.
 
 Take one snapshot per commit; then `diff -r OLD_DIR NEW_DIR` checks the
 bytes and `python scripts/csv_drift.py OLD_DIR NEW_DIR` reports the largest
-drift of each CSV. A snapshot takes ~2 s on a 2-vCPU host, most of it in
-the fading tradeoff figures. Exits 1 if any command exited nonzero, after
+drift of each CSV. A snapshot takes ~4 s on a 2-vCPU host, most of it in
+the fading tradeoff figures. tests/test_gate.py compares a fresh snapshot
+with the files pinned in tests/golden. Exits 1 if any command exited nonzero, after
 running them all.
 """
 
@@ -50,6 +55,10 @@ LONG_RHO_SWEEP = {"tau_ms": "1, 3", "gamma_db": "-15, 0",
 # 8 grid points, power- and interference-limited, each at m = 1, inf, 0.5
 MIXED_M_SWEEP = {"tau_ms": "0.5, 5", "gamma_db": "-20, 10", "rho_out": "0.05, 0.3",
                  "m": "1, inf, 0.5", "include_rs": "true"}
+# 144 grid points over the fading rule's range, both regimes, at three m
+WIDE_FADING_SWEEP = {"tau_ms": "logspace 0.01 50 9", "gamma_db": "linspace -20 10 4",
+                     "rho_out": "0.0001, 0.01, 0.1, 0.5", "m": "0.5, 5, 200",
+                     "include_rs": "true"}
 
 
 def _sweep_tables():
@@ -72,7 +81,8 @@ def _runs(out_dir: Path):
     for name, spec in _sweep_tables().items():
         yield name, spec.argv(str(REPO), str(out_dir / f"{name}.csv"), None), None
     for name, sweep in (("fading_sweep", FADING_SWEEP), ("long_rho_sweep", LONG_RHO_SWEEP),
-                        ("mixed_m_sweep", MIXED_M_SWEEP)):
+                        ("mixed_m_sweep", MIXED_M_SWEEP),
+                        ("wide_fading_sweep", WIDE_FADING_SWEEP)):
         yield name, ["sweep", "--out", str(out_dir / f"{name}.csv"),
                      *(f"--set=sweep.{key}={value}" for key, value in sweep.items())], None
 

@@ -22,12 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, dists, montecarlo, specfun
-from .power_control import (Regime, ScenarioParams, controlled_power_det,
-                            controlled_power_det_array,
-                            controlled_power_fading, db_to_linear,
-                            default_fading, ideal_power, linear_to_db,
-                            outage, perf_bound, perf_bound_asymptote,
-                            pr_st_law, samples_for)
+from .power_control import (Regime, ScenarioParams, controlled_power,
+                            controlled_power_det, controlled_power_fading,
+                            db_to_linear, default_fading, ideal_power,
+                            linear_to_db, outage, perf_bound,
+                            perf_bound_asymptote, pr_st_law, samples_for)
 from .throughput import (capacity_law_det, mean_capacity, optimize_tradeoff,
                          throughput_det_array, throughput_fading_at,
                          throughput_ideal_det, throughput_ideal_fading,
@@ -400,22 +399,18 @@ _FIG68_TAUS = np.geomspace(1e-5, 1e-2, 37)
 def _power_cells(params: ScenarioParams, m: float, tau, gamma, rho_out, with_rate: bool):
     """The controlled powers, their power-limited flags and, with with_rate,
     the rates at those powers (else None), as flat arrays in the C order of
-    broadcast(tau, gamma, rho_out). m = inf is the deterministic channel, one
-    array call each; a finite m solves the fading rule point by point."""
-    if math.isinf(m):
-        pc = controlled_power_det_array(params, tau, gamma, rho_out)
-        rates = throughput_det_array(params, tau, pc).ravel() if with_rate else None
-        return pc.p_cont.ravel(), pc.power_limited.ravel(), rates
-    solved = []
-    points = (a.ravel().tolist() for a in np.broadcast_arrays(tau, gamma, rho_out))
-    for tau_1, gamma_1, rho_1 in zip(*points):
-        p2 = replace(params, gamma=gamma_1, rho_out=rho_1)
-        # the power reads only the PR-ST law, which needs no PT-SR gain
-        solved.append((p2, tau_1, controlled_power_fading(p2, pr_st_law(p2, m), tau_1)))
-    rates = np.array([throughput_fading_at(p2, default_fading(p2, m), tau_1, pc)
-                      for p2, tau_1, pc in solved]) if with_rate else None
-    return (np.array([pc.p_cont for *_, pc in solved]),
-            np.array([pc.regime is Regime.POWER_LIMITED for *_, pc in solved]), rates)
+    broadcast(tau, gamma, rho_out). The powers and the m = inf rates are one
+    array call each; a finite m's rates are taken point by point."""
+    pc = controlled_power(params, tau, gamma, rho_out, m)
+    rates = None
+    if with_rate and math.isinf(m):
+        rates = throughput_det_array(params, tau, pc).ravel()
+    elif with_rate:
+        points = (a.ravel().tolist() for a in np.broadcast_arrays(tau, gamma, rho_out, pc.p_cont))
+        scenarios = ((replace(params, gamma=g, rho_out=r), t, p) for t, g, r, p in zip(*points))
+        rates = np.array([throughput_fading_at(p2, default_fading(p2, m), t, p)
+                          for p2, t, p in scenarios])
+    return pc.p_cont.ravel(), pc.power_limited.ravel(), rates
 
 
 def _power_table(cfg: ScenarioConfig, ms):
@@ -424,8 +419,7 @@ def _power_table(cfg: ScenarioConfig, ms):
     params = cfg.params()
     table = {"tau_ms": _FIG68_TAUS * 1e3}
     for m in ms:
-        powers = _power_cells(params, m, _FIG68_TAUS, params.gamma, params.rho_out,
-                              False)[0]
+        powers = controlled_power(params, _FIG68_TAUS, params.gamma, params.rho_out, m).p_cont
         pr_st = None if math.isinf(m) else pr_st_law(params, m)
         ideal = linear_to_db(ideal_power(params, pr_st))
         # dB per value: numpy's log10 can differ from math.log10 in the last bit
@@ -742,7 +736,7 @@ def _validate_checks(cfg: ScenarioConfig):
            f"<= 4 se ({4.0 * mcf.outage_se:.2e})")
 
     # 12: fading throughput against simulation
-    r_analytic = throughput_fading_at(params, links, tau_ref, pcf)
+    r_analytic = throughput_fading_at(params, links, tau_ref, pcf.p_cont)
     gap = abs(mcf.mean_throughput - r_analytic)
     ok = gap <= 4.0 * mcf.throughput_se
     yield ("throughput vs simulation (fading)", ok, f"gap {gap:.2e}",

@@ -18,10 +18,10 @@ has a closed CDF through the ratio of the two gamma surrogates, which is a
 scaled beta-prime law.
 
 The laws come in one form: each field of NcChiSq, GammaApprox and
-CapacityDist, and each argument of the law builders, is a number or an
-array, used elementwise, and each domain check covers every element. Sample
-counts need not be whole: the root searches over the window length pass a
-continuous count.
+CapacityDist, NakagamiGain's mean gain and each argument of the law builders
+is a number or an array, used elementwise, and each domain check covers
+every element. Sample counts need not be whole: the root searches over the
+window length pass a continuous count.
 
 Nakagami-m fading enters as a gamma law on channel power gains; m >= 0.5,
 with large m approaching the deterministic channel.
@@ -126,19 +126,19 @@ class GammaApprox:
 class NakagamiGain:
     """Channel power-gain law under Nakagami-m fading: Gamma(m, mean/m).
 
-    The scale mean / m must be a normal float: the density divides by it,
-    and 1 / scale overflows for a subnormal scale.
+    Each scale mean / m, of a number or an array of mean gains, must be a
+    normal float: the density divides by it, and 1 / scale overflows.
     """
 
     m: float
-    mean_gain: float
+    mean_gain: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not (self.m >= 0.5 and math.isfinite(self.m)):
             raise ValueError("Nakagami parameter m must be at least 0.5")
-        if not (self.mean_gain > 0.0 and math.isfinite(self.mean_gain)):
+        if not _positive(self.mean_gain):
             raise ValueError("mean_gain must be finite and positive")
-        if not self.mean_gain / self.m >= sys.float_info.min:
+        if not _at_least(self.mean_gain / self.m, sys.float_info.min):
             raise ValueError("gain scale mean_gain / m is below the smallest normal float")
 
 
@@ -302,12 +302,10 @@ def nakagami_gain_cdf(gain: NakagamiGain, x):
 def nakagami_gain_quantile(gain: NakagamiGain, q):
     """Quantile of the power gain; q in [0, 1) (0 maps to gain 0)."""
     q_arr = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q_arr)) or np.any(q_arr < 0.0) or np.any(q_arr >= 1.0):
+    if not (q_arr.size == 0 or (0.0 <= q_arr.min() and q_arr.max() < 1.0)):  # nan fails
         raise ValueError("quantile level must lie in [0, 1)")
     out = special.gammaincinv(gain.m, q_arr) * (gain.mean_gain / gain.m)
-    if np.isscalar(q):
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_nakagami(gain: NakagamiGain, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -21,8 +21,7 @@ time of transmission without power control.
 
 Under fading the outage is averaged over the Nakagami-m law of the PR-ST
 power gain; gamma then plays the role of the mean receive SNR. outage,
-perf_bound and forced_window take either channel, and the fading power rule
-controlled_power_fading has no closed form.
+perf_bound, forced_window and the one power rule, controlled_power, take either channel.
 """
 
 from __future__ import annotations
@@ -45,14 +44,14 @@ __all__ = [
     "ScenarioParams",
     "Regime",
     "PowerControlResult",
-    "DetPowerArrays",
+    "PowerArrays",
     "FadingLinks",
     "pr_st_law",
     "default_fading",
     "ideal_power",
     "samples_for",
     "outage",
-    "controlled_power_det_array",
+    "controlled_power",
     "controlled_power_det",
     "perf_bound",
     "perf_bound_asymptote",
@@ -147,13 +146,9 @@ class PowerControlResult:
     regime: Regime
 
 
-class DetPowerArrays(NamedTuple):
-    """Elementwise outcome of the deterministic power rule.
-
-    n holds the whole sample counts (as floats) of the sensing windows. It
-    has the shape of tau, which it alone reads, and broadcasts against the
-    other two fields.
-    """
+class PowerArrays(NamedTuple):
+    """Elementwise outcome of the power rule. n, the windows' whole sample
+    counts (as floats), has the shape of tau, which it alone reads."""
 
     p_cont: np.ndarray
     power_limited: np.ndarray
@@ -219,21 +214,14 @@ def _interference_threshold(params: ScenarioParams, p: float) -> float:
     return params.theta_i * params.p_tx_pr / p + params.sigma2
 
 
-def controlled_power_det_array(params: ScenarioParams, tau, gamma,
-                               rho_out) -> DetPowerArrays:
-    """Deterministic power rule over broadcast arrays of (tau, gamma, rho_out).
-
-    gamma and rho_out take the place of the scenario's own fields. Closed
-    form: the outage constraint inverts through the gamma surrogate of the
-    receive-power estimate, and the result is capped at p_full; the mask
-    records where the cap binds. Each domain check runs once over the
-    whole arrays.
-
-    The estimator law and the regime test at p_full read only (tau,
-    gamma), so they run at the rank of broadcast(tau, gamma); rho_out may
-    carry its own axes, (1, k) against (j, 1) tau, say, and joins at the
-    comparison and at the inverse. p_cont and power_limited have the shape
-    of all three broadcast together, n the shape of tau.
+def controlled_power(params: ScenarioParams, tau, gamma, rho_out,
+                     m: float = math.inf) -> PowerArrays:
+    """Power rule over broadcast arrays of (tau, gamma, rho_out), in place of
+    the scenario's fields, each checked once: deterministic for m inf, else
+    under Nakagami-m PR-ST fading at mean receive SNR gamma (_fading_power).
+    p_cont and power_limited take the broadcast shape, n the shape of tau.
+    m = inf inverts the constraint through the estimate's gamma surrogate,
+    capped at p_full; the law and the regime test run at (tau, gamma)'s rank.
     """
     tau, gamma, rho_out = (np.asarray(v, dtype=float) for v in (tau, gamma, rho_out))
     if not (np.isfinite(gamma) & (gamma > 0.0)).all():
@@ -245,6 +233,10 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
     n = np.rint(tau * params.f_s)
     if not (n >= 1.0).all():
         raise ValueError("sensing window shorter than one sample")
+    if not math.isinf(m):
+        with np.errstate(over="ignore"):  # the law rejects a mean gain that overflows
+            law = NakagamiGain(m, gamma * params.sigma2 / params.p_tx_pr)
+        return _fading_power(params, law, n, rho_out)
     approx = dists.gamma_match(dists.received_power_law(gamma, n, params.sigma2))
     thr_full = _interference_threshold(params, params.p_full)
     power_limited = specfun.reg_upper_gamma(approx.shape, thr_full / approx.scale) <= rho_out
@@ -255,16 +247,25 @@ def controlled_power_det_array(params: ScenarioParams, tau, gamma,
     x = specfun.inv_reg_upper_gamma(rho_out[binds], a[binds])
     p_cont = np.full(a.shape, params.p_full)
     p_cont[binds] = params.theta_i * params.p_tx_pr / (scale[binds] * x - params.sigma2)
-    return DetPowerArrays(p_cont, power_limited, n)
+    return PowerArrays(p_cont, power_limited, n)
+
+
+def _labelled(pc: PowerArrays) -> PowerControlResult:
+    regime = Regime.POWER_LIMITED if pc.power_limited else Regime.INTERFERENCE_LIMITED
+    return PowerControlResult(float(pc.p_cont), regime)
 
 
 def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResult:
-    """Largest admissible transmit power for a deterministic PR-ST channel:
-    controlled_power_det_array at one tau and the scenario's gamma and
-    rho_out, with the regime labelled."""
-    pc = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
-    regime = Regime.POWER_LIMITED if pc.power_limited else Regime.INTERFERENCE_LIMITED
-    return PowerControlResult(float(pc.p_cont), regime)
+    """controlled_power at one tau and the scenario's gamma and rho_out."""
+    return _labelled(controlled_power(params, tau, params.gamma, params.rho_out))
+
+
+def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
+                            tau: float) -> PowerControlResult:
+    """controlled_power at one tau and rho_out, under PR-ST law pr_st and its mean gain."""
+    params.check_tau(tau)
+    n = float(samples_for(tau, params.f_s))
+    return _labelled(_fading_power(params, pr_st, n, params.rho_out))
 
 
 # Fading outage: E[Q(a(x), thr / b(x))] over the PR-ST gain x ~ Gamma(m,
@@ -275,14 +276,16 @@ def controlled_power_det(params: ScenarioParams, tau: float) -> PowerControlResu
 # +-10, +-12, +-16, +-24, +-32, +-48, +-64, clipped into the range, so the
 # panels follow the density and the step however narrow it is; each panel
 # gets an 8-node Gauss-Legendre rule, in ln x below the median, where the
-# density rises like x^(m - 1), and in x above it. The mass outside the outer
-# quantiles (2e-12) is dropped. The lowest split is held at the smallest
-# normal float, so ln x stays finite however small the mean gain; the mass
-# below a split so raised (37% of it at m = 0.5 and a mean gain of 1e-307)
-# is kept, at the conditional outage of that split. Against a scipy quad
-# oracle on m 0.5-50, n 10-9e4, gamma -15/0 dB and p 1e-6-1 mW the rule
-# stays within max(specfun.ABS_TOL, specfun.REL_TOL * value), and against
-# the 129 uniform cuts k = -64 ... 64 it replaced within 3.9e-14 relative on
+# density rises like x^(m - 1), and in x above it. The cuts are sorted, not
+# made unique: every point has the same 43 panels, a repeated cut making one
+# of width and weight 0. The mass outside the outer quantiles (2e-12)
+# is dropped. The lowest split is held at the smallest normal float, so
+# ln x stays finite however small the mean gain; the mass below a split so
+# raised (37% of it at m = 0.5 and a mean gain of 1e-307) is kept, at the
+# conditional outage of that split. Against a scipy quad oracle on m 0.5-50,
+# n 10-9e4, gamma -15/0 dB and p 1e-6-1 mW the rule stays within
+# max(specfun.ABS_TOL, specfun.REL_TOL * value), and against the 129
+# uniform cuts k = -64 ... 64 it replaced within 3.9e-14 relative on
 # m 0.5-200, n 10-9e4, gamma -20-10 dB and p 1e-6-1 mW, wherever the outage
 # exceeds 1e-20 (tests/test_power_control.py).
 _GAIN_LEVELS = np.array([1e-12, 1e-8, 1e-5, 1e-3, 0.02, 0.2, 0.5, 0.8, 0.98,
@@ -296,63 +299,62 @@ _OUTAGE_ORDER = 8
 
 
 def _gain_splits(pr_st: NakagamiGain | None) -> np.ndarray | None:
-    """The _GAIN_LEVELS quantiles of the gain law, computed once per law and
-    passed to every outage evaluation on it; None for the deterministic
-    channel (pr_st None). A split that underflows (the 1e-12 quantile at
-    m = 0.5 and a mean gain near 1e-300) is raised to the smallest normal
-    float, whose logarithm the panels can take."""
+    """The _GAIN_LEVELS quantiles of the gain law (None for pr_st None) on a
+    trailing axis, for every outage evaluation on it; a split that underflows
+    (at m = 0.5 and a mean gain near 1e-300) is raised to the smallest normal float."""
     if pr_st is None:
         return None
-    return np.maximum(dists.nakagami_gain_quantile(pr_st, _GAIN_LEVELS), _SMALLEST_SPLIT)
+    quantiles = np.multiply.outer(np.asarray(pr_st.mean_gain) / pr_st.m,
+                                  special.gammaincinv(pr_st.m, _GAIN_LEVELS))
+    return np.maximum(quantiles, _SMALLEST_SPLIT)
 
 
-def _outage_fading_n(params: ScenarioParams, pr_st: NakagamiGain, splits: np.ndarray,
-                     n_eff: float, p: float) -> tuple[float, float]:
-    """Fading outage over n_eff samples at power p, and its slope
-    d outage / d ln p; splits are _gain_splits(pr_st).
-
-    The slope is taken on the same nodes with the panels held fixed: the
-    threshold moves as d thr / d ln p = -(thr - sigma2), and Q(a, t) falls
-    at the rate of the gamma density of shape a at t.
-    """
+def _outage_nodes(params: ScenarioParams, m: float, mean_gain, splits, n, p):
+    """Nodes of the fading outage at points mean_gain, n and p, equal-shaped:
+    per node, on a trailing axis, its mass under Gamma(m, mean_gain / m),
+    the estimate's gamma surrogate there, and the threshold in its scale.
+    _outage_sum takes the outage from them; the power rule also its slope."""
+    p, n, scale = (np.asarray(v, dtype=float)[..., None] for v in (p, n, mean_gain / m))
     thr = _interference_threshold(params, p)
     x_star = (thr - params.sigma2) / params.p_tx_pr
-    spread = params.sigma2 * math.sqrt(
-        (2.0 + 4.0 * x_star * params.p_tx_pr / params.sigma2) / n_eff) / params.p_tx_pr
-    cuts = np.unique(np.concatenate([
-        splits, np.clip(x_star + spread * _STEP_OFFSETS, splits[0], splits[-1])]))
-    lo, hi = cuts[:-1], cuts[1:]
-    in_log = lo < splits[_GAIN_MEDIAN]  # the panels below the median
+    spread = params.sigma2 * np.sqrt(
+        (2.0 + 4.0 * x_star * params.p_tx_pr / params.sigma2) / n) / params.p_tx_pr
+    cuts = np.sort(np.concatenate([splits, np.clip(
+        x_star + spread * _STEP_OFFSETS, splits[..., :1], splits[..., -1:])], axis=-1))
+    lo, hi = cuts[..., :-1], cuts[..., 1:]
+    in_log = lo < splits[..., _GAIN_MEDIAN, None]  # the panels below the median
     x, w = specfun.panel_rule(np.where(in_log, np.log(lo), lo),
                               np.where(in_log, np.log(hi), hi), _OUTAGE_ORDER)
     x[in_log] = np.exp(x[in_log])
     w[in_log] *= x[in_log]
     # gamma density of the gain, in units of its scale mean / m
-    scale = pr_st.mean_gain / pr_st.m
-    y = x / scale
-    density = np.exp(special.xlogy(pr_st.m - 1.0, y) - y - special.gammaln(pr_st.m)) / scale
-    mass = w * density
-    if splits[0] == _SMALLEST_SPLIT:
-        # the gains below the raised split act as no gain at all: their
-        # mass, far above 1e-12 once the split is raised, sits on one node
-        x = np.append(x, _SMALLEST_SPLIT)
-        mass = np.append(mass, special.gammainc(pr_st.m, _SMALLEST_SPLIT / scale))
+    y = x / scale[..., None]
+    density = np.exp(special.xlogy(m - 1.0, y) - y - special.gammaln(m)) / scale[..., None]
+    mass = (w * density).reshape(*x.shape[:-2], x.shape[-2] * _OUTAGE_ORDER)
+    x = x.reshape(mass.shape)
+    raised = splits[..., :1] == _SMALLEST_SPLIT
+    if raised.any():
+        # the mass below a raised split, far above 1e-12, acts as no gain at all
+        x = np.concatenate([x, np.full(raised.shape, _SMALLEST_SPLIT)], axis=-1)
+        mass = np.concatenate([mass, np.where(
+            raised, special.gammainc(m, _SMALLEST_SPLIT / scale), 0.0)], axis=-1)
     # a receive SNR that overflows fails the law's own finiteness check
     with np.errstate(over="ignore"):
         snr = x * params.p_tx_pr / params.sigma2
-    approx = dists.gamma_match(dists.received_power_law(snr, n_eff, params.sigma2))
-    t = thr / approx.scale
-    outage = float(np.sum(mass * specfun.reg_upper_gamma(approx.shape, t)))
-    step_density = np.exp(special.xlogy(approx.shape - 1.0, t) - t
-                          - special.gammaln(approx.shape)) / approx.scale
-    return outage, float(np.sum(mass * step_density)) * (thr - params.sigma2)
+    approx = dists.gamma_match(dists.received_power_law(snr, n, params.sigma2))
+    return mass, approx, thr / approx.scale
+
+
+def _outage_sum(mass, approx, t):
+    # the fading outage; a node without mass (width-0 panels) is read at t = 0
+    return np.sum(mass * specfun.reg_upper_gamma(approx.shape, np.where(mass > 0.0, t, 0.0)), -1)
 
 
 def outage(params: ScenarioParams, tau: float, p: float,
            pr_st: NakagamiGain | None = None) -> float:
     """Interference-outage probability at transmit power p: deterministic
     channel for pr_st None, else averaged over the PR-ST fading law pr_st
-    by a fixed Gauss-Legendre rule (see _outage_fading_n).
+    by a fixed Gauss-Legendre rule (see _outage_nodes).
 
     Pure estimator physics: any positive window holding at least one
     sample is accepted, whether or not it fits a transmission frame.
@@ -367,7 +369,7 @@ def _outage_n(params: ScenarioParams, pr_st: NakagamiGain | None,
     """outage over n samples, which need not be whole; splits are
     _gain_splits(pr_st)."""
     if pr_st is not None:
-        return _outage_fading_n(params, pr_st, splits, n, p)[0]
+        return float(_outage_sum(*_outage_nodes(params, pr_st.m, pr_st.mean_gain, splits, n, p)))
     approx = dists.gamma_match(dists.received_power_law(params.gamma, n, params.sigma2))
     return specfun.reg_upper_gamma(approx.shape,
                                    _interference_threshold(params, p) / approx.scale)
@@ -422,69 +424,77 @@ def perf_bound_asymptote(params: ScenarioParams) -> float:
 _LOG_STEP_DOWN = math.log(16.0)
 
 
-def controlled_power_fading(params: ScenarioParams, pr_st: NakagamiGain,
-                            tau: float) -> PowerControlResult:
-    """Largest admissible transmit power under PR-ST fading.
+def _fading_power(params: ScenarioParams, law: NakagamiGain, n, rho_out) -> PowerArrays:
+    """controlled_power under the PR-ST law law, over broadcast arrays of its
+    mean gains, sample counts n and budgets rho_out. Past the regime check
+    at p_full, a safeguarded Newton iteration in ln p starts at ideal_power
+    inside a sign bracket; a step that leaves the bracket bisects it or, while
+    no power below the root is known, steps down by a factor of 16 from the
+    lowest power above it. As in find_root, a step below (ABS_TOL + REL_TOL
+    |ln p|) / 2 ends the search. The points run in lockstep, one _outage_nodes
+    call a round, so no power depends on its batch. Each power is evaluated
+    once; a NaN outage raises ValueError at once, naming the round's first
+    such power, and MAX_ITER rounds without an end raise ConvergenceError."""
+    with np.errstate(divide="ignore"):  # a gain quantile of 0 gives p_full
+        ideal = np.minimum(np.divide(params.theta_i, dists.nakagami_gain_quantile(
+            law, 1.0 - rho_out)), params.p_full)
+    # one flat entry per point: times ones, each value broadcast and copied
+    ones = np.ones(np.broadcast(law.mean_gain, n, rho_out, ideal).shape)
+    gains, counts, rhos, ideal = (np.ravel(v * ones) for v in (law.mean_gain, n, rho_out, ideal))
+    splits = (_gain_splits(law) * ones[..., None]).reshape(gains.size, _GAIN_LEVELS.size)
 
-    No closed form here: the outage is monotone in the power, so the rule
-    is its root in log power, capped at p_full. After the regime check at
-    p_full, a safeguarded Newton iteration in ln p starts from the
-    perfect-knowledge power at the gain law's upper rho_out-quantile, on
-    the slope each outage evaluation returns (_outage_fading_n). It keeps a
-    sign bracket around the root. A step that leaves the bracket bisects
-    it instead, or, while no power below the root is known, steps down by
-    a factor of 16 from the lowest power above it; so does a step that
-    would go further down than that. It stops, as specfun.find_root does,
-    on a step below (ABS_TOL + REL_TOL |ln p|) / 2, so the root meets the
-    package's one accuracy target, max(ABS_TOL, REL_TOL |ln p|) in ln p
-    (specfun). Each power is evaluated once; a NaN outage raises
-    ValueError at once, and a search still open after MAX_ITER steps
-    raises specfun.ConvergenceError.
-    """
-    params.check_tau(tau)
-    n = samples_for(tau, params.f_s)
-    splits = _gain_splits(pr_st)
+    def residual(at, log_p):  # the excess over the budget and its slope, at points at
+        p = np.exp(log_p)
+        mass, approx, t = _outage_nodes(params, law.m, gains[at], splits[at], counts[at], p)
+        outage = _outage_sum(mass, approx, t)
+        if np.isnan(outage).any():
+            raise ValueError(f"the outage at p={p[np.isnan(outage)][0].item()!r} is NaN; "
+                             "the power rule cannot be solved")
+        # d outage / d ln p on the same panels: thr - sigma2 goes as 1 / p, and
+        # Q(a, t) falls at the gamma density at t
+        step_density = np.exp(special.xlogy(approx.shape - 1.0, t) - t
+                              - special.gammaln(approx.shape)) / approx.scale
+        return outage - rhos[at], (np.sum(mass * step_density, -1)
+                                   * (_interference_threshold(params, p) - params.sigma2))
 
-    def residual(log_p: float) -> tuple[float, float]:
-        p = math.exp(log_p)
-        outage, slope = _outage_fading_n(params, pr_st, splits, float(n), p)
-        if math.isnan(outage):
-            raise ValueError(f"the outage at p={p!r} is NaN; the power rule "
-                             "cannot be solved")
-        return outage - params.rho_out, slope
-
-    log_hi = math.log(params.p_full)
-    excess, slope = residual(log_hi)
-    if excess <= 0.0:
-        return PowerControlResult(params.p_full, Regime.POWER_LIMITED)
-    log_lo = -math.inf  # no power below the root known yet
-    # at most log_hi, which keeps its excess and slope when it is log_hi
-    log_p = math.log(ideal_power(params, pr_st))
-    if log_p < log_hi:
-        excess, slope = residual(log_p)
+    log_p = np.log(np.full(gains.size, params.p_full))
+    excess, slope = residual(slice(None), log_p)
+    power_limited = excess <= 0.0
+    searching = ~power_limited
+    log_hi, log_lo = log_p, np.full(gains.size, -np.inf)  # no power below the root known yet
+    log_p = np.where(power_limited, log_p, np.log(ideal))
+    fresh = log_p < log_hi  # else log_p is log_hi, whose excess and slope are known
+    if fresh.any():
+        excess[fresh], slope[fresh] = residual(fresh, log_p[fresh])
     for _ in range(specfun.MAX_ITER):
-        if excess > 0.0:
-            log_hi = log_p
-        elif excess < 0.0:
-            log_lo = log_p
-        else:
+        if not searching.any():
             break
-        delta = (specfun.ABS_TOL + specfun.REL_TOL * abs(log_p)) / 2
-        # log_p is an end of the bracket, and a Newton step on a positive
-        # slope points inside it; one below delta is taken as it stands,
-        # since it may round back onto that end
-        step = -excess / slope if slope > 0.0 else math.nan
-        if not abs(step) < delta:
-            floor = log_lo if log_lo > -math.inf else log_hi - _LOG_STEP_DOWN
-            if not floor < log_p + step < log_hi:
-                step = (0.5 * (log_lo + log_hi) if log_lo > -math.inf else floor) - log_p
-        log_p += step
-        if abs(step) < delta:
-            break
-        excess, slope = residual(log_p)
-    else:
+        log_hi = np.where(excess > 0.0, log_p, log_hi)
+        log_lo = np.where(excess > 0.0, log_lo, log_p)
+        known_lo = log_lo > -np.inf
+        delta = (specfun.ABS_TOL + specfun.REL_TOL * np.abs(log_p)) / 2
+        # a Newton step on a positive slope points inside the bracket; one
+        # below delta is taken as it stands, since it may round back onto
+        # log_p, its end. Any other slope, or one that vanishes, gives a NaN
+        # or infinite step, which fails both tests
+        with np.errstate(over="ignore"):
+            step = -excess / np.where(slope > 0.0, slope, np.nan)
+        floor = np.where(known_lo, log_lo, log_hi - _LOG_STEP_DOWN)
+        done = np.abs(step) < delta
+        keep = done | ((floor < log_p + step) & (log_p + step < log_hi))
+        if not keep.all():
+            # an excess of exactly 0 ends its search where it is
+            fallback = np.where(known_lo, 0.5 * (log_lo + log_hi), floor) - log_p
+            step = np.where(keep, step, np.where(excess == 0.0, 0.0, fallback))
+            done = np.abs(step) < delta
+        log_p = np.where(searching, log_p + step, log_p)
+        searching &= ~done
+        if searching.any():
+            excess[searching], slope[searching] = residual(searching, log_p[searching])
+    if searching.any():
         raise specfun.ConvergenceError("the power rule did not converge")
-    return PowerControlResult(math.exp(log_p), Regime.INTERFERENCE_LIMITED)
+    p_cont = np.where(power_limited, params.p_full, np.exp(log_p))
+    return PowerArrays(p_cont.reshape(ones.shape), power_limited.reshape(ones.shape), n)
 
 
 def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> float:

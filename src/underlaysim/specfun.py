@@ -24,8 +24,8 @@ scipy's brentq.c, so its roots are bit-identical to scipy's brentq with the
 same tolerances. It starts from the two bracket values it has already
 checked, so no endpoint is evaluated twice. It is the package's one general
 root routine. The fading power rule alone has the outage's slope at hand,
-and runs a safeguarded Newton iteration on find_root's stop test instead
-(power_control.controlled_power_fading).
+and runs a safeguarded Newton iteration on find_root's stop test instead,
+over arrays of points in lockstep (power_control.controlled_power).
 """
 
 from __future__ import annotations

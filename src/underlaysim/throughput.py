@@ -31,10 +31,9 @@ from scipy import special
 
 from . import dists, specfun
 from .dists import CapacityDist
-from .power_control import (DetPowerArrays, FadingLinks, PowerControlResult,
-                            ScenarioParams, controlled_power_det_array,
-                            controlled_power_fading, forced_window,
-                            ideal_power, samples_for)
+from .power_control import (FadingLinks, PowerArrays, ScenarioParams,
+                            controlled_power, controlled_power_fading,
+                            forced_window, ideal_power, samples_for)
 
 __all__ = [
     "TradeoffCurve",
@@ -188,9 +187,9 @@ def _softplus(x, out):
 
 
 def throughput_det_array(params: ScenarioParams, tau,
-                         power: DetPowerArrays) -> np.ndarray:
+                         power: PowerArrays) -> np.ndarray:
     """Secondary throughput over an array of sensing times tau, deterministic
-    channels, at the outcome of controlled_power_det_array for those tau.
+    channels, at the outcome of controlled_power for those tau at m inf.
 
     The capacity law depends on (n, p_cont) alone, and power-limited points
     share p_full, so over arrays each distinct pair is evaluated once. The
@@ -209,7 +208,7 @@ def throughput_det_array(params: ScenarioParams, tau,
 
 def throughput_det(params: ScenarioParams, tau: float) -> float:
     """Secondary throughput at sensing time tau, deterministic channels."""
-    power = controlled_power_det_array(params, tau, params.gamma, params.rho_out)
+    power = controlled_power(params, tau, params.gamma, params.rho_out)
     return float(throughput_det_array(params, tau, power))
 
 
@@ -299,17 +298,16 @@ def _mean_capacity_fading(params: ScenarioParams, links: FadingLinks,
 
 
 def throughput_fading_at(params: ScenarioParams, links: FadingLinks, tau: float,
-                         power: PowerControlResult) -> float:
+                         p: float) -> float:
     """Secondary throughput at sensing time tau under Nakagami fading, at
-    the outcome of controlled_power_fading for (links.pr_st, tau), so a
-    caller that already holds the solved power does not solve it again."""
-    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau, power.p_cont)
+    the power p the power rule solved for (links.pr_st, tau)."""
+    return prefactor(params, tau) * _mean_capacity_fading(params, links, tau, p)
 
 
 def throughput_fading(params: ScenarioParams, links: FadingLinks, tau: float) -> float:
     """Secondary throughput at sensing time tau under Nakagami fading."""
     return throughput_fading_at(params, links, tau,
-                                controlled_power_fading(params, links.pr_st, tau))
+                                controlled_power_fading(params, links.pr_st, tau).p_cont)
 
 
 def throughput_ideal_fading(params: ScenarioParams, links: FadingLinks) -> float:
@@ -380,20 +378,20 @@ def optimize_tradeoff(params: ScenarioParams,
                       links: FadingLinks | None = None) -> TradeoffCurve:
     """Trace the estimation rate-versus-tau curve and locate its optimum.
 
-    Scans default_tau_grid (deterministic channels, links None, in one
-    array call) and refines the best cell by golden-section search until
-    the bracket is narrower than _TAU_TOL.
+    Scans default_tau_grid, powers in one controlled_power call at the
+    scenario's gamma (links, if any, from default_fading), then refines the
+    best cell by golden section until the bracket is narrower than _TAU_TOL.
     """
     grid = default_tau_grid(params)
+    power = controlled_power(params, grid, params.gamma, params.rho_out,
+                             math.inf if links is None else links.pr_st.m)
     if links is None:
         rate = functools.partial(throughput_det, params)
-        # one array call: each point equals throughput_det there, bit for bit
-        values = throughput_det_array(
-            params, grid, controlled_power_det_array(params, grid, params.gamma,
-                                                     params.rho_out))
+        values = throughput_det_array(params, grid, power)
     else:
         rate = functools.partial(throughput_fading, params, links)
-        values = np.array([rate(t) for t in grid])
+        values = np.array([throughput_fading_at(params, links, t, p)
+                           for t, p in zip(grid.tolist(), power.p_cont.tolist())])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]

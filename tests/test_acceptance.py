@@ -212,7 +212,7 @@ def test_fading_throughput_dominance_and_simulation(defaults, record):
         rates[m] = []
         for k, tau in enumerate(taus):
             pc = controlled_power_fading(defaults, links.pr_st, float(tau))
-            r = throughput_fading_at(defaults, links, float(tau), pc)
+            r = throughput_fading_at(defaults, links, float(tau), pc.p_cont)
             mc = run_trials_fading(defaults, links, float(tau), TRIALS,
                                    SEED + 80 + 10 * int(m) + k, pc.p_cont)
             z = abs(r - mc.mean_throughput) / mc.throughput_se

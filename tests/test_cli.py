@@ -597,27 +597,23 @@ def test_sweep_rows_format_like_fmt(cells):
 def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
     # the one array check of a block's powers, at m = inf and at a finite m,
     # raises linear_to_db's own error
-    det_rule, fading_rule = cli.controlled_power_det_array, cli.controlled_power_fading
+    rule = cli.controlled_power
     solved = []
 
-    def det_with_bad(*args):
-        pc = det_rule(*args)
+    def rule_with_bad(*args):
+        pc = rule(*args)
+        solved.append(args[-1])
         return pc._replace(p_cont=np.where([False, True], bad, pc.p_cont))
 
-    def fading_with_bad(*args):
-        pc = fading_rule(*args)
-        solved.append(pc)
-        return replace(pc, p_cont=bad) if len(solved) == 2 else pc
-
-    monkeypatch.setattr(cli, "controlled_power_det_array", det_with_bad)
-    monkeypatch.setattr(cli, "controlled_power_fading", fading_with_bad)
+    monkeypatch.setattr(cli, "controlled_power", rule_with_bad)
     for m in (math.inf, 1.0):
         with pytest.raises(ValueError,
                            match="^only positive values have a dB representation$"):
             cli._sweep_rows(ScenarioParams(), m, [np.array(["1", "2"], dtype=object)] * 3,
                             np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
                             np.array([0.1, 0.1]), False)
-    assert len(solved) == 2
+    # one rule call per m, each over both points
+    assert len(solved) == 2 and solved == [math.inf, 1.0]
 
 
 def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
@@ -635,16 +631,24 @@ def test_sweep_failing_in_its_last_block_writes_no_csv(tmp_path, monkeypatch):
 
 
 def _logged_fading_rules(monkeypatch) -> list:
-    """(m, tau) of every fading power rule solved, through every binding."""
-    rule = power_control.controlled_power_fading
+    """(m, tau) of every fading power rule solved, per point, through every
+    binding of controlled_power_fading and controlled_power."""
+    rule, array_rule = power_control.controlled_power_fading, power_control.controlled_power
     solved = []
 
     def logged(params, pr_st, tau):
         solved.append((pr_st.m, tau))
         return rule(params, pr_st, tau)
 
+    def array_logged(params, tau, gamma, rho_out, m=math.inf):
+        pc = array_rule(params, tau, gamma, rho_out, m)
+        if not math.isinf(m):
+            solved.extend((m, t) for t in np.broadcast_to(tau, pc.p_cont.shape).ravel().tolist())
+        return pc
+
     for module in (power_control, throughput, cli):
         monkeypatch.setattr(module, "controlled_power_fading", logged)
+        monkeypatch.setattr(module, "controlled_power", array_logged)
     return solved
 
 
@@ -934,7 +938,7 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     assert [a[a.index("--out") + 1] for a in sweeps] == [
         str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv"),
         str(tmp_path / "fading_sweep.csv"), str(tmp_path / "long_rho_sweep.csv"),
-        str(tmp_path / "mixed_m_sweep.csv")]
+        str(tmp_path / "mixed_m_sweep.csv"), str(tmp_path / "wide_fading_sweep.csv")]
     assert {"--set=sweep.m=0.5, 1, inf", "--set=sweep.include_rs=true"} <= set(sweeps[2])
     # one (tau, gamma) line longer than a sweep block
     assert {"--set=sweep.m=inf", "--set=sweep.include_rs=true",
@@ -942,7 +946,10 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     assert 5000 > cli._SWEEP_BLOCK
     # an unordered m axis, so each grid point interleaves finite-m and inf rows
     assert {"--set=sweep.m=1, inf, 0.5", "--set=sweep.include_rs=true"} <= set(sweeps[4])
-    assert len(calls) == len(FIGURE_IDS) + 7
+    # the fading rule over its whole range, at three m
+    assert {"--set=sweep.m=0.5, 5, 200", "--set=sweep.include_rs=true",
+            "--set=sweep.rho_out=0.0001, 0.01, 0.1, 0.5"} <= set(sweeps[5])
+    assert len(calls) == len(FIGURE_IDS) + 8
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "validate.txt", "validate_seed7_trials20000.txt"]
 

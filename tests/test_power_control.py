@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 
 from underlaysim import power_control, specfun
 from underlaysim.dists import NakagamiGain
-from underlaysim.power_control import (DetPowerArrays, FadingLinks,
+from underlaysim.power_control import (FadingLinks, PowerArrays,
                                        PowerControlResult, Regime, ScenarioParams,
-                                       controlled_power_det,
-                                       controlled_power_det_array,
+                                       controlled_power, controlled_power_det,
                                        controlled_power_fading,
                                        db_to_linear, default_fading,
                                        forced_window, ideal_power,
@@ -207,7 +206,7 @@ _GAMMA_DB = st.floats(-30.0, 30.0)
 def test_array_rule_equals_the_scalar_rule_bit_for_bit(defaults, points):
     tau_us, gamma_db, rho = (np.array(v) for v in zip(*points))
     tau, gamma = tau_us * 1e-6, 10.0 ** (gamma_db / 10.0)
-    pc = controlled_power_det_array(defaults, tau, gamma, rho)
+    pc = controlled_power(defaults, tau, gamma, rho)
     for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
         params = replace(defaults, gamma=g, rho_out=r)
         one = controlled_power_det(params, t)
@@ -228,7 +227,7 @@ def test_array_rule_runs_the_regime_test_at_the_rank_of_tau_and_gamma(defaults,
     gamma = db_to_linear(np.array([0.0, -30.0, -12.0, -12.0, 10.0]))[:, None]
     rho = np.array([0.01, 0.05, 0.1, 0.3, 0.5, 0.9])[None, :]
     flat = [np.broadcast_to(v, (5, 6)).ravel() for v in (tau, gamma, rho)]
-    want = controlled_power_det_array(defaults, *flat)
+    want = controlled_power(defaults, *flat)
     q = specfun.reg_upper_gamma
     sizes = []
 
@@ -237,12 +236,12 @@ def test_array_rule_runs_the_regime_test_at_the_rank_of_tau_and_gamma(defaults,
         return q(a, x)
 
     monkeypatch.setattr(specfun, "reg_upper_gamma", counted)
-    got = controlled_power_det_array(defaults, tau, gamma, rho)
+    got = controlled_power(defaults, tau, gamma, rho)
     assert sizes == [5]
     assert 0 < want.power_limited.sum() < want.power_limited.size
     # n reads tau alone and keeps its shape; the other fields are full
     assert got.n.shape == (5, 1)
-    for field in DetPowerArrays._fields:
+    for field in PowerArrays._fields:
         full = np.broadcast_to(getattr(got, field), (5, 6))
         assert np.array_equal(full.ravel(), getattr(want, field))
 
@@ -253,8 +252,7 @@ def test_array_rule_runs_the_regime_test_at_the_rank_of_tau_and_gamma(defaults,
 def test_array_rule_nondecreasing_in_outage_budget(defaults, tau_us, gamma_db,
                                                    rho_permille):
     rho = np.sort(rho_permille) / 1000.0
-    p = controlled_power_det_array(defaults, tau_us * 1e-6, db_to_linear(gamma_db),
-                                   rho).p_cont
+    p = controlled_power(defaults, tau_us * 1e-6, db_to_linear(gamma_db), rho).p_cont
     assert np.all(np.diff(p) >= 0.0)
 
 
@@ -266,8 +264,8 @@ def test_array_rule_nondecreasing_in_tau_for_tight_budgets(defaults, samples,
     # only for rho_out <= 0.2: looser budgets can lose power as tau grows
     # (test_power_can_fall_with_tau_at_loose_budgets)
     tau = np.sort(samples) * 1e-6
-    p = controlled_power_det_array(defaults, tau, db_to_linear(gamma_db),
-                                   rho_permille / 1000.0).p_cont
+    p = controlled_power(defaults, tau, db_to_linear(gamma_db),
+                         rho_permille / 1000.0).p_cont
     assert np.all(np.diff(p) >= 0.0)
 
 
@@ -276,7 +274,7 @@ def test_array_rule_nondecreasing_in_tau_for_tight_budgets(defaults, samples,
 def test_array_rule_regime_agrees_with_the_bound(defaults, tau, gamma_db, rho):
     params = replace(defaults, rho_out=rho)
     gamma = db_to_linear(gamma_db)
-    limited = bool(controlled_power_det_array(params, tau, gamma, rho).power_limited)
+    limited = bool(controlled_power(params, tau, gamma, rho).power_limited)
     try:
         star = perf_bound(params, tau)
     except BracketError:
@@ -298,7 +296,7 @@ def test_array_rule_keeps_the_scalar_errors(defaults):
     ]
     for tau, gamma, rho, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            controlled_power_det_array(defaults, [1e-3, tau], gamma, rho)
+            controlled_power(defaults, [1e-3, tau], gamma, rho)
 
 
 # ----------------------------------------------- operating bound, det case
@@ -416,11 +414,18 @@ def test_step_cuts_match_the_129_uniform_cuts(defaults, monkeypatch):
              for p in np.geomspace(1e-6, 1.0, 13)]
 
     def outages():
+        # the outage and its slope in ln p, the power rule's step density
+        # summed on the same nodes
         out = []
         for params, m, n, p in cases:
             pr_st = default_fading(params, m).pr_st
-            out.append(power_control._outage_fading_n(
-                params, pr_st, power_control._gain_splits(pr_st), float(n), p))
+            mass, approx, t = power_control._outage_nodes(
+                params, m, pr_st.mean_gain, power_control._gain_splits(pr_st), n, p)
+            a = approx.shape
+            density = np.exp(scipy.special.xlogy(a - 1.0, t) - t - scipy.special.gammaln(a))
+            density /= approx.scale
+            out.append((power_control._outage_sum(mass, approx, t),
+                        np.sum(mass * density) * params.theta_i * params.p_tx_pr / p))
         return np.array(out)
 
     assert power_control._STEP_OFFSETS.size == 31
@@ -433,14 +438,14 @@ def test_step_cuts_match_the_129_uniform_cuts(defaults, monkeypatch):
 def test_controlled_power_fading_evaluates_each_power_once(defaults, monkeypatch):
     # the regime check at p_full comes first; the search then starts at the
     # perfect-knowledge power and never returns to a power it has seen
-    outage_fading_n = power_control._outage_fading_n
+    outage_nodes = power_control._outage_nodes
     powers = []
 
-    def logged(params, pr_st, splits, n_eff, p):
-        powers.append(p)
-        return outage_fading_n(params, pr_st, splits, n_eff, p)
+    def logged(params, m, mean_gain, splits, n, p):
+        powers.extend(p.tolist())
+        return outage_nodes(params, m, mean_gain, splits, n, p)
 
-    monkeypatch.setattr(power_control, "_outage_fading_n", logged)
+    monkeypatch.setattr(power_control, "_outage_nodes", logged)
     for params, m, tau in [(defaults, 0.5, 1e-3), (defaults, 1.0, 1e-3),
                            (defaults, 5.0, 1e-4), (replace(defaults, rho_out=1e-5), 1.0, 1e-3),
                            (replace(defaults, p_full=0.1), 2.0, 1e-2),
@@ -464,16 +469,18 @@ def test_controlled_power_fading_stops_at_a_nan_outage(defaults, monkeypatch):
     # a NaN outage is no verdict on the constraint: the search raises at
     # once, naming the power, whether the NaN comes at p_full or below it
     pr_st = default_fading(defaults, 1.0).pr_st
+    outage_nodes = power_control._outage_nodes
     for nan_at_full in (False, True):
         powers = []
 
-        def outage(params, pr_st, splits, n_eff, p):
-            powers.append(p)
-            if p == params.p_full and not nan_at_full:
-                return 1.0, 0.0
-            return math.nan, math.nan
+        def outage(params, m, mean_gain, splits, n, p):
+            powers.extend(p.tolist())
+            mass, approx, t = outage_nodes(params, m, mean_gain, splits, n, p)
+            if nan_at_full or len(powers) > 1:
+                mass = mass * math.nan
+            return mass, approx, t
 
-        monkeypatch.setattr(power_control, "_outage_fading_n", outage)
+        monkeypatch.setattr(power_control, "_outage_nodes", outage)
         with pytest.raises(ValueError) as info:
             controlled_power_fading(defaults, pr_st, 1e-3)
         assert str(info.value) == (f"the outage at p={powers[-1]!r} is NaN; the power "
@@ -488,15 +495,18 @@ def test_controlled_power_fading_stops_at_a_nan_outage(defaults, monkeypatch):
 
 
 def test_controlled_power_fading_reports_an_exhausted_budget(defaults, monkeypatch):
-    # an outage that never meets the budget: the search steps down by
-    # factors of 16 until its iteration budget runs out
+    # an outage that never meets the budget, flat in the power: with every
+    # node's threshold at 0 each conditional outage is 1 and its slope 0, so
+    # the search steps down by factors of 16 until its iteration budget runs out
+    outage_nodes = power_control._outage_nodes
     powers = []
 
-    def outage(params, pr_st, splits, n_eff, p):
-        powers.append(p)
-        return 1.0, 0.0
+    def outage(params, m, mean_gain, splits, n, p):
+        powers.extend(p.tolist())
+        mass, approx, t = outage_nodes(params, m, mean_gain, splits, n, p)
+        return mass, approx, np.zeros_like(t)
 
-    monkeypatch.setattr(power_control, "_outage_fading_n", outage)
+    monkeypatch.setattr(power_control, "_outage_nodes", outage)
     with pytest.raises(specfun.ConvergenceError, match="did not converge"):
         controlled_power_fading(defaults, default_fading(defaults, 1.0).pr_st, 1e-3)
     assert len(powers) == specfun.MAX_ITER + 2
@@ -511,7 +521,7 @@ def _tight_fading_root(params, pr_st, tau):
     splits = power_control._gain_splits(pr_st)
 
     def residual(log_p):
-        return (power_control._outage_fading_n(params, pr_st, splits, n, math.exp(log_p))[0]
+        return (power_control._outage_n(params, pr_st, splits, n, math.exp(log_p))
                 - params.rho_out)
 
     lo = math.log(params.p_full)
@@ -562,14 +572,14 @@ def test_controlled_power_fading_monotone_in_budget_and_m(defaults, gamma_db, m,
 def test_validate_fading_rules_take_few_outage_evaluations(defaults, monkeypatch):
     # validate's four rules at 1 ms; the bracket search of /16 steps and
     # Brent's method took 53 evaluations
-    outage_fading_n = power_control._outage_fading_n
+    outage_nodes = power_control._outage_nodes
     calls = []
 
     def counted(*args):
-        calls.append(args[-1])
-        return outage_fading_n(*args)
+        calls.extend(args[-1].tolist())
+        return outage_nodes(*args)
 
-    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
+    monkeypatch.setattr(power_control, "_outage_nodes", counted)
     for m in (0.5, 1.0, 2.0, 5.0):
         res = controlled_power_fading(defaults, default_fading(defaults, m).pr_st, 1e-3)
         assert res.regime is Regime.INTERFERENCE_LIMITED
@@ -582,14 +592,14 @@ def test_controlled_power_fading_ends_on_a_newton_step_below_the_tolerance(
     # at rho_out = 0.3 the last Newton step here rounds back onto the
     # bracket end it starts from; taken as it stands it ends the search,
     # where a bracket test would restart it from a bisection (31-33 calls)
-    outage_fading_n = power_control._outage_fading_n
+    outage_nodes = power_control._outage_nodes
     calls = []
 
     def counted(*args):
-        calls.append(args[-1])
-        return outage_fading_n(*args)
+        calls.extend(args[-1].tolist())
+        return outage_nodes(*args)
 
-    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
+    monkeypatch.setattr(power_control, "_outage_nodes", counted)
     params = replace(defaults, gamma=db_to_linear(gamma_db), rho_out=0.3)
     res = controlled_power_fading(params, default_fading(params, m).pr_st, tau)
     assert res.regime is Regime.INTERFERENCE_LIMITED
@@ -720,7 +730,7 @@ def test_forced_window_computes_the_gain_splits_once(defaults, monkeypatch):
         return splits(law)
 
     monkeypatch.setattr(power_control, "_gain_splits", counted)
-    assert forced_window(params, pr_st) == 0.001145502034076036
+    assert forced_window(params, pr_st) == 0.0011455020340760378
     assert calls == [pr_st]
 
 
@@ -754,6 +764,130 @@ def test_controlled_power_fading_power_limited(defaults):
     res = controlled_power_fading(params, pr_st, 1e-3)
     assert res.regime is Regime.POWER_LIMITED
     assert res.p_cont == params.p_full
+
+
+# ------------------------------------- the fading rule over arrays of points
+
+def _seeded_points(seed: int, size: int):
+    """(tau, gamma, rho_out) arrays: tau 10 us-50 ms and rho_out 1e-4-0.5
+    log-uniform, gamma -20-10 dB uniform in dB."""
+    rng = np.random.default_rng(seed)
+    tau = np.exp(rng.uniform(math.log(1e-5), math.log(5e-2), size))
+    gamma = 10.0 ** (rng.uniform(-20.0, 10.0, size) / 10.0)
+    return tau, gamma, np.exp(rng.uniform(math.log(1e-4), math.log(0.5), size))
+
+
+def test_array_fading_rule_meets_the_tight_root_on_a_seeded_table(defaults):
+    # 5 x 40 = 200 points, one controlled_power call per m: each power-limited
+    # point has an outage at p_full within its budget, and each other one a
+    # power within the package's accuracy target of an independent brentq root
+    regimes = []
+    for k, m in enumerate((0.5, 1.0, 3.7, 20.0, 200.0)):
+        tau, gamma, rho = _seeded_points(k, 40)
+        pc = controlled_power(defaults, tau, gamma, rho, m)
+        regimes += pc.power_limited.tolist()
+        for t, g, r, p, limited in zip(tau.tolist(), gamma.tolist(), rho.tolist(),
+                                       pc.p_cont.tolist(), pc.power_limited.tolist()):
+            params = replace(defaults, gamma=g, rho_out=r)
+            pr_st = pr_st_law(params, m)
+            assert limited == (outage(params, t, params.p_full, pr_st) <= r)
+            if limited:
+                assert p == params.p_full
+            else:
+                want = _tight_fading_root(params, pr_st, t)
+                assert abs(math.log(p) - want) <= max(ABS_TOL, REL_TOL * abs(want))
+    assert len(regimes) == 200 and 0 < sum(regimes) < 200
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 7.3, 200.0])
+def test_array_fading_rule_is_bit_equal_to_its_0d_calls(defaults, m, monkeypatch):
+    # a point's power does not depend on the batch it is solved in, and the
+    # batch evaluates each point at the powers of its own 0-d call, each
+    # once; at m <= 1 the first point's mean gain of ~1e-307 raises its
+    # lowest split, which appends a node to every point of that batch
+    outage_nodes = power_control._outage_nodes
+    evaluated = []
+
+    def logged(params, m, mean_gain, splits, n, p):
+        evaluated.extend(zip(mean_gain.tolist(), n.tolist(), p.tolist()))
+        return outage_nodes(params, m, mean_gain, splits, n, p)
+
+    monkeypatch.setattr(power_control, "_outage_nodes", logged)
+    tau, gamma, rho = _seeded_points(round(100 * m), 30)
+    if m <= 1.0:
+        gamma[0], tau[0] = db_to_linear(-2970.0), 1e-5
+    pc = controlled_power(defaults, tau, gamma, rho, m)
+    in_batch = {}
+    for gain, n, p in evaluated:
+        in_batch.setdefault((gain, n), []).append(p)
+    for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
+        evaluated.clear()
+        one = controlled_power(defaults, t, g, r, m)
+        powers = [p for *_, p in evaluated]
+        assert in_batch[evaluated[0][:2]] == powers and len(set(powers)) == len(powers)
+        assert one.p_cont.shape == one.power_limited.shape == one.n.shape == ()
+        assert one.p_cont == pc.p_cont[k] and one.power_limited == pc.power_limited[k]
+        params = replace(defaults, gamma=g, rho_out=r)
+        res = controlled_power_fading(params, pr_st_law(params, m), t)
+        assert res.p_cont == pc.p_cont[k]
+        assert (res.regime is Regime.POWER_LIMITED) == pc.power_limited[k]
+    # broadcast axes give the same bits as the flat points, and n keeps tau's shape
+    grid = controlled_power(defaults, tau[:4, None], gamma[None, :5], rho[5], m)
+    assert grid.p_cont.shape == (4, 5) and grid.n.shape == (4, 1)
+    flat = controlled_power(defaults, np.repeat(tau[:4], 5), np.tile(gamma[:5], 4), rho[5], m)
+    assert np.array_equal(grid.p_cont.ravel(), flat.p_cont)
+    assert np.array_equal(grid.power_limited.ravel(), flat.power_limited)
+    assert controlled_power(defaults, np.empty((0, 2)), 1.0, 0.1, m).p_cont.shape == (0, 2)
+
+
+def test_array_fading_rule_raises_at_one_nan_point_in_a_batch(defaults, monkeypatch):
+    # the third of five points gets a NaN outage below p_full: the batch
+    # raises the scalar rule's error at once, naming that point's power,
+    # though the other points are still searching
+    tau, gamma, rho = np.full(5, 1e-3), db_to_linear(np.linspace(-5.0, 5.0, 5)), 0.1
+    bad_gain = gamma[2] * defaults.sigma2 / defaults.p_tx_pr
+    outage_nodes = power_control._outage_nodes
+    bad_powers = []
+
+    def outage(params, m, mean_gain, splits, n, p):
+        mass, approx, t = outage_nodes(params, m, mean_gain, splits, n, p)
+        bad = (mean_gain == bad_gain) & (p < params.p_full)
+        bad_powers.extend(p[bad].tolist())
+        return np.where(bad[:, None], math.nan, mass), approx, t
+
+    monkeypatch.setattr(power_control, "_outage_nodes", outage)
+    with pytest.raises(ValueError) as info:
+        controlled_power(defaults, tau, gamma, rho, 1.0)
+    assert len(bad_powers) == 1
+    assert str(info.value) == (f"the outage at p={bad_powers[0]!r} is NaN; the power "
+                               "rule cannot be solved")
+
+
+def test_array_fading_rule_reports_an_exhausted_budget(defaults, monkeypatch):
+    # one Newton round is too few for these points, none power-limited; a
+    # batch of power-limited points needs no round at all
+    monkeypatch.setattr(specfun, "MAX_ITER", 1)
+    tau, gamma = np.array([1e-3, 3e-3, 1e-2]), db_to_linear(np.array([0.0, 5.0, 10.0]))
+    with pytest.raises(specfun.ConvergenceError, match="^the power rule did not converge$"):
+        controlled_power(defaults, tau, gamma, 0.1, 1.0)
+    monkeypatch.setattr(specfun, "MAX_ITER", 0)
+    assert controlled_power(defaults, tau, db_to_linear(-20.0), 0.1, 1.0).power_limited.all()
+
+
+def test_array_fading_rule_keeps_the_scalar_errors(defaults):
+    # each check runs once over the arrays, with the scalar path's message
+    cases = [
+        (0.15, 1.0, 0.1, 1.0, "tau must leave room for the pilot inside the frame"),
+        (1e-7, 1.0, 0.1, 1.0, "sensing window shorter than one sample"),
+        (1e-3, 0.0, 0.1, 1.0, "gamma must be finite and positive"),
+        (1e-3, 1.0, 1.0, 1.0, "rho_out must lie strictly in (0, 1)"),
+        (1e-3, 1.0, 0.1, 0.4, "Nakagami parameter m must be at least 0.5"),
+        (1e-3, 1e-300, 0.1, 1.0, "gain scale mean_gain / m is below the smallest normal float"),
+        (1e-3, 1e300, 0.1, 1.0, "shape must be finite and positive"),
+    ]
+    for tau, gamma, rho, m, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            controlled_power(defaults, [1e-3, tau], [1.0, gamma], rho, m)
 
 
 def test_perf_bound_fading_monotone_in_m(defaults):

@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 from underlaysim.dists import (CapacityDist, NcChiSq, capacity_cdf,
                                gamma_match, nakagami_gain_quantile)
 from underlaysim.power_control import (Regime, ScenarioParams,
-                                       controlled_power_det,
-                                       controlled_power_det_array,
+                                       controlled_power, controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, outage, samples_for)
 from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
@@ -268,7 +267,7 @@ def test_det_rate_array_with_repeated_laws_equals_the_scalar_rate(defaults, poin
         grid += [(tau, g_db, rho), (tau, g_db, rho), (tau, -30.0, 0.5), (tau, -30.0, 0.6)]
     tau, g_db, rho = (np.array(v) for v in zip(*grid))
     gamma = 10.0 ** (g_db / 10.0)
-    pc = controlled_power_det_array(defaults, tau, gamma, rho)
+    pc = controlled_power(defaults, tau, gamma, rho)
     assert pc.power_limited[2::4].all() and pc.power_limited[3::4].all()
     rates = throughput_det_array(defaults, tau, pc)
     for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
@@ -321,7 +320,7 @@ def test_det_rate_array_evaluates_each_distinct_law_once(defaults, points):
         tau = (samples + 0.5 * half) * 1e-6
         grid += [(tau, g_db, rho), (tau, g_db, rho), (tau, -30.0, 0.5), (tau, -30.0, 0.6)]
     tau, g_db, rho = (np.array(v) for v in zip(*grid))
-    pc = controlled_power_det_array(defaults, tau, 10.0 ** (g_db / 10.0), rho)
+    pc = controlled_power(defaults, tau, 10.0 ** (g_db / 10.0), rho)
     every_point = prefactor(defaults, tau) * mean_capacity(throughput._capacity_law(
         defaults, pc.n, defaults.g_st_sr, defaults.g_pt_sr, pc.p_cont))
     seen = []
@@ -524,7 +523,7 @@ def test_throughput_fading_matches_simulation_at_m_one_half():
     params = ScenarioParams(gamma=db_to_linear(-15.0))
     links = default_fading(params, 0.5)
     pc = controlled_power_fading(params, links.pr_st, 1e-3)
-    got = throughput.throughput_fading_at(params, links, 1e-3, pc)
+    got = throughput.throughput_fading_at(params, links, 1e-3, pc.p_cont)
     mc = run_trials_fading(params, links, 1e-3, 400_000, 1, pc.p_cont)
     assert abs(got - mc.mean_throughput) <= 4.0 * mc.throughput_se
 
@@ -573,14 +572,14 @@ def test_no_pc_fading_evaluates_each_window_once(defaults, monkeypatch):
     # then find_root reads them from the memo
     params = replace(defaults, gamma=db_to_linear(-15.0))
     links = default_fading(params, 1.0)
-    outage = power_control._outage_fading_n
+    outage_nodes = power_control._outage_nodes
     windows = []
 
-    def counted(params, gain, splits, n, p):
+    def counted(params, m, mean_gain, splits, n, p):
         windows.append(n)
-        return outage(params, gain, splits, n, p)
+        return outage_nodes(params, m, mean_gain, splits, n, p)
 
-    monkeypatch.setattr(power_control, "_outage_fading_n", counted)
-    assert throughput_no_pc_fading(params, links) == (0.001145502034076036,
+    monkeypatch.setattr(power_control, "_outage_nodes", counted)
+    assert throughput_no_pc_fading(params, links) == (0.0011455020340760378,
                                                       5.024957076346219)
     assert len(windows) == len(set(windows)) == 12
