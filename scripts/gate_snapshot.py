@@ -20,7 +20,12 @@ OUT_DIR receives, flat:
 - wide_fading_sweep.csv: a fading sweep with rates over m = 0.5, 5 and 200,
   9 tau x 4 gamma x 4 rho_out points from 10 us to 50 ms, -20 to 10 dB and
   budgets of 1e-4 to 0.5: 432 rows, 345 interference-limited, each block
-  one fading power-rule call per m.
+  one fading power-rule call per m;
+- edge_det_sweep.csv: an m = inf sweep with rates over 4 tau x 4 gamma x
+  4 rho_out points from 1 to 20 us, -20 to 10 dB and budgets of 0.05 to
+  0.99: 64 rows, 36 interference-limited, on both sides of the region
+  where specfun.inv_reg_upper_gamma iterates (shapes 0.5 to 58, those
+  below 2 at one- and two-sample windows; budgets above 0.5).
 
 The commands run on the checkout's own src/, ahead of any installed copy
 of the package.
@@ -59,6 +64,9 @@ MIXED_M_SWEEP = {"tau_ms": "0.5, 5", "gamma_db": "-20, 10", "rho_out": "0.05, 0.
 WIDE_FADING_SWEEP = {"tau_ms": "logspace 0.01 50 9", "gamma_db": "linspace -20 10 4",
                      "rho_out": "0.0001, 0.01, 0.1, 0.5", "m": "0.5, 5, 200",
                      "include_rs": "true"}
+# 64 det grid points across the edges of the inverse's region
+EDGE_DET_SWEEP = {"tau_ms": "0.001, 0.002, 0.005, 0.02", "gamma_db": "-20, -5, 0, 10",
+                  "rho_out": "0.05, 0.5, 0.7, 0.99", "m": "inf", "include_rs": "true"}
 
 
 def _sweep_tables():
@@ -82,7 +90,8 @@ def _runs(out_dir: Path):
         yield name, spec.argv(str(REPO), str(out_dir / f"{name}.csv"), None), None
     for name, sweep in (("fading_sweep", FADING_SWEEP), ("long_rho_sweep", LONG_RHO_SWEEP),
                         ("mixed_m_sweep", MIXED_M_SWEEP),
-                        ("wide_fading_sweep", WIDE_FADING_SWEEP)):
+                        ("wide_fading_sweep", WIDE_FADING_SWEEP),
+                        ("edge_det_sweep", EDGE_DET_SWEEP)):
         yield name, ["sweep", "--out", str(out_dir / f"{name}.csv"),
                      *(f"--set=sweep.{key}={value}" for key, value in sweep.items())], None
 

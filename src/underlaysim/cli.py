@@ -531,34 +531,40 @@ def cmd_figure(fig_id: str, cfg: ScenarioConfig, out_path: str) -> None:
     _write_csv(out_path, _meta_lines(cfg, f"figure {fig_id}", notes), list(table), rows)
 
 
-def _format_rows(row_format: str, columns) -> list[str]:
-    """One text line per row: row_format, which ends in a newline, filled
-    with the row's entry of each column, every row in one % call. Under
-    %.10g a float prints as _fmt prints it; no cell may hold a line break."""
+def _format_rows(prefixes, rho_cells, m_cell: str, p_db, regimes, rs=None) -> list[str]:
+    """One text line per sweep row over whole (tau, gamma) lines: one
+    template per line, a row per rho_out cell, filled with the line's prefix
+    ("tau,gamma,") and each row's p_cont_dBm, regime and, with rs, rate, all
+    lines in one % call. Under %.10g a float prints as _fmt prints it."""
+    # the rho_out and m cells are written into the template: they come from
+    # _fmt and format(m, "g"), so none can hold a % or a line break
+    tail = f",{m_cell},%.10g,%s" + ",%.10g" * (rs is not None) + "\n"
+    line = "".join("%s" + rho + tail for rho in rho_cells)
+    columns = [np.repeat(prefixes, len(rho_cells)).tolist(), p_db, regimes]
+    if rs is not None:
+        columns.append(rs)
     cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return (row_format * len(columns[0]) % cells).splitlines(keepends=True)
+    return (line * len(prefixes) % cells).splitlines(keepends=True)
 
 
 _REGIME_CELLS = np.array([Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value],
                          dtype=object)
 
 
-def _sweep_rows(params: ScenarioParams, m: float, keys, tau, gamma, rho_out,
+def _sweep_rows(params: ScenarioParams, m: float, prefixes, rho_cells, tau, gamma, rho_out,
                 include_rs: bool) -> list[str]:
-    """The text of the rows at one m over arrays of grid points, in the C
-    order of their broadcast; keys holds the rows' tau, gamma and rho_out
-    cells, one flat array each."""
+    """The text of the rows at one m over whole (tau, gamma) lines, in the C
+    order of broadcast(tau, gamma, rho_out): tau and gamma hold one value
+    per line on a trailing axis of length 1, prefixes each line's text
+    "tau,gamma,", and rho_cells the text of rho_out."""
     p_cont, power_limited, rs = _power_cells(params, m, tau, gamma, rho_out, include_rs)
     if not (p_cont > 0.0).all():
         raise ValueError("only positive values have a dB representation")
     # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
     p_db = [10.0 * v for v in map(math.log10, p_cont.tolist())]
-    # tau, gamma, rho_out, m, p_cont_dBm, regime (, rs)
-    row_format = f"%s,%s,%s,{format(m, 'g')},%.10g,%s" + ",%.10g" * include_rs + "\n"
-    columns = [*keys, p_db, _REGIME_CELLS[power_limited.astype(np.intp)]]
-    if include_rs:
-        columns.append(rs.tolist())
-    return _format_rows(row_format, columns)
+    regimes = _REGIME_CELLS[power_limited.astype(np.intp)].tolist()
+    return _format_rows(prefixes, rho_cells, format(m, "g"), p_db, regimes,
+                        rs.tolist() if include_rs else None)
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
@@ -582,24 +588,23 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
             f"sweep grid has {total} rows, above the cap of {_SWEEP_ROW_CAP}")
     include_rs = cfg.include_rs()
     header = "tau_ms gamma_dB rho_out m p_cont_dBm regime rs".split()[:6 + include_rs]
-    # key cells are formatted once per axis value and taken by the rows
-    key_cells = [np.array([_fmt(v) for v in values], dtype=object)
-                 for values in (taus_ms, gammas_db, rhos)]
-    axes = (np.array(taus_ms) * 1e-3, np.array([db_to_linear(g) for g in gammas_db]),
-            np.array(rhos))
-    shape = tuple(a.size for a in axes)
-    n_points = math.prod(shape)
-    n_rho = len(rhos)
+    # text cells are formatted once per axis value: each (tau, gamma) line's
+    # prefix, and the rho_out cells every line shares
+    tau_cells, gamma_cells, rho_cells = ([_fmt(v) for v in values]
+                                         for values in (taus_ms, gammas_db, rhos))
+    prefixes = np.array([f"{t},{g}," for t in tau_cells for g in gamma_cells], dtype=object)
+    # the tau and gamma of each line, on a trailing axis of length 1
+    line_taus = np.repeat(np.array(taus_ms) * 1e-3, len(gammas_db))[:, None]
+    line_gammas = np.tile([db_to_linear(g) for g in gammas_db], len(taus_ms))[:, None]
+    rho_out = np.array(rhos)
     # a block holds whole (tau, gamma) lines: the power rule takes one tau
     # and gamma per line and the rho_out axis as its trailing axis
-    block_size = max(1, _SWEEP_BLOCK // n_rho) * n_rho
+    lines_per_block = max(1, _SWEEP_BLOCK // len(rhos))
     rows = []
-    for start in range(0, n_points, block_size):
-        block = np.unravel_index(np.arange(start, min(start + block_size, n_points)),
-                                 shape)
-        keys = [cells[ix] for cells, ix in zip(key_cells, block)]
-        tau, gamma = (axis[ix[::n_rho], None] for axis, ix in zip(axes, block[:2]))
-        columns = [_sweep_rows(params, m, keys, tau, gamma, axes[2], include_rs)
+    for start in range(0, prefixes.size, lines_per_block):
+        block = slice(start, start + lines_per_block)
+        columns = [_sweep_rows(params, m, prefixes[block], rho_cells, line_taus[block],
+                               line_gammas[block], rho_out, include_rs)
                    for m in ms]
         # within a grid point the rows run over m
         rows.extend(itertools.chain.from_iterable(zip(*columns)))

@@ -11,9 +11,11 @@ Every iterative result in the package meets one accuracy target, combined
 as max(ABS_TOL, REL_TOL * |value|) with ABS_TOL = 1e-10 and REL_TOL = 1e-8;
 find_root also stops with ConvergenceError after MAX_ITER = 200 iterations.
 
-Q(a, x) and its inverse are thin wrappers over scipy with strict domain
-checks. The quadrature primitive is a fixed rule, not an adaptive one: each
-integral in the package places its own panel ends at the features of its
+Q(a, x) is a thin wrapper over scipy with strict domain checks. Its inverse
+is the package's own inside a stated region of (a, rho): a Wilson-Hilferty
+start and third-order Householder steps on Q(a, x) - rho over whole arrays,
+with scipy's gammainccinv outside it. The quadrature primitive is a fixed
+rule, not an adaptive one: each integral in the package places its own panel ends at the features of its
 integrand (for the fading outage, the gain law's quantiles and the
 estimator's step; for mean capacity, the two knees of Hamdi's integrand)
 and sums integrand times weight over whole node arrays at once.
@@ -86,11 +88,58 @@ def reg_upper_gamma(a, x):
     return out
 
 
+# inv_reg_upper_gamma iterates on _INV_A_MIN <= a <= _INV_A_MAX and
+# _INV_RHO_MIN <= rho <= 0.5, and stops at a step below _INV_STOP spreads
+# sqrt(a), or hands a point to gammainccinv after _INV_MAX_STEPS steps
+_INV_A_MIN = 2.0
+_INV_A_MAX = 1e8
+_INV_RHO_MIN = 1e-20
+_INV_STOP = 3e-4
+_INV_MAX_STEPS = 10
+
+
 def inv_reg_upper_gamma(rho, a):
     """Inverse of Q(a, x) in its second argument: the x with Q(a, x) = rho.
 
-    rho must lie strictly inside (0, 1) and a must be positive. Round-trips
-    with reg_upper_gamma to well below 1e-9 across the shapes used here.
+    rho must lie strictly inside (0, 1) and a must be positive, both
+    broadcast together; scalars give a float.
+
+    Inside the region 2 <= a <= 1e8, 1e-20 <= rho <= 0.5 the root is
+    iterated over whole arrays. The start is the Wilson-Hilferty point
+    x0 = a (1 - 1/(9a) + z / (3 sqrt(a)))^3, z = -ndtri(rho) (Wilson &
+    Hilferty, PNAS 17, 1931), positive there since z >= 0. Each step is
+    Householder's third-order step on Q(a, x) - rho: with the density
+    g = exp((a - 1) ln x - x - gammaln(a)), t = (Q(a, x) - rho) / g,
+    p = g'/g = (a - 1)/x - 1 and q = g''/g = p^2 - (a - 1)/x^2, it moves x by
+    t (1 + t p / 2) / (1 + t p + t^2 q / 6).
+
+    The stop: the error after a step shrinks like the fourth power of the
+    step. In units of the law's spread sqrt(a), a step s leaves an error
+    of about C s^4, with C measured at 0.04 for a < 3, 0.2 up to a = 30,
+    2 up to 1e3 and 4 beyond, the largest in the rho = 1e-20 tail. The
+    step is repeated only on the points whose last step exceeded
+    3e-4 sqrt(a), so what remains is at most C (3e-4)^4 sqrt(a) =
+    8.1e-15 C sqrt(a), against a root above the median a - 1/3: at most
+    3e-15 relative (at a = 30), and about 1e-15 or less below a = 30 and
+    above a = 1e3. A tighter stop would spend a step on points already at
+    rounding level. Most points stop after one or two steps; the corner
+    a = 2, rho = 1e-20, where the start is worst, takes six.
+
+    A point that has not stopped after _INV_MAX_STEPS steps, and every
+    point outside the region, takes scipy's gammainccinv. Below a = 2
+    gammaincc errs by up to ~1e-14 relative near the root (at a = 1.2,
+    x = 1.5), so the steps are no more accurate than gammainccinv there
+    and the two differ by up to 2e-14; below rho = 1e-20 the start is far
+    off and, further out, the density underflows; above a = 1e8 gammaln's
+    cancellation swamps the last step.
+
+    Measured against gammainccinv: at most 7.1e-15 relative on 2.9
+    million seeded points across the region, the largest at a = 2-4, and
+    1.9e-15 on the det power tables. Against 60-digit mpmath roots:
+    within 1e-15 on a grid of the region's corners, edges and the det
+    rule's shapes, and up to 2.4e-15 (gammainccinv: 2.2e-15) on 400
+    random points at a = 2-3, where gammaincc's own error is largest
+    (tests/test_specfun.py).
     """
     rho_arr = np.asarray(rho, dtype=float)
     a_arr = np.asarray(a, dtype=float)
@@ -98,9 +147,47 @@ def inv_reg_upper_gamma(rho, a):
         raise ValueError("tail probability rho must lie strictly in (0, 1)")
     if not (np.isfinite(a_arr) & (a_arr > 0.0)).all():
         raise ValueError("shape parameter a must be finite and positive")
-    out = special.gammainccinv(a_arr, rho_arr)
+    if rho_arr.shape != a_arr.shape:
+        rho_arr, a_arr = np.broadcast_arrays(rho_arr, a_arr)
+    inside = ((a_arr >= _INV_A_MIN) & (a_arr <= _INV_A_MAX)
+              & (rho_arr >= _INV_RHO_MIN) & (rho_arr <= 0.5))
+    out = np.full(a_arr.shape, math.nan)
+    out[inside] = _householder_root(rho_arr[inside], a_arr[inside])
+    rest = np.isnan(out)
+    if np.count_nonzero(rest):
+        out[rest] = special.gammainccinv(a_arr[rest], rho_arr[rest])
     if np.isscalar(rho) and np.isscalar(a):
         return float(out)
+    return out
+
+
+def _householder_root(rho, a):
+    """inv_reg_upper_gamma's iteration on flat arrays inside its region; NaN
+    where _INV_MAX_STEPS steps did not stop."""
+    root_a = np.sqrt(a)
+    x = out = a * (1.0 - 1.0 / (9.0 * a) - special.ndtri(rho) / (3.0 * root_a)) ** 3
+    # the points still stepping: their index in out, and their constants
+    at = np.arange(x.size)
+    am1 = a - 1.0
+    log_gamma = special.gammaln(a)
+    stop = _INV_STOP * root_a
+    for k in range(_INV_MAX_STEPS):
+        t = (special.gammaincc(a, x) - rho) / np.exp(am1 * np.log(x) - x - log_gamma)
+        u = am1 / x
+        p = u - 1.0
+        tp = t * p
+        step = t * (1.0 + 0.5 * tp) / (1.0 + tp + t * t * (p * p - u / x) / 6.0)
+        x += step
+        if k:  # the first step moves out itself
+            out[at] = x
+        going = np.abs(step) > stop
+        n_going = np.count_nonzero(going)
+        if not n_going:
+            return out
+        if n_going < going.size:
+            at, x, a, rho = at[going], x[going], a[going], rho[going]
+            am1, log_gamma, stop = am1[going], log_gamma[going], stop[going]
+    out[at] = math.nan
     return out
 
 

@@ -379,9 +379,16 @@ def optimize_tradeoff(params: ScenarioParams,
     """Trace the estimation rate-versus-tau curve and locate its optimum.
 
     Scans default_tau_grid, powers in one controlled_power call at the
-    scenario's gamma (links, if any, from default_fading), then refines the
-    best cell by golden section until the bracket is narrower than _TAU_TOL.
+    scenario's gamma, then refines the best cell by golden section until the
+    bracket is narrower than _TAU_TOL. The grid's powers read the PR-ST law
+    from gamma and the refinement's from links.pr_st, so links, if any,
+    must carry the mean PR-ST gain gamma * sigma2 / p_tx_pr, as
+    default_fading's do; ValueError otherwise.
     """
+    if (links is not None
+            and links.pr_st.mean_gain != params.gamma * params.sigma2 / params.p_tx_pr):
+        raise ValueError("links.pr_st.mean_gain must equal the scenario's "
+                         "gamma * sigma2 / p_tx_pr")
     grid = default_tau_grid(params)
     power = controlled_power(params, grid, params.gamma, params.rho_out,
                              math.inf if links is None else links.pr_st.m)

@@ -530,8 +530,8 @@ def _counted_sweep_rows(monkeypatch) -> list:
     evaluate = cli._sweep_rows
     done = []
 
-    def counted(params, m, keys, tau, gamma, rho_out, include_rs):
-        rows = evaluate(params, m, keys, tau, gamma, rho_out, include_rs)
+    def counted(params, m, prefixes, rho_cells, tau, gamma, rho_out, include_rs):
+        rows = evaluate(params, m, prefixes, rho_cells, tau, gamma, rho_out, include_rs)
         done.append((m, tau.shape, len(rows)))
         return rows
 
@@ -572,25 +572,29 @@ _ODD_FLOATS = st.one_of(
     st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324]))
 
 
-@given(cells=st.lists(st.tuples(_ODD_FLOATS, _ODD_FLOATS,
-                                st.sampled_from([r.value for r in Regime]), _ODD_FLOATS),
-                      min_size=1, max_size=20))
+@given(data=st.data(),
+       rhos=st.sampled_from([[0.05], [0.01, 0.5], [1e-20, 0.3, 0.99], [5e-324, -0.0]]))
 @settings(max_examples=200)
-def test_sweep_rows_format_like_fmt(cells):
-    # the block formatter against _fmt, cell for cell; key cells come as
-    # object arrays of text, as the sweep takes them from its axes
-    keys, p_db, regimes, rs = (list(col) for col in zip(*cells))
-    key_cells = np.array([cli._fmt(k) for k in keys], dtype=object)
-    regime_cells = np.array(regimes, dtype=object)
-    assert cli._format_rows("%.10g,%s\n", [p_db, regime_cells]) == [
-        f"{cli._fmt(p)},{regime}\n" for p, regime in zip(p_db, regimes)]
-    assert cli._format_rows("%.10g,%s,%.10g\n", [p_db, regime_cells, rs]) == [
-        f"{cli._fmt(p)},{regime},{cli._fmt(r)}\n" for p, regime, r in zip(p_db, regimes, rs)]
+def test_sweep_rows_format_like_fmt(data, rhos):
+    # the line-template formatter against _fmt, cell for cell, over whole
+    # (tau, gamma) lines of len(rhos) rows each; prefixes come as an object
+    # array of text, as the sweep takes them from its axes
+    lines = data.draw(st.lists(st.tuples(_ODD_FLOATS, _ODD_FLOATS), min_size=1, max_size=6))
+    n_rows = len(lines) * len(rhos)
+    rows = data.draw(st.lists(st.tuples(_ODD_FLOATS, st.sampled_from([r.value for r in Regime]),
+                                        _ODD_FLOATS), min_size=n_rows, max_size=n_rows))
+    p_db, regimes, rs = (list(col) for col in zip(*rows))
+    prefixes = np.array([f"{cli._fmt(tau)},{cli._fmt(gamma)}," for tau, gamma in lines],
+                        dtype=object)
+    rho_cells = [cli._fmt(r) for r in rhos]
+    keys = [(tau, gamma, rho) for tau, gamma in lines for rho in rhos]
     for m_cell in ("inf", "0.5", "1e+03"):
-        assert cli._format_rows(f"%s,{m_cell},%.10g,%s,%.10g\n",
-                                [key_cells, p_db, regime_cells, rs]) == [
-            ",".join(cli._fmt(c) for c in (k, m_cell, p, regime, r)) + "\n"
-            for k, p, regime, r in zip(keys, p_db, regimes, rs)]
+        assert cli._format_rows(prefixes, rho_cells, m_cell, p_db, regimes) == [
+            ",".join(map(cli._fmt, key + (m_cell, p, regime))) + "\n"
+            for key, p, regime in zip(keys, p_db, regimes)]
+        assert cli._format_rows(prefixes, rho_cells, m_cell, p_db, regimes, rs) == [
+            ",".join(map(cli._fmt, key + row)) + "\n"
+            for key, row in zip(keys, ((m_cell, *row) for row in rows))]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -609,9 +613,9 @@ def test_det_sweep_cells_reject_a_power_without_a_db_value(monkeypatch, bad):
     for m in (math.inf, 1.0):
         with pytest.raises(ValueError,
                            match="^only positive values have a dB representation$"):
-            cli._sweep_rows(ScenarioParams(), m, [np.array(["1", "2"], dtype=object)] * 3,
-                            np.array([1e-3, 2e-3]), np.array([0.1, 0.1]),
-                            np.array([0.1, 0.1]), False)
+            cli._sweep_rows(ScenarioParams(), m, np.array(["1,1,", "2,1,"], dtype=object),
+                            ["0.1"], np.array([[1e-3], [2e-3]]), np.array([[0.1], [0.1]]),
+                            np.array([0.1]), False)
     # one rule call per m, each over both points
     assert len(solved) == 2 and solved == [math.inf, 1.0]
 
@@ -938,7 +942,8 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     assert [a[a.index("--out") + 1] for a in sweeps] == [
         str(tmp_path / "power_table.csv"), str(tmp_path / "rate_table.csv"),
         str(tmp_path / "fading_sweep.csv"), str(tmp_path / "long_rho_sweep.csv"),
-        str(tmp_path / "mixed_m_sweep.csv"), str(tmp_path / "wide_fading_sweep.csv")]
+        str(tmp_path / "mixed_m_sweep.csv"), str(tmp_path / "wide_fading_sweep.csv"),
+        str(tmp_path / "edge_det_sweep.csv")]
     assert {"--set=sweep.m=0.5, 1, inf", "--set=sweep.include_rs=true"} <= set(sweeps[2])
     # one (tau, gamma) line longer than a sweep block
     assert {"--set=sweep.m=inf", "--set=sweep.include_rs=true",
@@ -949,7 +954,10 @@ def test_gate_snapshot_runs_every_gate_command(tmp_path, monkeypatch):
     # the fading rule over its whole range, at three m
     assert {"--set=sweep.m=0.5, 5, 200", "--set=sweep.include_rs=true",
             "--set=sweep.rho_out=0.0001, 0.01, 0.1, 0.5"} <= set(sweeps[5])
-    assert len(calls) == len(FIGURE_IDS) + 8
+    # det shapes below 2 at one- and two-sample windows, and budgets above 0.5
+    assert {"--set=sweep.m=inf", "--set=sweep.include_rs=true", "--set=sweep.tau_ms=0.001, "
+            "0.002, 0.005, 0.02", "--set=sweep.rho_out=0.05, 0.5, 0.7, 0.99"} <= set(sweeps[6])
+    assert len(calls) == len(FIGURE_IDS) + 9
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "validate.txt", "validate_seed7_trials20000.txt"]
 

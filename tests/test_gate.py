@@ -1,7 +1,7 @@
 """The byte gate as a test: a fresh scripts/gate_snapshot.py snapshot
 against the outputs pinned in tests/golden.
 
-The 17 small files are pinned whole; the three large sweep tables
+The 18 small files are pinned whole; the three large sweep tables
 (power_table, rate_table and long_rho_sweep, 3.3 MB together) by their
 SHA-256 digests in pinned.json, which also records the numpy and scipy
 versions the files were pinned with. Output bytes can depend on those
@@ -51,7 +51,7 @@ def test_gate_snapshot_matches_the_pinned_outputs(tmp_path):
         assert _script("gate_snapshot").main([str(tmp_path)]) == 0
     pinned = json.loads((GOLDEN / "pinned.json").read_text(encoding="utf-8"))
     small = sorted(p.name for p in GOLDEN.iterdir() if p.name != "pinned.json")
-    assert len(small) == 17
+    assert len(small) == 18
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(small + list(pinned["sha256"]))
     if (np.__version__, scipy.__version__) == (pinned["numpy"], pinned["scipy"]):
         moved = [n for n in small if (tmp_path / n).read_bytes() != (GOLDEN / n).read_bytes()]

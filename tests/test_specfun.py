@@ -8,15 +8,17 @@ scipy.optimize.brentq, which the package itself does not import.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from underlaysim import specfun
+from underlaysim import dists, specfun
 from underlaysim.specfun import (BracketError, ConvergenceError, find_root,
                                  inv_reg_upper_gamma, panel_rule,
                                  reg_upper_gamma)
@@ -97,6 +99,120 @@ def test_inverse_round_trip(a, rho):
     assert x > 0.0
     assert reg_upper_gamma(a, x) == pytest.approx(rho, rel=1e-9)
     assert inv_reg_upper_gamma(reg_upper_gamma(a, x), a) == pytest.approx(x, rel=1e-9)
+
+
+# the iteration's region, as specfun states it
+_REGION_A = (2.0, 1e8)
+_REGION_RHO = (1e-20, 0.5)
+
+
+def _seeded_region_pairs(n: int, seed: int):
+    """n (rho, a) pairs log-uniform over the region, its four corners first."""
+    rng = np.random.default_rng(seed)
+    corners_a, corners_rho = np.meshgrid(_REGION_A, _REGION_RHO)
+    rho = np.exp(rng.uniform(*np.log(_REGION_RHO), n - 4))
+    a = np.exp(rng.uniform(*np.log(_REGION_A), n - 4))
+    return np.r_[corners_rho.ravel(), rho], np.r_[corners_a.ravel(), a]
+
+
+def test_inverse_matches_scipy_on_a_seeded_table_of_the_region():
+    # both inverses carry gammaincc's own error near the root, largest at
+    # a = 2-4: 7.1e-15 is the largest difference measured
+    rho, a = _seeded_region_pairs(120_000, 27)
+    x = inv_reg_upper_gamma(rho, a)
+    want = scipy.special.gammainccinv(a, rho)
+    assert np.max(np.abs(x / want - 1.0)) <= 1e-14
+
+
+def _det_table_pairs(tau_ms, gamma_db, rho_out):
+    """Every (rho, a) of the det power rule's surrogate on a benchmark sweep
+    table's axes (perfbench/workloads.py), at the default sampling rate."""
+    n = np.rint(np.geomspace(*tau_ms) * 1e-3 * 1e6)[:, None]
+    gamma = 10.0 ** (np.linspace(*gamma_db) / 10.0)
+    a = dists.gamma_match(dists.received_power_law(gamma, n, 1.0)).shape
+    rho, a = np.broadcast_arrays(np.linspace(*rho_out), a[..., None])
+    return rho.ravel(), a.ravel()
+
+
+@pytest.mark.parametrize("axes", [((0.01, 10.0, 25), (-20.0, 10.0, 100), (0.01, 0.5, 10)),
+                                  ((0.01, 10.0, 13), (-20.0, 10.0, 61), (0.01, 0.5, 7))],
+                         ids=["power_table", "rate_table"])
+def test_inverse_matches_scipy_on_the_benchmark_tables(axes):
+    rho, a = _det_table_pairs(*axes)
+    assert a.min() >= 5.0 and a.max() <= 3e4
+    x = inv_reg_upper_gamma(rho, a)
+    assert np.max(np.abs(x / scipy.special.gammainccinv(a, rho) - 1.0)) <= 2e-15
+
+
+def _mp_relative_error(a: float, rho: float, x: float) -> float:
+    """(x - root) / root for the root of Q(a, root) = rho, from the residual
+    at x to first order, at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, rho, x = mpmath.mpf(a), mpmath.mpf(rho), mpmath.mpf(x)
+        density_x = mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a))
+        # P(a, x) = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x); the series
+        # needs ~10 sqrt(a) terms near x = a
+        lower = density_x / a * mpmath.hyp1f1(1, a + 1, x, maxterms=10**7)
+        return float((1 - lower - rho) / density_x)
+
+
+# a grid over the region: its corners and edges first, then the det rule's
+# shapes and budgets inside it
+_MP_POINTS = [(2.0, 1e-20), (2.0, 0.5), (1e8, 1e-20), (1e8, 0.5), (2.0, 1e-3), (2.0, 0.1),
+              (2.0, 0.3), (2.5, 0.5), (3e7, 1e-20), (1e8, 0.01), (5.0, 1e-20),
+              (5.0, 0.01), (5.0, 0.5), (12.3, 0.05), (37.5, 1e-6), (66.667, 0.1),
+              (200.0, 1e-4), (666.67, 0.1), (6666.7, 0.1), (1e4, 1e-12), (28810.0, 0.01),
+              (28810.0, 0.5), (1e5, 0.25)]
+
+
+@pytest.mark.parametrize("a, rho", _MP_POINTS)
+def test_inverse_lies_within_1e15_of_an_mpmath_root(a, rho):
+    assert abs(_mp_relative_error(a, rho, inv_reg_upper_gamma(rho, a))) <= 1e-15
+
+
+def test_inverse_stays_near_mpmath_roots_where_gammaincc_errs_most():
+    # at a = 2-3 gammaincc's own error near the root is largest, and the
+    # last step carries it into x: 2.4e-15 at most on 400 such points,
+    # gammainccinv 2.2e-15
+    rng = np.random.default_rng(3)
+    a, rho = rng.uniform(2.0, 3.0, 40), rng.uniform(0.05, 0.5, 40)
+    x = inv_reg_upper_gamma(rho, a)
+    assert max(abs(_mp_relative_error(*point)) for point in zip(a, rho, x)) <= 4e-15
+
+
+def test_inverse_outside_the_region_is_scipys_bit_for_bit():
+    a = np.array([0.5, 0.999, 1.0, 1.999, 5.0, 1e8 * (1 + 1e-15), 1e12, 7.0, 7.0, 1.0, 0.3])
+    rho = np.array([0.3, 1e-3, 0.7, 0.3, 0.5000001, 0.1, 0.2, 1e-21, 1e-300, 0.99, 1e-30])
+    want = scipy.special.gammainccinv(a, rho)
+    assert np.array_equal(inv_reg_upper_gamma(rho, a), want)
+    # in a batch with points inside the region, and one point at a time
+    mixed_a, mixed_rho = np.r_[a, 10.0, 1e4], np.r_[rho, 0.1, 1e-5]
+    got = inv_reg_upper_gamma(mixed_rho, mixed_a)
+    assert np.array_equal(got[:a.size], want)
+    assert [inv_reg_upper_gamma(r, v) for r, v in zip(rho, a)] == want.tolist()
+
+
+def test_inverse_hands_points_that_have_not_stopped_to_scipy(monkeypatch):
+    # after one step the points whose step exceeded the stop take scipy's
+    # root, the rest keep their own
+    rho, a = _seeded_region_pairs(2_000, 5)
+    x = inv_reg_upper_gamma(rho, a)
+    monkeypatch.setattr(specfun, "_INV_MAX_STEPS", 1)
+    one_step = inv_reg_upper_gamma(rho, a)
+    scipys = one_step == scipy.special.gammainccinv(a, rho)
+    moved = one_step != x
+    assert 0 < moved.sum() < rho.size and scipys[moved].all()
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 1e8, 1e15])
+@pytest.mark.parametrize("rho", [1e-300, 1e-20, 0.5, 0.99])
+def test_inverse_raises_no_warning_at_extremes(a, rho):
+    # the region's corners and values far outside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = inv_reg_upper_gamma(np.array([rho, 0.1]), np.array([a, a]))
+    assert np.isfinite(x).all() and (x > 0.0).all()
 
 
 def test_gamma_domain_errors():

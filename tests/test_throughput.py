@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, NcChiSq, capacity_cdf,
                                gamma_match, nakagami_gain_quantile)
-from underlaysim.power_control import (Regime, ScenarioParams,
+from underlaysim.power_control import (FadingLinks, Regime, ScenarioParams,
                                        controlled_power, controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, outage, samples_for)
@@ -394,6 +394,16 @@ def test_det_tradeoff_grid_equals_the_scalar_rate_bit_for_bit(defaults, override
     curve = optimize_tradeoff(params)
     assert [v for _, v in curve.points] == [throughput_det(params, t)
                                             for t, _ in curve.points]
+
+
+def test_fading_tradeoff_rejects_links_with_another_pr_st_law(defaults):
+    # the grid's powers come from the scenario's gamma, the golden-section
+    # points' from links.pr_st: one curve must read one PR-ST law
+    links = default_fading(defaults, 1.0)
+    other = FadingLinks(replace(links.pr_st, mean_gain=links.pr_st.mean_gain * 2.0),
+                        links.pt_sr, links.st_sr)
+    with pytest.raises(ValueError, match="^links.pr_st.mean_gain must equal"):
+        optimize_tradeoff(defaults, other)
 
 
 def test_tradeoff_tighter_budget_senses_longer(defaults):
