@@ -543,8 +543,11 @@ def _format_rows(prefixes, rho_cells, m_cell: str, p_db, regimes, rs=None) -> li
     columns = [np.repeat(prefixes, len(rho_cells)).tolist(), p_db, regimes]
     if rs is not None:
         columns.append(rs)
-    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return (line * len(prefixes) % cells).splitlines(keepends=True)
+    # the cells row by row: column k takes every len(columns)-th slot from k
+    cells = [None] * (len(columns) * len(p_db))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return (line * len(prefixes) % tuple(cells)).splitlines(keepends=True)
 
 
 _REGIME_CELLS = np.array([Regime.INTERFERENCE_LIMITED.value, Regime.POWER_LIMITED.value],

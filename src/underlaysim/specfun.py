@@ -15,10 +15,11 @@ Q(a, x) is a thin wrapper over scipy with strict domain checks. Its inverse
 is the package's own inside a stated region of (a, rho): a Wilson-Hilferty
 start and third-order Householder steps on Q(a, x) - rho over whole arrays,
 with scipy's gammainccinv outside it. The quadrature primitive is a fixed
-rule, not an adaptive one: each integral in the package places its own panel ends at the features of its
-integrand (for the fading outage, the gain law's quantiles and the
-estimator's step; for mean capacity, the two knees of Hamdi's integrand)
-and sums integrand times weight over whole node arrays at once.
+rule, not an adaptive one: each integral in the package places its own
+panel ends at the features of its integrand (for the fading outage, the
+gain law's quantiles and the estimator's step; for mean capacity, the two
+knees of Hamdi's integrand) and sums integrand times weight over whole node
+arrays at once.
 
 find_root is Brent's method (R. P. Brent, Algorithms for Minimization
 Without Derivatives, 1973, ch. 4), transcribed operation for operation from
@@ -89,13 +90,16 @@ def reg_upper_gamma(a, x):
 
 
 # inv_reg_upper_gamma iterates on _INV_A_MIN <= a <= _INV_A_MAX and
-# _INV_RHO_MIN <= rho <= 0.5, and stops at a step below _INV_STOP spreads
-# sqrt(a), or hands a point to gammainccinv after _INV_MAX_STEPS steps
-_INV_A_MIN = 2.0
-_INV_A_MAX = 1e8
-_INV_RHO_MIN = 1e-20
+# _INV_RHO_MIN <= rho <= _INV_RHO_MAX, stops at a step below _INV_STOP
+# spreads sqrt(a), and hands a point to gammainccinv after _INV_MAX_STEPS
+# steps. The bounds and the step's constants are 0-d arrays because numpy
+# converts a Python float operand anew on every call, ~0.2 us each time:
+# a tenth of what a one-point inverse costs beyond gammainccinv.
+_INV_A_MIN, _INV_A_MAX = np.array(2.0), np.array(1e8)
+_INV_RHO_MIN, _INV_RHO_MAX = np.array(1e-20), np.array(0.5)
 _INV_STOP = 3e-4
 _INV_MAX_STEPS = 10
+_THREE, _SIX = np.array(3.0), np.array(6.0)
 
 
 def inv_reg_upper_gamma(rho, a):
@@ -133,26 +137,29 @@ def inv_reg_upper_gamma(rho, a):
     off and, further out, the density underflows; above a = 1e8 gammaln's
     cancellation swamps the last step.
 
-    Measured against gammainccinv: at most 7.1e-15 relative on 2.9
-    million seeded points across the region, the largest at a = 2-4, and
-    1.9e-15 on the det power tables. Against 60-digit mpmath roots:
-    within 1e-15 on a grid of the region's corners, edges and the det
-    rule's shapes, and up to 2.4e-15 (gammainccinv: 2.2e-15) on 400
-    random points at a = 2-3, where gammaincc's own error is largest
-    (tests/test_specfun.py).
+    Measured against gammainccinv: at most 6.1e-15 relative on 3 million
+    seeded points across the region, and 1.9e-15 on the det power tables.
+    Against 60-digit mpmath roots: within 4e-16 on a grid of the region's
+    corners, edges and the det rule's shapes, and up to 2.1e-15
+    (gammainccinv: 2.3e-15) on 400 random points at a = 2-3, where
+    gammaincc's own error is largest (tests/test_specfun.py).
     """
     rho_arr = np.asarray(rho, dtype=float)
     a_arr = np.asarray(a, dtype=float)
-    if not ((rho_arr > 0.0) & (rho_arr < 1.0)).all():
-        raise ValueError("tail probability rho must lie strictly in (0, 1)")
-    if not (np.isfinite(a_arr) & (a_arr > 0.0)).all():
-        raise ValueError("shape parameter a must be finite and positive")
     if rho_arr.shape != a_arr.shape:
         rho_arr, a_arr = np.broadcast_arrays(rho_arr, a_arr)
     inside = ((a_arr >= _INV_A_MIN) & (a_arr <= _INV_A_MAX)
-              & (rho_arr >= _INV_RHO_MIN) & (rho_arr <= 0.5))
+              & (rho_arr >= _INV_RHO_MIN) & (rho_arr <= _INV_RHO_MAX))
+    n_inside = np.count_nonzero(inside)
+    # the region lies inside the domain: only a point outside it can fail
+    if n_inside < inside.size:
+        if not ((rho_arr > 0.0) & (rho_arr < 1.0)).all():
+            raise ValueError("tail probability rho must lie strictly in (0, 1)")
+        if not (np.isfinite(a_arr) & (a_arr > 0.0)).all():
+            raise ValueError("shape parameter a must be finite and positive")
     out = np.full(a_arr.shape, math.nan)
-    out[inside] = _householder_root(rho_arr[inside], a_arr[inside])
+    if n_inside:
+        out[inside] = _householder_root(rho_arr[inside], a_arr[inside])
     rest = np.isnan(out)
     if np.count_nonzero(rest):
         out[rest] = special.gammainccinv(a_arr[rest], rho_arr[rest])
@@ -165,29 +172,33 @@ def _householder_root(rho, a):
     """inv_reg_upper_gamma's iteration on flat arrays inside its region; NaN
     where _INV_MAX_STEPS steps did not stop."""
     root_a = np.sqrt(a)
-    x = out = a * (1.0 - 1.0 / (9.0 * a) - special.ndtri(rho) / (3.0 * root_a)) ** 3
-    # the points still stepping: their index in out, and their constants
-    at = np.arange(x.size)
+    c = (1.0 / 3.0) / root_a  # 1 / (3 sqrt(a)), and c^2 = 1 / (9a)
+    x = out = a * (1.0 - c * (c + special.ndtri(rho))) ** 3
     am1 = a - 1.0
     log_gamma = special.gammaln(a)
     stop = _INV_STOP * root_a
-    for k in range(_INV_MAX_STEPS):
+    # x is out itself until some points stop; then at holds the index in out
+    # of the points still stepping, and x and their constants only those
+    at = None
+    for _ in range(_INV_MAX_STEPS):
         t = (special.gammaincc(a, x) - rho) / np.exp(am1 * np.log(x) - x - log_gamma)
-        u = am1 / x
-        p = u - 1.0
-        tp = t * p
-        step = t * (1.0 + 0.5 * tp) / (1.0 + tp + t * t * (p * p - u / x) / 6.0)
+        # with v = t / x: t p = (a - 1) v - t and t^2 q = (t p)^2 - (a - 1) v^2
+        v = t / x
+        av = am1 * v
+        tp = av - t
+        step = t * (_SIX + _THREE * tp) / (_SIX + tp * (_SIX + tp) - av * v)
         x += step
-        if k:  # the first step moves out itself
+        if at is not None:
             out[at] = x
         going = np.abs(step) > stop
         n_going = np.count_nonzero(going)
         if not n_going:
             return out
         if n_going < going.size:
-            at, x, a, rho = at[going], x[going], a[going], rho[going]
+            at = np.flatnonzero(going) if at is None else at[going]
+            x, a, rho = x[going], a[going], rho[going]
             am1, log_gamma, stop = am1[going], log_gamma[going], stop[going]
-    out[at] = math.nan
+    out[slice(None) if at is None else at] = math.nan
     return out
 
 
