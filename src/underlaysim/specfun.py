@@ -213,8 +213,10 @@ def panel_rule(lo, hi, order: int, out=None):
     lo and hi are equal-shaped arrays of panel ends; the result carries one
     more trailing axis of length order. The rule integrates polynomials of
     degree up to 2 * order - 1 exactly on every panel. out, if given, is a
-    pair of arrays of the result's shape that receive the nodes and the
-    weights and are returned; without it, a fresh pair is filled.
+    pair of writable arrays of the result's shape that receive the nodes and
+    the weights and are returned, in any memory layout: the transposed views
+    of node-major (order, *lo.shape) buffers get the same values bit for bit.
+    Without it, a fresh pair is filled.
     """
     nodes, weights = _legendre(order)
     half = (0.5 * (hi - lo))[..., None]

@@ -109,13 +109,21 @@ def mean_capacity(dist: CapacityDist):
 # is close to e^((1 - a_i) u); a third set of ends runs from the knee where
 # it peaks (the lower for a_i > 1) at offsets scaled by 1 / |1 - a_i|
 # (at most 40), clipped to the span between the knees. Each of the 31
-# panels gets an 8-node Gauss-Legendre rule. Both factors are evaluated in
-# log space through _softplus, ln(1 + e^u) = max(u, log1p(exp(min(u, 36)))),
-# so no law overflows. It replaced np.logaddexp(0, u), which numpy 2.4 runs
-# without a vectorized loop: on a 2-vCPU host the 7 260 laws of the
-# benchmark's analytic workload took 147-159 ms with it and 67-73 ms with
-# _softplus. The two forms differ by at most 4.2e-16 relative, and ~90% of
-# the means are bit-identical (tests/test_throughput.py). Against a scipy quad
+# panels gets an 8-node Gauss-Legendre rule; where cuts coincide (the middle
+# ends clip onto the knees) the panels of width 0 are dropped, ~5 of 31 per
+# law on the benchmark's rate table and 16 for coincident knees. Both factors
+# are evaluated in log space through _softplus, ln(1 + e^u) =
+# max(u, log1p(exp(min(u, 36)))), so no law overflows. It replaced
+# np.logaddexp(0, u), which numpy 2.4 runs without a vectorized loop; the two
+# forms differ by at most 4.2e-16 relative, and ~90% of the means are
+# bit-identical (tests/test_throughput.py). The node, weight and integrand
+# buffers are node-major, (8, kept panels), with the law parameters repeated
+# per panel, so each ufunc runs along one contiguous axis instead of eight
+# elements at a time: on a 2-vCPU host (numpy 2.4.6) the 4 486 laws of the
+# benchmark's rate table take 15-17 ms, against 22-24 ms law-major with every
+# panel kept. The exponent of the first factor is floored at _EXP_FLOOR,
+# which keeps numpy's exp off its slow path for subnormal and zero results
+# and moves no bit of a mean above 1e-250. Against a scipy quad
 # oracle on 400 laws (a_s 0.5-1e4, a_i 0.5-2e5, lam 1e-4-1e5) the largest
 # error is 6.3e-12 relative, and against the small-lam series
 # (lam <= 1e-50, a_i > 2) 1.5e-11 relative (tests/test_throughput.py).
@@ -128,9 +136,14 @@ _PANEL_ORDER = 8
 # and the middle's _TAIL_OFFSETS
 _PANELS = 2 * _KNEE_OFFSETS.size + 2 * _TAIL_OFFSETS.size - 1
 # laws per pass of the kernel. A call allocates its node, weight and
-# integrand arrays once, (laws, 248) each and ~0.25 MB at most, and every
-# pass writes into them, so a call holds no per-pass temporaries of that size
-_LAW_CHUNK = 128
+# integrand buffers once, (3, 8 * 31 * laws) doubles and 1.5 MB at most, and
+# every pass writes into them, so a call holds no per-pass temporaries of
+# that size
+_LAW_CHUNK = 256
+# the floor on the exponent of (1 + z)^-a_i, and e to it: well inside the
+# normal range, and the factor is e^f - e^floor, so it is exactly 0 at the floor
+_EXP_FLOOR = -708.0
+_EXP_AT_FLOOR = math.exp(_EXP_FLOOR)
 
 
 def _mean_capacity_grid(a_s, a_i, lam):
@@ -141,7 +154,7 @@ def _mean_capacity_grid(a_s, a_i, lam):
     out = np.empty(a_s.shape)
     flat = out.reshape(-1)
     a_s, a_i, lam = (v.reshape(-1) for v in (a_s, a_i, lam))
-    work = np.empty((3, min(flat.size, _LAW_CHUNK), _PANELS * _PANEL_ORDER))
+    work = np.empty((3, _PANEL_ORDER * _PANELS * min(flat.size, _LAW_CHUNK)))
     for start in range(0, flat.size, _LAW_CHUNK):
         part = slice(start, start + _LAW_CHUNK)
         flat[part] = _mean_capacity_pass(a_s[part], a_i[part], lam[part], work)
@@ -150,36 +163,53 @@ def _mean_capacity_grid(a_s, a_i, lam):
 
 def _mean_capacity_pass(a_s, a_i, lam, work):
     """Mean estimated capacity for equal-shaped 1-d arrays of law parameters.
-    work is (3, at least as many laws, _PANELS * _PANEL_ORDER): the node,
-    weight and integrand arrays, which the pass overwrites."""
-    u, w, f = work[:, :a_s.size]
-    a_s, a_i, ln_lam = (v[:, None] for v in (a_s, a_i, np.log(lam)))
-    knee_s, knee_i = -np.log(a_s) - ln_lam, -np.log(a_i)
+    work is (3, at least _PANEL_ORDER * _PANELS * laws): the node, weight and
+    integrand buffers, which the pass overwrites."""
+    ln_lam, a_i_col = np.log(lam), a_i[:, None]
+    knee_s, knee_i = (-np.log(a_s) - ln_lam)[:, None], -np.log(a_i_col)
     lo, hi = np.minimum(knee_s, knee_i), np.maximum(knee_s, knee_i)
-    slope = np.clip(np.abs(1.0 - a_i), 1.0 / 40.0, 1.0)
-    middle = np.where(a_i > 1.0, lo + _TAIL_OFFSETS / slope, hi - _TAIL_OFFSETS / slope)
-    cuts = np.sort(np.concatenate([knee_s + _KNEE_OFFSETS, knee_i + _KNEE_OFFSETS,
-                                   hi + _TAIL_OFFSETS / np.minimum(a_i, 1.0),
-                                   np.clip(middle, lo, hi)], axis=-1), axis=-1)
-    # one flat node axis per law, so each law's parameters broadcast along it
-    panels = (a_s.size, _PANELS, _PANEL_ORDER)
-    specfun.panel_rule(cuts[:, :-1], cuts[:, 1:], _PANEL_ORDER,
-                       out=(u.reshape(panels), w.reshape(panels)))
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
+    step = _TAIL_OFFSETS / np.minimum(np.maximum(np.abs(1.0 - a_i_col), 1.0 / 40.0), 1.0)
+    middle = np.where(a_i_col > 1.0, lo + step, hi - step)
+    cuts = np.concatenate([knee_s + _KNEE_OFFSETS, knee_i + _KNEE_OFFSETS,
+                           hi + _TAIL_OFFSETS / np.minimum(a_i_col, 1.0),
+                           np.minimum(np.maximum(middle, lo), hi)], axis=-1)
+    cuts.sort()
+    # only panels of positive width; the last one always has it on a finite
+    # law, and keeping it anyway gives a law of NaN or infinite knees its NaN
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    keep[:, -1] = True
+    counts = keep.sum(-1)
+    left, right = cuts[:, :-1][keep], cuts[:, 1:][keep]
+    # node-major buffers, (_PANEL_ORDER, kept panels) and contiguous, so every
+    # ufunc below runs along one long axis against per-panel law parameters
+    u, w, f = work[:, :_PANEL_ORDER * left.size].reshape(3, _PANEL_ORDER, left.size)
+    specfun.panel_rule(left, right, _PANEL_ORDER, out=(u.T, w.T))
+    neg_a_i, ln_lam, neg_a_s = (v.repeat(counts) for v in (-a_i, ln_lam, -a_s))
     # the integrand is built in place in f
     f = _softplus(u, f)
-    f *= -a_i
-    w *= np.exp(f, out=f)  # (1 + z)^-a_i
+    f *= neg_a_i
+    # (1 + z)^-a_i, exactly 0 where it underflows, so exp never returns a
+    # subnormal or zero, which sends numpy's vector loop down its slow path
+    np.maximum(f, _EXP_FLOOR, out=f)
+    np.exp(f, out=f)
+    f -= _EXP_AT_FLOOR
+    w *= f
     u += ln_lam
     f = _softplus(u, f)
-    f *= -a_s
+    f *= neg_a_s
     np.expm1(f, out=f)  # (1 + lam z)^-a_s - 1
     f *= w
-    return -f.sum(-1) / _LN2
+    return -np.add.reduceat(f.sum(0), counts.cumsum() - counts) / _LN2
 
 
 def _softplus(x, out):
     """ln(1 + e^x) into out, elementwise. Above x = 36 it equals x to double
-    precision, so exp sees at most e^36 and never overflows."""
+    precision, so exp sees at most e^36 and never overflows. out must not be
+    x: the first pass clamps out, and the last one reads x unclamped, so a
+    ValueError is raised for out is x."""
+    if out is x:
+        raise ValueError("_softplus cannot write over its input")
     np.minimum(x, 36.0, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)

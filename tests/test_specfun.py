@@ -293,6 +293,24 @@ def test_panel_rule_smooth_against_quad():
         assert np.sum(f(x) * w) == pytest.approx(ref, abs=max(1e-10, 10 * ref_err))
 
 
+@pytest.mark.parametrize("shape", [(37,), (5, 31)])
+def test_panel_rule_into_node_major_views(shape):
+    # out as views of node-major (order, *shape) buffers, the layout of the
+    # det mean-capacity kernel: the nodes and weights equal the fresh pair's
+    # bit for bit, through the transposed views of the buffers (with the
+    # ends transposed alike) and through the buffers' node axis moved last
+    rng = np.random.default_rng(31)
+    lo = rng.uniform(-50.0, 50.0, shape)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 2.0, shape)
+    u, w = np.empty((2, 8, *shape))
+    for ends, out in [((lo.T, hi.T), (u.T, w.T)),
+                      ((lo, hi), (np.moveaxis(u, 0, -1), np.moveaxis(w, 0, -1)))]:
+        want = panel_rule(*ends, 8)
+        got = panel_rule(*ends, 8, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
+
+
 def test_find_root_cubic():
     root = find_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-9)

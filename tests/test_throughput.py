@@ -38,7 +38,7 @@ from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
                                     throughput_no_pc_fading)
-from underlaysim import power_control, throughput
+from underlaysim import power_control, specfun, throughput
 from underlaysim.montecarlo import run_trials_fading
 from underlaysim.specfun import ABS_TOL, REL_TOL
 from underlaysim.throughput import (_LAGUERRE_M_CAP, _gain_nodes,
@@ -145,15 +145,32 @@ def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def test_mean_capacity_oracle_table():
-    # 400 seeded laws over a_s 0.5-1e4, a_i 0.5-2e5, lam 1e-4-1e5: 200 over
-    # the whole box, 100 with a_s < 1 and 100 with a_i < 1.6, the shapes of
-    # windows of one to a few samples
+def _oracle_box():
+    """400 seeded laws over a_s 0.5-1e4, a_i 0.5-2e5, lam 1e-4-1e5: 200 over
+    the whole box, 100 with a_s < 1 and 100 with a_i < 1.6, the shapes of
+    windows of one to a few samples."""
     rng = np.random.default_rng(20100201)
-    a_s = np.concatenate([_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 1.0, 100),
-                          _log_uniform(rng, 0.5, 1e4, 100)])
-    a_i = np.concatenate([_log_uniform(rng, 0.5, 2e5, 300), _log_uniform(rng, 0.5, 1.6, 100)])
-    lam = _log_uniform(rng, 1e-4, 1e5, 400)
+    return (np.concatenate([_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 1.0, 100),
+                            _log_uniform(rng, 0.5, 1e4, 100)]),
+            np.concatenate([_log_uniform(rng, 0.5, 2e5, 300), _log_uniform(rng, 0.5, 1.6, 100)]),
+            _log_uniform(rng, 1e-4, 1e5, 400))
+
+
+def _extreme_lam_laws():
+    """Seeded laws at lam 1e-300-1e-50 (half of them a_i < 1) and at lam
+    1e5-1e300, 200 each."""
+    rng = np.random.default_rng(1950)
+    small_lam = (_log_uniform(rng, 0.5, 1e4, 200),
+                 np.concatenate([_log_uniform(rng, 0.5, 2e5, 100),
+                                 _log_uniform(rng, 0.5, 1.0, 100)]),
+                 _log_uniform(rng, 1e-300, 1e-50, 200))
+    large_lam = (_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 2e5, 200),
+                 _log_uniform(rng, 1e5, 1e300, 200))
+    return small_lam, large_lam
+
+
+def test_mean_capacity_oracle_table():
+    a_s, a_i, lam = _oracle_box()
     got = _mean_capacity_grid(a_s, a_i, lam)
     want = np.array([_lemma_quad(*law) for law in zip(a_s.tolist(), a_i.tolist(),
                                                        lam.tolist())])
@@ -203,28 +220,16 @@ def _overflowing_softplus(x, out):
 
 def test_mean_capacity_matches_logaddexp_form(monkeypatch):
     # the clamped softplus against np.logaddexp on the same cuts and nodes,
-    # within 2e-15 relative: on the oracle table's 400 laws, and on seeded
-    # laws at lam 1e-300-1e-50 (half of them a_i < 1) and 1e5-1e300
-    rng = np.random.default_rng(20100201)
-    oracle_box = (
-        np.concatenate([_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 1.0, 100),
-                        _log_uniform(rng, 0.5, 1e4, 100)]),
-        np.concatenate([_log_uniform(rng, 0.5, 2e5, 300), _log_uniform(rng, 0.5, 1.6, 100)]),
-        _log_uniform(rng, 1e-4, 1e5, 400))
-    rng = np.random.default_rng(1950)
-    small_lam = (_log_uniform(rng, 0.5, 1e4, 200),
-                 np.concatenate([_log_uniform(rng, 0.5, 2e5, 100),
-                                 _log_uniform(rng, 0.5, 1.0, 100)]),
-                 _log_uniform(rng, 1e-300, 1e-50, 200))
-    large_lam = (_log_uniform(rng, 0.5, 1e4, 200), _log_uniform(rng, 0.5, 2e5, 200),
-                 _log_uniform(rng, 1e5, 1e300, 200))
+    # within 2e-15 relative: on the oracle table's 400 laws, and on the
+    # seeded laws at extreme lam
+    small_lam, large_lam = _extreme_lam_laws()
 
     def means(softplus, laws):
         with monkeypatch.context() as patch:
             patch.setattr(throughput, "_softplus", softplus)
             return _mean_capacity_grid(*laws)
 
-    for laws in (oracle_box, small_lam, large_lam):
+    for laws in (_oracle_box(), small_lam, large_lam):
         want = means(_logaddexp_softplus, laws)
         assert np.all(np.abs(_mean_capacity_grid(*laws) - want) <= 2e-15 * want)
     # the naive form drops the integrand's tail above u ~ 709, which the
@@ -232,6 +237,64 @@ def test_mean_capacity_matches_logaddexp_form(monkeypatch):
     low_a_i = tuple(v[100:] for v in small_lam)
     want = means(_logaddexp_softplus, low_a_i)
     assert not np.all(np.abs(means(_overflowing_softplus, low_a_i) - want) <= 2e-15 * want)
+
+
+def test_softplus_refuses_to_write_over_its_input():
+    # the first pass clamps out at 36 and the last reads x, so out is x
+    # would return 36 where x is larger
+    x = np.array([-1.0, 0.5, 40.0, 700.0])
+    with pytest.raises(ValueError, match="over its input"):
+        _softplus_into(x, x)
+    assert np.array_equal(x, [-1.0, 0.5, 40.0, 700.0])
+
+
+def test_mean_capacity_evaluates_only_panels_of_positive_width(monkeypatch):
+    # the middle ends clip onto the knees, so cuts coincide; their panels of
+    # width 0 get no nodes. The coincident-knee law (a_s = a_i = 4, lam = 1)
+    # keeps 15 of its 31 panels and still meets the quad oracle
+    ends = []
+    panel_rule = specfun.panel_rule
+
+    def recorded(lo, hi, order, out=None):
+        ends.append((lo.copy(), hi.copy()))
+        return panel_rule(lo, hi, order, out=out)
+
+    monkeypatch.setattr(specfun, "panel_rule", recorded)
+    got = _mean_capacity_grid(4.0, 4.0, 1.0)
+    assert [lo.size for lo, _ in ends] == [15]
+    want = _lemma_quad(4.0, 4.0, 1.0)
+    assert abs(got - want) <= max(ABS_TOL, REL_TOL * want)
+    # over the seeded tables, too, every panel evaluated has hi > lo
+    for laws in (_oracle_box(), *_extreme_lam_laws()):
+        _mean_capacity_grid(*laws)
+    assert all(np.all(hi > lo) for lo, hi in ends)
+
+
+def test_mean_capacity_of_a_law_without_finite_knees_is_nan():
+    # a NaN law, or one with both knees at -inf, has no cut pair of positive
+    # width; it reads NaN, as a law with one infinite knee does, and leaves
+    # its neighbours in the batch bit-identical to their one-law calls
+    with np.errstate(all="ignore"):
+        got = _mean_capacity_grid([4.0, np.nan, 4.0, np.inf, 3.0], [4.0, 4.0, 4.0, np.inf, 4.0],
+                                  [1.0, 1.0, 0.0, 1.0, 2.0])
+    assert np.isnan(got[1:4]).all()
+    assert got[0] == _mean_capacity_grid(4.0, 4.0, 1.0)
+    assert got[4] == _mean_capacity_grid(3.0, 4.0, 2.0)
+
+
+def test_exponent_floor_moves_no_bit_of_an_ordinary_mean(monkeypatch):
+    # with the floor at -inf, and e to it 0, exp underflows where it will;
+    # every mean above 1e-250 is bit-identical to the floored kernel's, on
+    # the oracle table's laws and the seeded laws at extreme lam
+    for laws in (_oracle_box(), *_extreme_lam_laws()):
+        got = _mean_capacity_grid(*laws)
+        with monkeypatch.context() as patch:
+            patch.setattr(throughput, "_EXP_FLOOR", -np.inf)
+            patch.setattr(throughput, "_EXP_AT_FLOOR", 0.0)
+            want = _mean_capacity_grid(*laws)
+        ordinary = want > 1e-250
+        assert ordinary.sum() >= 100
+        assert got[ordinary].tobytes() == want[ordinary].tobytes()
 
 
 def test_mean_capacity_reference_value(defaults):
