@@ -324,14 +324,6 @@ def _m_suffix(m: float) -> str:
     return "_m" + format(m, "g").replace(".", "p").replace("-", "m")
 
 
-def _bound(params: ScenarioParams, m: float, tau: float) -> float:
-    """Regime bound in dB, or nan where the window is too short to have one."""
-    try:
-        return linear_to_db(perf_bound(params, tau, m))
-    except specfun.BracketError:
-        return math.nan
-
-
 # every third row carries the simulated overlay so plotted markers stay sparse
 _MARKER_STRIDE = 3
 
@@ -383,9 +375,10 @@ def _fig4(cfg: ScenarioConfig, panel: str):
 
 
 def _bound_table(cfg: ScenarioConfig, taus, columns, missing_note: str):
-    """Regime bound in dB over tau; columns are (suffix, m) pairs."""
+    """Regime bound in dB over tau, nan where a window has none; columns are (suffix, m) pairs."""
     params = cfg.params()
-    bounds = {f"gamma_star_dB{suffix}": [_bound(params, m, float(tau)) for tau in taus]
+    bounds = {f"gamma_star_dB{suffix}": [math.nan if math.isnan(star) else linear_to_db(star)
+                                          for star in perf_bound(params, taus, m).tolist()]
               for suffix, m in columns}
     missing = sum(map(math.isnan, itertools.chain.from_iterable(bounds.values())))
     notes = [f"{missing} {missing_note}"] if missing else []

@@ -11,13 +11,13 @@ the threshold theta_i except with probability rho_out. Two regimes fall out:
 - power-limited: even at p_full the constraint holds, so the ceiling binds.
 
 The boundary between the regimes is the equation outage at p_full =
-rho_out (_excess_at_full). Its root in the PR-to-ST receive SNR gamma is the
+rho_out (_outage_at). Its root in the PR-to-ST receive SNR gamma is the
 operating bound of perf_bound: above it the system is interference-limited,
 below it power-limited. The bound only exists once the sensing window holds
 enough samples for the estimator's upper tail to pin down the outage level;
-for shorter windows the root search reports a missing bracket rather than a
-clamped value. Its root in the window length is forced_window, the sensing
-time of transmission without power control.
+for shorter windows the root search reports a missing bracket (nan over an
+array of windows) rather than a clamped value. Its root in the window
+length is forced_window, the sensing time of transmission without power control.
 
 Under fading the outage is averaged over the Nakagami-m law of the PR-ST
 power gain; gamma then plays the role of the mean receive SNR. outage,
@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -361,51 +361,50 @@ def outage(params: ScenarioParams, tau: float, p: float,
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError("transmit power must be finite and positive")
-    return _outage_n(params, pr_st, _gain_splits(pr_st), samples_for(tau, params.f_s), p)
+    link = params.gamma if pr_st is None else pr_st
+    return float(_outage_at(params, link, samples_for(tau, params.f_s), p))
 
 
-def _outage_n(params: ScenarioParams, pr_st: NakagamiGain | None,
-              splits: np.ndarray | None, n: float, p: float) -> float:
-    """outage over n samples, which need not be whole; splits are
-    _gain_splits(pr_st)."""
-    if pr_st is not None:
-        return float(_outage_sum(*_outage_nodes(params, pr_st.m, pr_st.mean_gain, splits, n, p)))
-    approx = dists.gamma_match(dists.received_power_law(params.gamma, n, params.sigma2))
-    return specfun.reg_upper_gamma(approx.shape,
-                                   _interference_threshold(params, p) / approx.scale)
-
-
-def _excess_at_full(params: ScenarioParams, pr_st: NakagamiGain | None,
-                    splits: np.ndarray | None, n: float) -> float:
-    """Outage at p_full over n samples, which need not be whole, minus
-    rho_out (_outage_n). Its root in gamma, where it rises, is the regime
-    bound; in n, where it falls, the forced window."""
-    return _outage_n(params, pr_st, splits, n, params.p_full) - params.rho_out
+def _outage_at(params: ScenarioParams, link, n, p: float, splits: np.ndarray | None = None):
+    """outage at power p over n samples, which need not be whole: link is
+    the receive SNR gamma on the deterministic channel, else the PR-ST law,
+    with splits its _gain_splits (taken here when None). gamma or the law's
+    mean gain and n broadcast as arrays. At p_full its root in gamma, where
+    it rises through rho_out, is the regime bound; in n, the forced window."""
+    if not isinstance(link, NakagamiGain):
+        approx = dists.gamma_match(dists.received_power_law(link, n, params.sigma2))
+        return specfun.reg_upper_gamma(approx.shape,
+                                       _interference_threshold(params, p) / approx.scale)
+    if splits is None:
+        splits = _gain_splits(link)
+    return _outage_sum(*_outage_nodes(params, link.m, link.mean_gain, splits, n, p))
 
 
 # receive SNRs (linear) searched for the regime bound, both channels
 _BOUND_BRACKET = (1e-6, 1e3)
 
 
-def perf_bound(params: ScenarioParams, tau: float, m: float = math.inf) -> float:
+def perf_bound(params: ScenarioParams, tau, m: float = math.inf):
     """Receive SNR separating the regimes: deterministic channel for m inf,
     else the mean receive SNR under Nakagami-m PR-ST fading (pr_st_law).
 
-    Solves _excess_at_full(gamma) = 0 over _BOUND_BRACKET. Raises
-    specfun.BracketError when the window is too short for the bound to
-    exist anywhere in the bracket. The window is not tied to a frame:
-    the bound is a property of the estimator alone, so tau may exceed
-    the frame length (useful for tracing the long-window asymptote,
+    Solves outage at p_full = rho_out in gamma over _BOUND_BRACKET for every
+    window of tau, a scalar or an array, in one find_root call. A scalar tau
+    gives a float and raises specfun.BracketError when the window is too
+    short for the bound to exist anywhere in the bracket; an array gives
+    tau's shape, nan at each such window. The window is not tied to a frame:
+    the bound is a property of the estimator alone, so tau may exceed the
+    frame length (useful for tracing the long-window asymptote,
     perf_bound_asymptote, which the deterministic bound approaches).
     """
-    n = samples_for(tau, params.f_s)
+    # each window's whole samples, a number for a scalar tau
+    n = np.vectorize(samples_for, otypes=[float])(tau, params.f_s)[()]
 
-    def excess(gamma: float) -> float:
-        scenario = replace(params, gamma=gamma)
-        pr_st = None if math.isinf(m) else pr_st_law(scenario, m)
-        return _excess_at_full(scenario, pr_st, _gain_splits(pr_st), n)
+    def excess(gamma):
+        link = gamma if math.isinf(m) else NakagamiGain(m, gamma * params.sigma2 / params.p_tx_pr)
+        return _outage_at(params, link, n, params.p_full) - params.rho_out
 
-    return specfun.find_root(excess, *_BOUND_BRACKET)
+    return specfun.find_root(excess, *(np.full(np.shape(n), end) for end in _BOUND_BRACKET))
 
 
 def perf_bound_asymptote(params: ScenarioParams) -> float:
@@ -502,16 +501,17 @@ def forced_window(params: ScenarioParams, pr_st: NakagamiGain | None = None) -> 
     at p_full meets rho_out, deterministic for pr_st None, else under the
     PR-ST law pr_st.
 
-    Solves _excess_at_full = 0 in ln n, n continuous, from two samples to
-    0.999 of the frame less its pilot. Returns two samples' time when even
-    that window meets the constraint, and nan when no window inside the
-    frame does. find_root reads the memoized bracket ends.
+    Solves outage at p_full = rho_out (_outage_at) in ln n, n continuous,
+    from two samples to 0.999 of the frame less its pilot. Returns two
+    samples' time when even that window meets the constraint, and nan when
+    no window inside the frame does. find_root reads the memoized bracket ends.
     """
+    link = params.gamma if pr_st is None else pr_st
     splits = _gain_splits(pr_st)
 
     @functools.lru_cache(maxsize=None)
     def excess(log_n: float) -> float:
-        return _excess_at_full(params, pr_st, splits, math.exp(log_n))
+        return _outage_at(params, link, math.exp(log_n), params.p_full, splits) - params.rho_out
 
     log_lo = math.log(2.0)
     log_hi = math.log(0.999 * (params.frame_len - params.tau_p) * params.f_s)

@@ -3,7 +3,7 @@
 The analysis layers only ever need three numeric primitives beyond plain
 arithmetic: the regularized upper incomplete gamma function Q(a, x) and its
 inverse in x, Gauss-Legendre nodes and weights on a batch of panels, and
-bracketed scalar root finding. They are collected here so the rest of the
+bracketed root finding over arrays. They are collected here so the rest of the
 package has a single place where accuracy targets live. scipy.special is
 the only scipy module the package imports.
 
@@ -23,12 +23,15 @@ arrays at once.
 
 find_root is Brent's method (R. P. Brent, Algorithms for Minimization
 Without Derivatives, 1973, ch. 4), transcribed operation for operation from
-scipy's brentq.c, so its roots are bit-identical to scipy's brentq with the
-same tolerances. It starts from the two bracket values it has already
-checked, so no endpoint is evaluated twice. It is the package's one general
-root routine. The fading power rule alone has the outage's slope at hand,
-and runs a safeguarded Newton iteration on find_root's stop test instead,
-over arrays of points in lockstep (power_control.controlled_power).
+scipy's brentq.c and run over arrays of brackets in lockstep, so each root
+is bit-identical to scipy's brentq on its bracket with the same tolerances.
+It starts from the two bracket values it has already checked, so no
+endpoint is evaluated twice. A bracket without a sign change reads nan, or
+raises BracketError at 0-d, where the root is a float; g takes one argument
+and sees stopped points held in place. It is the package's one general root
+routine. The fading power rule alone has the outage's slope at hand, and
+runs a safeguarded Newton iteration on find_root's stop test instead, over
+arrays of points in lockstep too (power_control.controlled_power).
 """
 
 from __future__ import annotations
@@ -230,82 +233,85 @@ def panel_rule(lo, hi, order: int, out=None):
     return x, w
 
 
-def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a scalar function on a bracketing interval [lo, hi].
+def find_root(g: Callable, lo, hi):
+    """Roots of g on bracketing intervals [lo, hi], broadcast arrays of ends.
 
-    Requires g(lo) and g(hi) to be finite with opposite signs; an endpoint
-    that is exactly zero is returned as the root. Raises BracketError when
-    there is no sign change (callers lean on that to detect missing
-    operating bounds), ConvergenceError when the iteration budget runs out,
-    and ValueError when g gives NaN inside the search. The tolerance and
-    the budget are the module's ABS_TOL, REL_TOL and MAX_ITER, read at each
-    call.
+    g takes one argument, the points of all brackets: an array of their
+    broadcast shape, or a float when that shape is (). It must treat each
+    point on its own, and sees a point that has stopped held at its root,
+    or at its lo where there is no sign change, so data indexed like the
+    brackets lines up by position. An end where g is exactly zero is the
+    root. A bracket without a sign change reads nan, and at 0-d raises
+    BracketError instead (callers lean on that to detect missing operating
+    bounds); the result is a float at 0-d. ConvergenceError is raised when
+    any point runs out of MAX_ITER rounds, and ValueError when g is not
+    finite at a bracket end or gives NaN inside a search. ABS_TOL, REL_TOL
+    and MAX_ITER are read at each call.
 
-    The loop is scipy's brentq.c step for step, so the root and the points
-    g is called at are those of scipy's brentq(g, lo, hi, xtol=ABS_TOL,
+    The points run in lockstep, one call of g a round, each branch chosen
+    per point by np.where, so each point's root and the points g is called
+    at there are those of scipy's brentq(g, lo, hi, xtol=ABS_TOL,
     rtol=max(REL_TOL, 4 eps), maxiter=MAX_ITER), whose own bracket check
     is the one above: g(lo) and g(hi) are computed once.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("bracket endpoints must be finite")
-    if hi <= lo:
-        raise ValueError("bracket must satisfy lo < hi")
-    g_lo = float(g(lo))
-    g_hi = float(g(hi))
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not (np.isfinite(lo) & np.isfinite(hi) & (hi > lo)).all():
+        raise ValueError("bracket endpoints must be finite, with lo < hi")
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+
+    def values(x):  # g at the flat points x, flat
+        return np.ravel(g(x.reshape(shape) if shape else float(x[0])))
+
+    g_lo, g_hi = values(lo), values(hi)
+    if not (np.isfinite(g_lo) & np.isfinite(g_hi)).all():
         raise ValueError("function values at the bracket are not finite")
-    if g_lo == 0.0:
-        return float(lo)
-    if g_hi == 0.0:
-        return float(hi)
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
+    root = np.where(g_lo == 0.0, lo, np.where(g_hi == 0.0, hi, math.nan))
+    at = np.flatnonzero(np.isnan(root) & ((g_lo > 0.0) != (g_hi > 0.0)))
+    if not shape and np.isnan(root[0]) and not at.size:
+        raise BracketError(f"no sign change on [{lo[0].item()!r}, {hi[0].item()!r}]: "
+                           f"g(lo)={g_lo[0].item()!r}, g(hi)={g_hi[0].item()!r}")
     rtol = max(REL_TOL, 4.0 * np.finfo(float).eps)
-    # xpre/xcur: the last two iterates; xblk: the point whose value has the
-    # sign opposite to fcur; spre/scur: the previous two steps
-    xpre, xcur, fpre, fcur = float(lo), float(hi), g_lo, g_hi
-    xblk = fblk = spre = scur = 0.0
+    # per point searching, at its index: xpre/xcur, the last two iterates; xblk,
+    # the point whose value has the sign opposite to fcur; spre/scur, the last two steps
+    xpre, xcur, fpre, fcur = lo[at], hi[at], g_lo[at], g_hi[at]
+    xblk = fblk = spre = scur = np.zeros(at.size)
     for _ in range(MAX_ITER):
         # fpre and fcur are never NaN, so for nonzero values a sign test
         # equals C's signbit comparison
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (ABS_TOL + rtol * abs(xcur)) / 2
+        flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+        gap = xcur - xpre
+        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, gap, gap], [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        delta = (ABS_TOL + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to inf or NaN here, and either one bisects below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[at[done]] = xcur[done]
+            at, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (v[~done] for v in (
+                at, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not at.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # interpolate where xpre is xblk, else extrapolate; a division by
+            # zero gives inf or NaN, as in C, and either one bisects below
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        # a good short step, else bisection
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, [scur, stry], sbis)
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(g(xcur))
-        if math.isnan(fcur):
-            raise ValueError(
-                f"the function value at x={xcur} is NaN; the root search cannot continue")
-    raise ConvergenceError("root search exhausted its iteration budget")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        points = np.where(np.isnan(root), lo, root)
+        points[at] = xcur
+        fcur = values(points)[at]
+        if np.isnan(fcur).any():
+            raise ValueError(f"the function value at x={xcur[np.isnan(fcur)][0].item()} "
+                             "is NaN; the root search cannot continue")
+    if at.size:
+        raise ConvergenceError("root search exhausted its iteration budget")
+    return root.reshape(shape) if shape else root[0].item()

@@ -316,9 +316,29 @@ def test_perf_bound_anchors(defaults):
 def test_perf_bound_monotone_and_capped_by_the_limit(defaults):
     limit = perf_bound_asymptote(defaults)
     taus = [1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 3e-1]
-    stars = [perf_bound(defaults, t) for t in taus]
+    stars = perf_bound(defaults, np.array(taus))
     assert all(s1 < s2 for s1, s2 in zip(stars, stars[1:]))
     assert all(s < limit for s in stars)
+
+
+@pytest.mark.parametrize("m", [math.inf, 0.5, 1.0])
+def test_perf_bound_over_an_array_of_windows_equals_its_points(defaults, m):
+    # fig5's tau axis, whose shortest windows have no bound: the array call
+    # matches each 0-d call bit for bit, and reads nan where it raises
+    taus = np.geomspace(1e-4, 1e-2, 41)
+    stars = perf_bound(defaults, taus, m)
+    assert stars.shape == taus.shape
+    want = []
+    for tau in taus.tolist():
+        try:
+            want.append(perf_bound(defaults, tau, m))
+        except BracketError:
+            want.append(math.nan)
+    assert all(isinstance(w, float) for w in want)
+    assert stars.tobytes() == np.array(want).tobytes()
+    assert 0 < np.isnan(stars).sum() < taus.size
+    # any shape of tau
+    assert perf_bound(defaults, taus[-4:].reshape(2, 2), m).tobytes() == stars[-4:].tobytes()
 
 
 def test_perf_bound_asymptote_value(defaults):
@@ -521,7 +541,7 @@ def _tight_fading_root(params, pr_st, tau):
     splits = power_control._gain_splits(pr_st)
 
     def residual(log_p):
-        return (power_control._outage_n(params, pr_st, splits, n, math.exp(log_p))
+        return (power_control._outage_at(params, pr_st, n, math.exp(log_p), splits)
                 - params.rho_out)
 
     lo = math.log(params.p_full)
@@ -663,8 +683,8 @@ def test_no_pc_fading_small_budget_window_hits_target_on_oracle(defaults):
 
 
 def _excess_at_full(params, pr_st, n):
-    splits = None if pr_st is None else power_control._gain_splits(pr_st)
-    return power_control._excess_at_full(params, pr_st, splits, n)
+    link = params.gamma if pr_st is None else pr_st
+    return power_control._outage_at(params, link, n, params.p_full) - params.rho_out
 
 
 @pytest.mark.parametrize("m", [math.inf, 1.0])

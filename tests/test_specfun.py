@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from underlaysim import dists, specfun
@@ -339,6 +339,10 @@ def test_find_root_reports_an_exhausted_budget(monkeypatch):
     monkeypatch.setattr(specfun, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="iteration budget"):
         find_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
+    # over arrays, one point that runs out is enough, beside one whose
+    # bracket ends on its root
+    with pytest.raises(ConvergenceError, match="iteration budget"):
+        find_root(lambda x: x ** 3 - 8.0, [0.0, 0.0], [3.0, 2.0])
 
 
 def _brentq(g, lo, hi):
@@ -407,6 +411,23 @@ def test_find_root_evaluates_each_bracket_end_once():
         find_root(mine, lo, hi)
         assert calls[:2] == [lo, hi]
         assert lo not in calls[2:] and hi not in calls[2:]
+    # over arrays: both ends once, then one call a round. Each point is
+    # called where its 0-d search calls g, for as many rounds, and is then
+    # held at its root; the search lasts as long as its longest point's
+    cases = [_root_case(rng, i % 9) for i in range(45)]
+    fs, lo, hi = (list(v) for v in zip(*cases))
+    mine, calls = _logged(lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())]))
+    roots = find_root(mine, lo, hi)
+    assert roots.tolist() == [_brentq(f, a, b) for f, a, b in cases]
+    assert calls[0].tolist() == lo and calls[1].tolist() == hi
+    rounds = []
+    for i, (f, a, b) in enumerate(cases):
+        one, one_calls = _logged(f)
+        root = find_root(one, a, b)
+        assert [c[i] for c in calls[:len(one_calls)]] == one_calls, i
+        assert all(c[i] == root for c in calls[len(one_calls):]), i
+        rounds.append(len(one_calls))
+    assert len(calls) == max(rounds)
     # the whole search costs what brentq alone costs, bracket check included
     mine, calls = _logged(lambda x: x ** 3 - 2.0)
     find_root(mine, 0.0, 2.0)
@@ -419,3 +440,61 @@ def test_find_root_evaluates_each_bracket_end_once():
 def test_find_root_rejects_nan_inside_the_search():
     with pytest.raises(ValueError, match="NaN"):
         find_root(lambda x: x - 1.0 if x in (0.0, 2.0) else math.nan, 0.0, 2.0)
+
+
+def _kinked(x, c, slope, cubic):
+    """Rises through c: at slope 1 below it and slope above it, plus
+    cubic (x - c)^3. Only arithmetic, so points and arrays agree."""
+    d = x - c
+    return np.where(d > 0.0, slope * d, d) + cubic * d * d * d
+
+
+# per point: lo, log10 of the bracket's width, the root's place in it (0
+# and 1 put it exactly on an end, -0.5 and 1.5 outside), log10 of the
+# slope, the cubic's weight, and whether g is NaN inside the bracket
+_BRACKET_POINTS = st.lists(st.tuples(
+    st.floats(-20.0, 5.0), st.floats(-7.0, 1.5),
+    st.one_of(st.floats(0.001, 0.999), st.sampled_from([0.0, 1.0, -0.5, 1.5])),
+    st.floats(-2.0, 3.0), st.sampled_from([0.0, 1e-3, 1.0, 1e2]),
+    st.integers(0, 9).map(lambda k: k == 0)), min_size=1, max_size=12)
+_SOME_ENDS = [(-1.0, 0.0, 0.5, 0.0, 0.0, False), (-1.0, 0.0, 0.0, 1.0, 1.0, False),
+              (3.0, -2.0, 1.0, 2.0, 0.0, False), (-3.0, 1.0, 1.5, 0.5, 1e-3, False),
+              (0.0, -6.0, -0.5, 0.0, 1e2, False)]
+
+
+@given(_BRACKET_POINTS)
+@example(_SOME_ENDS)
+@example(_SOME_ENDS + [(2.0, 0.5, 0.3, 1.0, 0.0, True)])
+@settings(deadline=None, max_examples=150)
+def test_find_root_over_arrays_equals_its_points(points):
+    # an array call finds, bit for bit, each point's 0-d root; a point
+    # without a sign change reads nan where its 0-d call raises
+    # BracketError, and NaN inside any search raises ValueError
+    lo, width, place, slope, cubic, nan_inside = (np.array(v) for v in zip(*points))
+    hi = lo + 10.0 ** width
+    c = np.where(place == 0.0, lo, np.where(place == 1.0, hi, lo + (hi - lo) * place))
+
+    def g(x, k=slice(None)):  # all points, or point k alone
+        inside = nan_inside[k] & (x > lo[k]) & (x < hi[k])
+        return np.where(inside, math.nan, _kinked(x, c[k], 10.0 ** slope[k], cubic[k]))
+
+    want, nan_raised = [], False
+    for i in range(lo.size):
+        try:
+            want.append(find_root(lambda x: g(x, i), lo[i], hi[i]))
+        except BracketError:
+            want.append(math.nan)
+        except ValueError:
+            nan_raised = True
+    if nan_raised:
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(g, lo, hi)
+    else:
+        assert all(isinstance(w, float) for w in want)
+        mine, calls = _logged(g)
+        got = find_root(mine, lo, hi)
+        assert got.shape == lo.shape
+        assert got.tobytes() == np.array(want).tobytes()
+        # a point without a sign change is held at its lo
+        missing = np.isnan(got)
+        assert all((x[missing] == lo[missing]).all() for x in calls[2:])
