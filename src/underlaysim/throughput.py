@@ -271,6 +271,9 @@ def throughput_no_pc_det(params: ScenarioParams) -> tuple[float, float]:
 # grows like log(gain), which no polynomial matches, so the rule converges
 # only algebraically (~1e-3 relative at m = 1 against 96 nodes). The
 # benchmark's fading references pin these nodes until they are re-derived.
+# The Laguerre nodes are Golub-Welsch eigenvalues from numpy's eigvalsh plus
+# scipy's own Newton polish: bit-identical to special.roots_genlaguerre on the
+# pinned numpy/scipy, without its scipy.linalg import (~36 ms, ~6 MB).
 _OUTER_NODES = 32
 _LAGUERRE_M_CAP = 128.0
 _QGL_NODES, _QGL_WEIGHTS = np.polynomial.legendre.leggauss(_OUTER_NODES)
@@ -278,9 +281,21 @@ _QGL_NODES, _QGL_WEIGHTS = np.polynomial.legendre.leggauss(_OUTER_NODES)
 
 @functools.lru_cache(maxsize=1024)
 def _laguerre_rule(m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled generalized Gauss-Laguerre nodes and weights for the gamma
-    law of shape m, computed once per m and read-only."""
-    t, w = special.roots_genlaguerre(_OUTER_NODES, m - 1.0)
+    """Unscaled generalized Gauss-Laguerre nodes and weights for the gamma law
+    of shape m, once per m and read-only: scipy's _gen_roots_and_weights."""
+    n, a = _OUTER_NODES, m - 1.0
+    k = np.arange(n, dtype=float)
+    off = -np.sqrt(k[1:] * (k[1:] + a))
+    t = np.linalg.eigvalsh(np.diag(2.0 * k + a + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    dy = (n * special.eval_genlaguerre(n, a, t)
+          - (n + a) * special.eval_genlaguerre(n - 1, a, t)) / t
+    t -= special.eval_genlaguerre(n, a, t) / dy
+    fm = special.eval_genlaguerre(n - 1, a, t)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= special.gamma(a + 1.0) / w.sum()
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

@@ -1,15 +1,19 @@
 """Every exported name resolves, every public definition is exported, no
 package module reaches into another's private names, and the package
-imports neither scipy.optimize nor a process pool.
+imports neither scipy.optimize, scipy.linalg nor a process pool.
 
 A deletion that leaves its name behind in an __all__ list fails here, not
 at a user's star import, and so does a public function or class that a
 module defines but leaves out of it. A quantity that two modules need has
 one public owner, so a module never imports a _name from another or reads
 module._name. scipy.optimize costs a cold start about 0.25 s
-and 17 MB; the package finds its roots without it. Monte Carlo runs in
-one process, so multiprocessing and concurrent.futures.process stay
-unloaded too (about 3 ms of imports).
+and 17 MB; the package finds its roots without it. scipy.linalg cost the
+first fading rate of a process 36 ms and ~6 MB; the package takes the
+Gauss-Laguerre outer nodes from numpy's eigvalsh plus scipy's own Newton
+polish, bit-identical on the pinned numpy/scipy, so the root searches, the
+fading rates, validate, every figure and a fading sweep leave it unloaded.
+Monte Carlo runs in one process, so multiprocessing and
+concurrent.futures.process stay unloaded too (about 3 ms of imports).
 """
 
 import ast
@@ -91,23 +95,38 @@ def test_no_module_reads_another_modules_private_names():
     assert found == {}
 
 
-def test_root_searches_do_not_import_scipy_optimize():
-    # a fresh interpreter: this test session imports scipy.optimize itself
+def test_searches_fading_rates_and_commands_import_no_scipy_optimize_or_linalg(tmp_path):
+    # a fresh interpreter: this test session imports scipy.optimize and
+    # scipy.linalg itself
     script = textwrap.dedent("""
+        import contextlib
+        import io
+        import os
         import sys
-        import underlaysim.cli
-        from underlaysim import montecarlo, power_control as pc
+        from underlaysim import cli, montecarlo, power_control as pc, throughput as th
         params = pc.ScenarioParams()
-        pr_st = pc.default_fading(params, 1.0).pr_st
-        pc.controlled_power_fading(params, pr_st, 1e-3)
+        links = pc.default_fading(params, 1.0)
+        pc.controlled_power_fading(params, links.pr_st, 1e-3)
         pc.perf_bound(params, 1e-3)
         pc.perf_bound(params, 1e-3, 1.0)
         montecarlo.run_trials_det(params, 1e-3, 100, 1, 0.025)
+        th.throughput_fading(params, links, 1e-3)
+        th.throughput_ideal_fading(params, links)
+        th.throughput_no_pc_fading(params, links)
+        th.optimize_tradeoff(params, links)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["validate", "--trials", "2000"])
+            for fig in cli.FIGURE_IDS:
+                cli.main(["figure", fig, "--trials", "2000",
+                          "--out", os.path.join(sys.argv[1], fig + ".csv")])
+            cli.main(["sweep", "--set", "sweep.m=1, 5", "--set", "sweep.include_rs=true",
+                      "--set", "sweep.tau_ms=logspace 0.1 10 3",
+                      "--out", os.path.join(sys.argv[1], "sweep.csv")])
         print(sorted(m for m in sys.modules
-                     if m.startswith(("scipy.optimize", "multiprocessing",
+                     if m.startswith(("scipy.optimize", "scipy.linalg", "multiprocessing",
                                       "concurrent.futures.process"))))
     """)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(
                               filter(None, [_SRC, os.environ.get("PYTHONPATH")]))})

@@ -11,14 +11,19 @@ The fading average, one integral over the two links' 32-node mixtures, is
 checked against a quantile-space midpoint rule over both gains, and against
 the 32 x 32 grid of the same outer nodes with every cell kept: each cell's
 mean by mean_capacity over a seeded table of scenarios, and by the 256-node
-rule on the figures' fading points.
+rule on the figures' fading points. The 32-node Gauss-Laguerre rule itself
+is checked against scipy's roots_genlaguerre, bit for bit on the numpy and
+scipy versions tests/golden was pinned with.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
@@ -41,7 +46,8 @@ from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
 from underlaysim import power_control, specfun, throughput
 from underlaysim.montecarlo import run_trials_fading
 from underlaysim.specfun import ABS_TOL, REL_TOL
-from underlaysim.throughput import (_LAGUERRE_M_CAP, _gain_nodes,
+from underlaysim.cli import default_config
+from underlaysim.throughput import (_LAGUERRE_M_CAP, _gain_nodes, _laguerre_rule,
                                     _mean_capacity_fading, _mean_capacity_grid,
                                     _softplus as _softplus_into)
 
@@ -580,6 +586,36 @@ def test_fading_mean_capacity_oracle_table(defaults):
         assert abs(got - want) <= max(1e-12, 1e-10 * want), (n, m, g_st, g_pt, p)
         ms.append(m)
     assert min(ms) < _LAGUERRE_M_CAP < max(ms)
+
+
+def test_laguerre_rule_matches_scipy_bit_for_bit(defaults):
+    # the rule follows scipy's _gen_roots_and_weights on numpy's eigvalsh;
+    # the same LAPACK dsterf finds the eigenvalues, so on the pinned stack
+    # every node and weight is scipy's, and so is _gain_nodes' normalized
+    # output. Elsewhere the two may round differently, as the gate allows.
+    rng = np.random.default_rng(19690401)
+    ms = np.concatenate([rng.uniform(0.5, _LAGUERRE_M_CAP, 1000),
+                         _log_uniform(rng, 0.5, _LAGUERRE_M_CAP, 1000),
+                         [0.5, 1.0, 2.0, 5.0, _LAGUERRE_M_CAP],
+                         default_config().m_values()]).tolist()
+    pinned = json.loads((Path(__file__).parent / "golden" / "pinned.json").read_text(
+        encoding="utf-8"))
+    if (np.__version__, scipy.__version__) == (pinned["numpy"], pinned["scipy"]):
+        same = np.array_equal
+    else:
+        def same(a, b):
+            return np.allclose(a, b, rtol=1e-12, atol=0.0)
+    moved = []
+    for m in ms:
+        t, w = _laguerre_rule(m)
+        t_ref, w_ref = scipy.special.roots_genlaguerre(32, m - 1.0)
+        gain = default_fading(defaults, m).st_sr
+        x, v = _gain_nodes(gain)
+        x_ref = t_ref * (gain.mean_gain / m)
+        if not (same(t, t_ref) and same(w, w_ref) and same(x, x_ref)
+                and same(v, w_ref / w_ref.sum())):
+            moved.append(m)
+    assert moved == []
 
 
 def test_throughput_fading_reference_value(defaults):
