@@ -20,8 +20,10 @@ pairs the change won (ties count for neither side) and a verdict:
   the metric's bound;
 - "within bound" otherwise.
 
-The failed and attempted operations of each side are summed on the first
-line. Exits 1 when a run fails or prints no result line.
+Under the table, one line per metric lists every pair's values in pair
+order, as parent/change, so a record can name each run. The failed and
+attempted operations of each side are summed on the first line. Exits 1
+when a run fails or prints no result line.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[di
         rows.append({"name": name, "unit": metric["unit"], "parent": p_q, "change": c_q,
                      "change_pct": 100.0 * (c_q[1] / p_q[1] - 1.0) if p_q[1] else 0.0,
                      "won": won, "pairs": len(pairs), "bound": metric["bound"],
-                     "verdict": verdict})
+                     "verdict": verdict, "runs": list(zip(parent, change))})
     return rows
 
 
@@ -103,6 +105,9 @@ def format_summary(workload: str, pairs: list[tuple[dict, dict]], rows: list[dic
         out.append(f"{row['name']:<12} {row['unit']:<5} {parent:<30} {change:<30} "
                    f"{row['change_pct']:>+7.1f}% {won:>7} {100.0 * row['bound']:>5.0f}%  "
                    f"{row['verdict']}")
+    out.append("each pair, parent/change:")
+    out.extend(f"{row['name']:<12} " + " ".join(f"{p:.4g}/{c:.4g}" for p, c in row["runs"])
+               for row in rows)
     return "\n".join(out)
 
 

@@ -32,10 +32,10 @@ of the package.
 
 Take one snapshot per commit; then `diff -r OLD_DIR NEW_DIR` checks the
 bytes and `python scripts/csv_drift.py OLD_DIR NEW_DIR` reports the largest
-drift of each CSV. A snapshot takes ~4 s on a 2-vCPU host, most of it in
-the fading tradeoff figures. tests/test_gate.py compares a fresh snapshot
-with the files pinned in tests/golden. Exits 1 if any command exited nonzero, after
-running them all.
+drift of each CSV. A snapshot takes ~2.8 s on a 2-vCPU host (numpy 2.4.6),
+about half of it in the fading tradeoff figures fig9a/b (0.6-0.7 s each).
+tests/test_gate.py compares a fresh snapshot with the files pinned in
+tests/golden. Exits 1 if any command exited nonzero, after running them all.
 """
 
 import contextlib

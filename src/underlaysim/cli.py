@@ -28,7 +28,7 @@ from .power_control import (Regime, ScenarioParams, controlled_power,
                             linear_to_db, outage, perf_bound,
                             perf_bound_asymptote, pr_st_law, samples_for)
 from .throughput import (capacity_law_det, mean_capacity, optimize_tradeoff,
-                         throughput_det_array, throughput_fading_at,
+                         throughput_array, throughput_fading_at,
                          throughput_ideal_det, throughput_ideal_fading,
                          throughput_no_pc_det, throughput_no_pc_fading)
 
@@ -85,10 +85,11 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 
 _SWEEP_ROW_CAP = 1_000_000
 # grid points per sweep block, rounded down to whole (tau, gamma) lines and
-# at least one: per m, one _power_cells call, one domain check and one %
-# format call per block. A rho_out axis longer than this makes each line a
-# block of its own, up to the row cap; the block sets the size of the
-# per-point arrays and texts held at once (~32 kB per array at 4096 points)
+# at least one: per m, one controlled_power call, one throughput_array call
+# (with rates), one domain check and one % format call per block. A rho_out
+# axis longer than this makes each line a block of its own, up to the row
+# cap; the block sets the size of the per-point arrays and texts held at
+# once (~32 kB per array at 4096 points)
 _SWEEP_BLOCK = 4096
 
 
@@ -389,23 +390,6 @@ _FIG5_M = (0.5, 1.0, 2.0, 5.0)
 _FIG68_TAUS = np.geomspace(1e-5, 1e-2, 37)
 
 
-def _power_cells(params: ScenarioParams, m: float, tau, gamma, rho_out, with_rate: bool):
-    """The controlled powers, their power-limited flags and, with with_rate,
-    the rates at those powers (else None), as flat arrays in the C order of
-    broadcast(tau, gamma, rho_out). The powers and the m = inf rates are one
-    array call each; a finite m's rates are taken point by point."""
-    pc = controlled_power(params, tau, gamma, rho_out, m)
-    rates = None
-    if with_rate and math.isinf(m):
-        rates = throughput_det_array(params, tau, pc).ravel()
-    elif with_rate:
-        points = (a.ravel().tolist() for a in np.broadcast_arrays(tau, gamma, rho_out, pc.p_cont))
-        scenarios = ((replace(params, gamma=g, rho_out=r), t, p) for t, g, r, p in zip(*points))
-        rates = np.array([throughput_fading_at(p2, default_fading(p2, m), t, p)
-                          for p2, t, p in scenarios])
-    return pc.p_cont.ravel(), pc.power_limited.ravel(), rates
-
-
 def _power_table(cfg: ScenarioConfig, ms):
     """Controlled and perfect-knowledge power over tau, two columns per m.
     Both read only the PR-ST law, so they need no PT-SR gain."""
@@ -429,8 +413,9 @@ def _rate_table(cfg: ScenarioConfig, ms):
     taus = _FIG68_TAUS.tolist()
     table = {"tau_ms": _FIG68_TAUS * 1e3}
     for k, m in enumerate(ms):
-        powers, _, rates = (a.tolist() for a in _power_cells(
-            params, m, _FIG68_TAUS, params.gamma, params.rho_out, True))
+        power = controlled_power(params, _FIG68_TAUS, params.gamma, params.rho_out, m)
+        powers = power.p_cont.tolist()
+        rates = throughput_array(params, _FIG68_TAUS, power, m).tolist()
         if math.isinf(m):
             ideal = throughput_ideal_det(params)
             simulate = functools.partial(montecarlo.run_trials_det, params)
@@ -465,20 +450,21 @@ def _tradeoff_table(cfg: ScenarioConfig, panel: str, columns):
     if panel == "b":
         params = replace(params, g_pt_sr=params.g_pt_sr * 10.0)
     table = {"gamma_dB": _FIG79_GAMMAS_DB}
+    # gamma per value: numpy's power can differ from math's in the last bit
+    gammas = [db_to_linear(g_db) for g_db in _FIG79_GAMMAS_DB.tolist()]
     for suffix, overrides, m in columns:
+        curves = optimize_tradeoff(replace(params, **overrides), np.array(gammas), m)
         rates = []
-        for g_db in _FIG79_GAMMAS_DB.tolist():
-            p2 = replace(params, gamma=db_to_linear(g_db), **overrides)
+        for gamma in gammas:
+            p2 = replace(params, gamma=gamma, **overrides)
             if math.isinf(m):
-                rates.append((optimize_tradeoff(p2).r_s_opt, throughput_ideal_det(p2),
-                              throughput_no_pc_det(p2)[1]))
+                rates.append((throughput_ideal_det(p2), throughput_no_pc_det(p2)[1]))
             else:
                 links = default_fading(p2, m)
-                rates.append((optimize_tradeoff(p2, links).r_s_opt,
-                              throughput_ideal_fading(p2, links),
+                rates.append((throughput_ideal_fading(p2, links),
                               throughput_no_pc_fading(p2, links)[1]))
-        table.update((f"rs_{tag}{suffix}", col)
-                     for tag, col in zip(("EM", "IM", "NPC"), zip(*rates)))
+        table[f"rs_EM{suffix}"] = [curve.r_s_opt for curve in curves]
+        table.update((f"rs_{tag}{suffix}", col) for tag, col in zip(("IM", "NPC"), zip(*rates)))
     notes = ["EM column reports the tau-optimized throughput per gamma"]
     return table, notes
 
@@ -553,14 +539,16 @@ def _sweep_rows(params: ScenarioParams, m: float, prefixes, rho_cells, tau, gamm
     order of broadcast(tau, gamma, rho_out): tau and gamma hold one value
     per line on a trailing axis of length 1, prefixes each line's text
     "tau,gamma,", and rho_cells the text of rho_out."""
-    p_cont, power_limited, rs = _power_cells(params, m, tau, gamma, rho_out, include_rs)
+    power = controlled_power(params, tau, gamma, rho_out, m)
+    p_cont = power.p_cont.ravel()
     if not (p_cont > 0.0).all():
         raise ValueError("only positive values have a dB representation")
     # linear_to_db's arithmetic: numpy's log10 can differ from math.log10 in the last bit
     p_db = [10.0 * v for v in map(math.log10, p_cont.tolist())]
-    regimes = _REGIME_CELLS[power_limited.astype(np.intp)].tolist()
+    regimes = _REGIME_CELLS[power.power_limited.ravel().astype(np.intp)].tolist()
     return _format_rows(prefixes, rho_cells, format(m, "g"), p_db, regimes,
-                        rs.tolist() if include_rs else None)
+                        throughput_array(params, tau, power, m).ravel().tolist()
+                        if include_rs else None)
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
@@ -568,8 +556,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str) -> None:
 
     Rows run over tau, then gamma, rho_out and m, evaluated over blocks of
     whole (tau, gamma) lines, about _SWEEP_BLOCK points and at least one
-    line each. Per block and per m, _power_cells picks the channel's route
-    and one _format_rows call writes the rows' text, for every m alike.
+    line each. Per block and per m, one controlled_power call and, with
+    rates, one throughput_array call take the channel's route, and one
+    _format_rows call writes the rows' text, for every m alike.
     Every row is held until the grid is done, so a sweep that fails writes
     no CSV.
     """
@@ -707,7 +696,7 @@ def _validate_checks(cfg: ScenarioConfig):
     yield "capacity law KS vs exact draws", ks <= 0.02, f"{ks:.4f}", "<= 0.02"
 
     # 9: the estimation-throughput curve peaks inside the grid, near ideal
-    curve = optimize_tradeoff(params)
+    curve = optimize_tradeoff(params, params.gamma)
     grid_taus = [t for t, _ in curve.points]
     interior = grid_taus[0] < curve.tau_opt < grid_taus[-1]
     gap = throughput_ideal_det(params) - curve.r_s_opt

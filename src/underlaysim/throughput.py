@@ -33,14 +33,15 @@ from . import dists, specfun
 from .dists import CapacityDist
 from .power_control import (FadingLinks, PowerArrays, ScenarioParams,
                             controlled_power, controlled_power_fading,
-                            forced_window, ideal_power, samples_for)
+                            default_fading, forced_window, ideal_power,
+                            samples_for)
 
 __all__ = [
     "TradeoffCurve",
     "prefactor",
     "capacity_law_det",
     "mean_capacity",
-    "throughput_det_array",
+    "throughput_array",
     "throughput_det",
     "throughput_ideal_det",
     "throughput_no_pc_det",
@@ -216,17 +217,21 @@ def _softplus(x, out):
     return np.maximum(x, out, out=out)
 
 
-def throughput_det_array(params: ScenarioParams, tau,
-                         power: PowerArrays) -> np.ndarray:
-    """Secondary throughput over an array of sensing times tau, deterministic
-    channels, at the outcome of controlled_power for those tau at m inf.
-
-    The capacity law depends on (n, p_cont) alone, and power-limited points
-    share p_full, so over arrays each distinct pair is evaluated once. The
-    pairs are found as complex numbers n + i p_cont: numpy sorts those by
-    real, then imaginary part, ~7x faster than np.unique(axis=0) sorts
-    stacked rows.
+def throughput_array(params: ScenarioParams, tau, power: PowerArrays,
+                     m: float = math.inf) -> np.ndarray:
+    """Secondary throughput over arrays of sensing times tau, at the outcome
+    of controlled_power for them at m: deterministic channels for m inf,
+    else Nakagami-m fading, point by point on default_fading(params, m)'s
+    laws. The rate reads only the PT-SR and ST-SR laws, so these serve every
+    gamma and rho_out. At m inf each distinct (n, p_cont) capacity law is
+    evaluated once, found as a complex n + i p_cont: numpy sorts those ~7x
+    faster than np.unique(axis=0) sorts stacked rows.
     """
+    if not math.isinf(m):
+        links = default_fading(params, m)
+        taus, powers = np.broadcast_arrays(tau, power.p_cont)
+        return np.array([throughput_fading_at(params, links, t, p) for t, p in zip(
+            taus.ravel().tolist(), powers.ravel().tolist())]).reshape(taus.shape)
     n, p = np.broadcast_arrays(power.n, power.p_cont)
     pairs = np.empty(n.shape, dtype=complex)
     pairs.real, pairs.imag = n, p
@@ -239,7 +244,7 @@ def throughput_det_array(params: ScenarioParams, tau,
 def throughput_det(params: ScenarioParams, tau: float) -> float:
     """Secondary throughput at sensing time tau, deterministic channels."""
     power = controlled_power(params, tau, params.gamma, params.rho_out)
-    return float(throughput_det_array(params, tau, power))
+    return float(throughput_array(params, tau, power))
 
 
 def throughput_ideal_det(params: ScenarioParams) -> float:
@@ -386,25 +391,36 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TAU_TOL = 1e-6
 
 
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+def _golden_max(fn, lo, hi):
+    """Golden-section maxima of curves on brackets [lo, hi], 1-d arrays of one
+    entry per curve: each one's best point and value. fn(at, x) gives curves
+    at's values at x, at broadcast against x, each point on its own. The
+    curves run in lockstep, one fn call a round over those still searching,
+    so each visits the scalar search's points until its bracket is narrower
+    than _TAU_TOL."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while b - a > _TAU_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-        x, f = (c, fc) if fc >= fd else (d, fd)
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
+    at = np.arange(a.size)
+    fc, fd = fn(at, np.array([c, d]))
+    best_x, best_f = np.where(fc >= fd, [c, fc], [d, fd])
+    out_x, out_f = np.empty(a.size), np.empty(a.size)
+    while True:
+        done = ~(b - a > _TAU_TOL)
+        if done.any():
+            out_x[at[done]], out_f[at[done]] = best_x[done], best_f[done]
+            at, a, b, c, d, fc, fd, best_x, best_f = (v[~done] for v in (
+                at, a, b, c, d, fc, fd, best_x, best_f))
+            if not at.size:
+                return out_x, out_f
+        # the left step keeps [a, d] and probes below c, the right one [c, b] above d
+        left = fc >= fd
+        a, b = np.where(left, [a, d], [c, b])
+        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        fx = fn(at, x)
+        c, fc, d, fd = np.where(left, [x, fx, c, fc], [d, fd, x, fx])
+        x, f = np.where(fc >= fd, [c, fc], [d, fd])
+        best_x, best_f = np.where(f > best_f, [x, f], [best_x, best_f])
 
 
 def default_tau_grid(params: ScenarioParams) -> np.ndarray:
@@ -419,36 +435,30 @@ def default_tau_grid(params: ScenarioParams) -> np.ndarray:
     return np.geomspace(lo, hi, 25)
 
 
-def optimize_tradeoff(params: ScenarioParams,
-                      links: FadingLinks | None = None) -> TradeoffCurve:
-    """Trace the estimation rate-versus-tau curve and locate its optimum.
-
-    Scans default_tau_grid, powers in one controlled_power call at the
-    scenario's gamma, then refines the best cell by golden section until the
-    bracket is narrower than _TAU_TOL. The grid's powers read the PR-ST law
-    from gamma and the refinement's from links.pr_st, so links, if any,
-    must carry the mean PR-ST gain gamma * sigma2 / p_tx_pr, as
-    default_fading's do; ValueError otherwise.
+def optimize_tradeoff(params: ScenarioParams, gamma, m: float = math.inf):
+    """Trace the estimation rate-versus-tau curve at receive SNR gamma, in
+    place of the scenario's, and locate its optimum, at m as in
+    throughput_array. A scalar gamma gives one TradeoffCurve, a 1-d gamma a
+    tuple of one per value. default_tau_grid is scanned for every gamma in
+    one controlled_power and one throughput_array call; each curve's best
+    cell is then refined by golden section, all in lockstep (_golden_max).
     """
-    if (links is not None
-            and links.pr_st.mean_gain != params.gamma * params.sigma2 / params.p_tx_pr):
-        raise ValueError("links.pr_st.mean_gain must equal the scenario's "
-                         "gamma * sigma2 / p_tx_pr")
+    gammas = np.array(gamma, dtype=float, ndmin=1)
+    if gammas.ndim > 1:
+        raise ValueError("gamma must be a scalar or 1-d")
     grid = default_tau_grid(params)
-    power = controlled_power(params, grid, params.gamma, params.rho_out,
-                             math.inf if links is None else links.pr_st.m)
-    if links is None:
-        rate = functools.partial(throughput_det, params)
-        values = throughput_det_array(params, grid, power)
-    else:
-        rate = functools.partial(throughput_fading, params, links)
-        values = np.array([throughput_fading_at(params, links, t, p)
-                           for t, p in zip(grid.tolist(), power.p_cont.tolist())])
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+
+    def rate(at, tau):  # the rates at sensing times tau of the curves at
+        power = controlled_power(params, tau, gammas[at], params.rho_out, m)
+        return throughput_array(params, tau, power, m)
+
+    values = rate(np.arange(gammas.size)[:, None], grid)
+    i = np.argmax(values, axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, grid.size - 1)]
     tau_opt, r_opt = _golden_max(rate, lo, hi)
-    if values[i] > r_opt:
-        tau_opt, r_opt = float(grid[i]), float(values[i])
-    points = tuple((float(t), float(v)) for t, v in zip(grid, values))
-    return TradeoffCurve(points, float(tau_opt), float(r_opt))
+    peak = values.max(axis=1)
+    tau_opt, r_opt = np.where(peak > r_opt, [grid[i], peak], [tau_opt, r_opt])
+    curves = tuple(TradeoffCurve(tuple(zip(grid.tolist(), row)), t, r) for row, t, r in zip(
+        values.tolist(), tau_opt.tolist(), r_opt.tolist()))
+    return curves if np.ndim(gamma) else curves[0]

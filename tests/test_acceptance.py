@@ -157,14 +157,14 @@ def test_capacity_law_against_exact_draws(defaults, record):
 
 def test_tradeoff_shape_and_budget_ordering(defaults, record):
     ideal = throughput_ideal_det(defaults)
-    curve = optimize_tradeoff(defaults)
+    curve = optimize_tradeoff(defaults, defaults.gamma)
     values = np.array([v for _, v in curve.points])
     i = int(np.argmax(values))
     diffs = np.diff(values)
     unimodal = bool(np.all(diffs[:i] > 0.0) and np.all(diffs[i:] < 0.0))
     interior = 0 < i < values.size - 1
     gap = ideal - curve.r_s_opt
-    tight = optimize_tradeoff(replace(defaults, rho_out=0.01))
+    tight = optimize_tradeoff(replace(defaults, rho_out=0.01), defaults.gamma)
     ordering = tight.tau_opt > curve.tau_opt and tight.r_s_opt < curve.r_s_opt
     ok = (unimodal and interior and curve.r_s_opt < ideal
           and 0.0 < gap < 0.15 and ordering)
@@ -240,7 +240,7 @@ def test_no_power_control_baseline(defaults, record):
     for g_db in (-11.0, -12.0, -14.0):
         params = replace(defaults, gamma=db_to_linear(g_db))
         _, r_base = throughput_no_pc_det(params)
-        curve = optimize_tradeoff(params)
+        curve = optimize_tradeoff(params, params.gamma)
         ok = ok and r_base <= curve.r_s_opt + 1e-9
         details.append(f"{g_db:g} dB: {r_base:.4f} <= {curve.r_s_opt:.4f}")
     record(9, "no-control baseline vanishes when unattainable, never wins",

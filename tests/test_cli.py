@@ -223,8 +223,7 @@ def _fig7_params(p, g_db, p_full_db):
 
 
 def _fig9a_rs_em_m1(p, g_db):
-    p2 = replace(p, gamma=db_to_linear(g_db))
-    return optimize_tradeoff(p2, default_fading(p2, 1.0)).r_s_opt
+    return optimize_tradeoff(p, db_to_linear(g_db), 1.0).r_s_opt
 
 
 _PFULL_HEADER = ["gamma_dB"] + [f"rs_{model}_pfull_{p}dBm" for p in ("0", "m10")
@@ -257,7 +256,8 @@ _FIGURE_TABLES = [
     ("fig7a", _PFULL_HEADER, 13,
      ["EM column reports the tau-optimized throughput per gamma"],
      "rs_EM_pfull_0dBm", 0.0,
-     lambda p, g_db: optimize_tradeoff(_fig7_params(p, g_db, 0.0)).r_s_opt),
+     lambda p, g_db: optimize_tradeoff(_fig7_params(p, g_db, 0.0),
+                                       db_to_linear(g_db)).r_s_opt),
     ("fig7b", _PFULL_HEADER, 13,
      ["EM column reports the tau-optimized throughput per gamma"],
      "rs_NPC_pfull_m10dBm", -5.0,
@@ -894,8 +894,15 @@ def test_ab_bench_summarizes_canned_pairs_by_the_pair_rule(tmp_path, monkeypatch
                                    for k in range(1, 11))
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "analytic: 10 pairs; failed operations: parent 1/500, change 0/500"
-    rows = {line.split()[0]: line for line in lines[2:]}
+    # the table's four rows, then each pair's values per metric
+    rows = {line.split()[0]: line for line in lines[2:6]}
     assert list(rows) == ["wall_s", "cpu_s", "setup_s", "peak_rss_mb"]
+    assert lines[6] == "each pair, parent/change:"
+    runs = {line.split()[0]: line.split()[1:] for line in lines[7:]}
+    assert list(runs) == list(rows)
+    assert runs["wall_s"][:3] == ["0.191/0.151", "0.192/0.152", "0.193/0.2"]
+    assert runs["cpu_s"] == [f"{0.1 * k:.4g}/{0.1 * k:.4g}" for k in range(1, 11)]
+    assert runs["setup_s"] == ["0.5/0.65"] * 10 and runs["peak_rss_mb"] == ["70/70.7"] * 10
     assert rows["wall_s"].split()[-3:] == ["9/10", "25%", "gain"]
     assert rows["wall_s"].split()[2:10] == ["0.1955", "[0.1927,", "0.1983]",
                                             "0.1565", "[0.1535,", "0.1593]", "-19.9%", "9/10"]

@@ -113,7 +113,7 @@ def test_searches_fading_rates_and_commands_import_no_scipy_optimize_or_linalg(t
         th.throughput_fading(params, links, 1e-3)
         th.throughput_ideal_fading(params, links)
         th.throughput_no_pc_fading(params, links)
-        th.optimize_tradeoff(params, links)
+        th.optimize_tradeoff(params, params.gamma, 1.0)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["validate", "--trials", "2000"])
             for fig in cli.FIGURE_IDS:

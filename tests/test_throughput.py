@@ -31,14 +31,14 @@ from hypothesis import strategies as st
 
 from underlaysim.dists import (CapacityDist, NcChiSq, capacity_cdf,
                                gamma_match, nakagami_gain_quantile)
-from underlaysim.power_control import (FadingLinks, Regime, ScenarioParams,
+from underlaysim.power_control import (Regime, ScenarioParams,
                                        controlled_power, controlled_power_det,
                                        controlled_power_fading, db_to_linear,
                                        default_fading, outage, samples_for)
 from underlaysim.throughput import (TradeoffCurve, capacity_law_det,
                                     default_tau_grid, mean_capacity,
                                     optimize_tradeoff, prefactor,
-                                    throughput_det, throughput_det_array,
+                                    throughput_array, throughput_det,
                                     throughput_fading, throughput_ideal_det,
                                     throughput_ideal_fading,
                                     throughput_no_pc_det,
@@ -338,7 +338,7 @@ def test_det_rate_array_with_repeated_laws_equals_the_scalar_rate(defaults, poin
     gamma = 10.0 ** (g_db / 10.0)
     pc = controlled_power(defaults, tau, gamma, rho)
     assert pc.power_limited[2::4].all() and pc.power_limited[3::4].all()
-    rates = throughput_det_array(defaults, tau, pc)
+    rates = throughput_array(defaults, tau, pc)
     for k, (t, g, r) in enumerate(zip(tau.tolist(), gamma.tolist(), rho.tolist())):
         assert rates[k] == throughput_det(replace(defaults, gamma=g, rho_out=r), t)
 
@@ -401,7 +401,7 @@ def test_det_rate_array_evaluates_each_distinct_law_once(defaults, points):
 
     throughput._mean_capacity_grid = counted
     try:
-        rates = throughput_det_array(defaults, tau, pc)
+        rates = throughput_array(defaults, tau, pc)
     finally:
         throughput._mean_capacity_grid = kernel
     assert np.array_equal(rates, every_point)
@@ -442,7 +442,7 @@ def test_no_pc_det_unattainable_at_high_snr(defaults):
 # ------------------------------------------------------------- optimization
 
 def test_tradeoff_unimodal_with_interior_peak(defaults):
-    curve = optimize_tradeoff(defaults)
+    curve = optimize_tradeoff(defaults, defaults.gamma)
     values = np.array([v for _, v in curve.points])
     i = int(np.argmax(values))
     assert 0 < i < values.size - 1
@@ -460,32 +460,92 @@ def test_tradeoff_unimodal_with_interior_peak(defaults):
 def test_det_tradeoff_grid_equals_the_scalar_rate_bit_for_bit(defaults, overrides):
     # the grid is one array call; each point must be throughput_det there
     params = replace(defaults, **overrides)
-    curve = optimize_tradeoff(params)
+    curve = optimize_tradeoff(params, params.gamma)
     assert [v for _, v in curve.points] == [throughput_det(params, t)
                                             for t, _ in curve.points]
 
 
-def test_fading_tradeoff_rejects_links_with_another_pr_st_law(defaults):
-    # the grid's powers come from the scenario's gamma, the golden-section
-    # points' from links.pr_st: one curve must read one PR-ST law
-    links = default_fading(defaults, 1.0)
-    other = FadingLinks(replace(links.pr_st, mean_gain=links.pr_st.mean_gain * 2.0),
-                        links.pt_sr, links.st_sr)
-    with pytest.raises(ValueError, match="^links.pr_st.mean_gain must equal"):
-        optimize_tradeoff(defaults, other)
-
-
 def test_tradeoff_tighter_budget_senses_longer(defaults):
-    loose = optimize_tradeoff(defaults)
-    tight = optimize_tradeoff(replace(defaults, rho_out=0.01))
+    loose = optimize_tradeoff(defaults, defaults.gamma)
+    tight = optimize_tradeoff(replace(defaults, rho_out=0.01), defaults.gamma)
     assert tight.tau_opt > loose.tau_opt
     assert tight.r_s_opt < loose.r_s_opt
 
 
 def test_tradeoff_reference_optimum(defaults):
-    curve = optimize_tradeoff(defaults)
+    curve = optimize_tradeoff(defaults, defaults.gamma)
     assert curve.tau_opt == pytest.approx(1.6675e-3, rel=5e-3)
     assert curve.r_s_opt == pytest.approx(2.45537, rel=1e-4)
+
+
+# one figure column per (channel, PT-SR gain, p_full): five gamma curves each,
+# 100 curves in all
+_COLUMN_GAMMAS_DB = (-20.0, -12.5, -5.0, 2.5, 10.0)
+
+
+@pytest.mark.parametrize("m", [math.inf, 0.5, 1.0, 5.0, 200.0])
+@pytest.mark.parametrize("g_pt_sr_factor", [1.0, 10.0])
+@pytest.mark.parametrize("p_full_dbm", [0.0, -10.0])
+def test_tradeoff_column_equals_single_gamma_calls_bit_for_bit(defaults, m, g_pt_sr_factor,
+                                                              p_full_dbm):
+    # the lockstep search must not let one curve's rounds move another's points
+    params = replace(defaults, g_pt_sr=defaults.g_pt_sr * g_pt_sr_factor,
+                     p_full=db_to_linear(p_full_dbm))
+    gammas = [db_to_linear(g_db) for g_db in _COLUMN_GAMMAS_DB]
+    column = optimize_tradeoff(params, np.array(gammas), m)
+    assert isinstance(column, tuple) and len(column) == len(gammas)
+    for curve, gamma in zip(column, gammas):
+        single = optimize_tradeoff(params, gamma, m)
+        assert isinstance(single, TradeoffCurve)
+        assert (curve.tau_opt, curve.r_s_opt) == (single.tau_opt, single.r_s_opt)
+        assert curve.points == single.points and len(curve.points) == 25
+
+
+def test_tradeoff_rejects_a_gamma_of_more_than_one_axis(defaults):
+    with pytest.raises(ValueError, match="^gamma must be a scalar or 1-d"):
+        optimize_tradeoff(defaults, np.ones((2, 2)))
+
+
+def _scalar_golden_max(fn, lo, hi):
+    # the one-curve golden section the lockstep search replaced, kept as its oracle
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_golden * (b - a)
+    d = a + inv_golden * (b - a)
+    fc, fd = fn(c), fn(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while b - a > 1e-6:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = fn(d)
+        x, f = (c, fc) if fc >= fd else (d, fd)
+        if f > best_f:
+            best_x, best_f = x, f
+    return best_x, best_f
+
+
+@pytest.mark.parametrize("m", [math.inf, 1.0])
+def test_tradeoff_optimum_equals_the_scalar_golden_section_bit_for_bit(defaults, m):
+    curve = optimize_tradeoff(defaults, defaults.gamma, m)
+    grid, values = (np.array(v) for v in zip(*curve.points))
+    i = int(np.argmax(values))
+    if math.isinf(m):
+        def rate(tau):
+            return throughput_det(defaults, tau)
+    else:
+        links = default_fading(defaults, m)
+
+        def rate(tau):
+            return throughput_fading(defaults, links, tau)
+    tau_opt, r_opt = _scalar_golden_max(rate, float(grid[i - 1]), float(grid[i + 1]))
+    # the refinement beats the grid here, so the optimum is the search's own
+    assert r_opt > values[i]
+    assert (curve.tau_opt, curve.r_s_opt) == (tau_opt, r_opt)
 
 
 def test_default_tau_grid_bounds(defaults):
@@ -641,6 +701,28 @@ def test_throughput_fading_approaches_det(defaults):
     links = default_fading(defaults, 1e4)
     got = throughput_fading(defaults, links, 1e-3)
     assert got == pytest.approx(throughput_det(defaults, 1e-3), rel=0.01)
+
+
+@pytest.mark.parametrize("m", [1e4, 1e5, 1e6])
+def test_large_m_rate_and_power_converge_to_det_as_one_over_m(defaults, m):
+    # past the Laguerre cap the fading rate and power lie below the det ones
+    # by c / m, c settling near -12.07 (rate) and -25.46 (power) at gamma
+    # 0 dB and tau 10 ms: -11.6 and -24.4 at m 1e4, -12.0 and -25.4 at 1e5,
+    # -12.07 and -25.5 at 1e6. The band takes c within (-12.5, -11.0) and
+    # (-26.0, -24.0). At -15 dB the point is power-limited: equal powers,
+    # and a rate c of -0.0903 from the PT-SR and ST-SR laws alone.
+    tau, links = 1e-2, default_fading(defaults, m)
+
+    def power(params, m):
+        return float(controlled_power(params, tau, params.gamma, params.rho_out, m).p_cont)
+
+    rate_c = m * (throughput_fading(defaults, links, tau) / throughput_det(defaults, tau) - 1.0)
+    assert -12.5 < rate_c < -11.0
+    assert -26.0 < m * (power(defaults, m) / power(defaults, math.inf) - 1.0) < -24.0
+    low = replace(defaults, gamma=db_to_linear(-15.0))
+    assert power(low, m) == power(low, math.inf) == low.p_full
+    low_rate = throughput_fading(low, default_fading(low, m), tau)
+    assert -0.1 < m * (low_rate / throughput_det(low, tau) - 1.0) < -0.08
 
 
 def test_ideal_fading_reference_and_limit(defaults):
